@@ -14,7 +14,6 @@ Every command is deterministic given (config, seed); CSV output starts
 with comment lines carrying the resolved-config hash.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 usage/domain error.
-LOGDAMP_THREADS caps worker threads for grid sweeps (default 1).
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,23 +186,6 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     # Fail fast on bad data fields even before a command needs them.
     cfg.data_pair(dims[0])
     return cfg
-
-
-def _threads() -> int:
-    raw = os.environ.get("LOGDAMP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _sweep(fn, items):
-    """Map preserving order; thread count capped by LOGDAMP_THREADS."""
-    workers = _threads()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- output ------------------------------------------------------------------
@@ -470,7 +450,7 @@ def cmd_decay(cfg: RunConfig) -> int:
     failures = []
     for n in cfg.dims:
         u0, u1 = cfg.data_pair(n)
-        vals = _sweep(lambda t: norms.l2_norm(t, u0, u1, n, rel_tol=1e-9), ts)
+        vals = [norms.l2_norm(t, u0, u1, n, rel_tol=1e-9) for t in ts]
         expected = _expected_slope(n)
         if expected is None:
             scaled = [v * v / math.log(t) for v, t in zip(vals, ts)]
@@ -507,7 +487,7 @@ def cmd_profile(cfg: RunConfig) -> int:
     for n in cfg.dims:
         u0, u1 = cfg.data_pair(n)
         i0 = norms.data_constant(u0, u1)
-        vals = _sweep(lambda t: norms.residual_norm(t, u0, u1, n), ts)
+        vals = [norms.residual_norm(t, u0, u1, n) for t in ts]
         scaled = [v * t ** (n / 4.0) for v, t in zip(vals, ts)]
         for t, v, s in zip(ts, vals, scaled):
             rep.row(n, t, _fmt(v), _fmt(s), _fmt(i0))

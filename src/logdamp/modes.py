@@ -28,7 +28,7 @@ from . import symbols
 from .stable import sinc
 
 __all__ = [
-    "InitialDataSpec", "DataDecomposition", "ModeDecomposition",
+    "InitialDataSpec", "DataDecomposition", "ModeDecomposition", "Mode",
     "sphere_area", "mode_value", "mode_value_dt", "u_hat", "u_hat_t",
     "profile_hat", "k_terms", "remainder_terms", "decompose_data",
 ]
@@ -124,14 +124,13 @@ class InitialDataSpec:
 class DataDecomposition:
     """Mass/oscillation split of a velocity transform.
 
-    u1_hat(r) = A1(r) + P1 with A1 := u1_hat - P1 real (B1 vanishes for
-    real radial data: the sine moment integrates to zero by symmetry).
+    u1_hat(r) = A1(r) + P1 with A1 := u1_hat - P1 real (the sine moment
+    of real radial data integrates to zero by symmetry).
     |A1(r)| <= |r| * weighted_l1 since |1 - cos(s)| <= |s|.
     """
 
     P1: float
     A1: Callable
-    B1: Callable
 
 
 def decompose_data(u1: InitialDataSpec) -> DataDecomposition:
@@ -142,75 +141,100 @@ def decompose_data(u1: InitialDataSpec) -> DataDecomposition:
     def a1(r):
         return u1.fourier(r) - p1
 
-    def b1(r):
-        out = np.zeros_like(np.asarray(r, dtype=float))
-        return out if out.ndim else 0.0
-
-    return DataDecomposition(P1=p1, A1=a1, B1=b1)
+    return DataDecomposition(P1=p1, A1=a1)
 
 
 # -- mode evaluation --------------------------------------------------------
 
-def _symbol_arrays(r, damped: bool):
-    r = np.asarray(r, dtype=float)
-    if damped:
-        return symbols.damping_a(r), symbols.oscillation_b(r)
-    return np.zeros_like(r), r.copy()
+def _out(x):
+    return x if np.ndim(x) else float(x)
 
 
-def mode_value(t, r, u0_val, u1_val, damped: bool = True):
-    """Mode solution from raw transform values u0_val, u1_val at r.
+class Mode:
+    """The factors shared by every mode field at time t and radii r.
 
-    Valid for r >= 0; sin(bt)/b is evaluated as t*sinc(bt) so the r = 0
-    limit is exact.  ``damped=False`` is a test hook that freezes the
-    damping symbol at zero (free wave)."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    a, b = _symbol_arrays(r, damped)
-    bt = b * t
-    env = np.exp(-a * t)
-    out = env * (u0_val * np.cos(bt) + (u1_val + a * u0_val) * t * sinc(bt))
-    return out if np.ndim(out) else float(out)
+    The roots -a +/- ib of the mode equation fix a, e^{-at}, cos(bt) and
+    sinc(bt) once per abscissa array; each method builds one field from
+    them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
+    exact.  Only these four full-size arrays are held, to keep peak
+    memory low; g and sqrt(1-g) are recomputed on the K-term path.
+    """
+
+    def __init__(self, t, r):
+        t = float(t)
+        if t < 0.0:
+            raise ValueError("time must be >= 0")
+        self.t = t
+        self.r = r = np.asarray(r, dtype=float)
+        self.a = symbols.damping_a(r)
+        # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
+        bt = r * np.sqrt(1.0 - symbols.ratio_g(r)) * t
+        self.env = np.exp(-self.a * t)
+        self.cos_bt = np.cos(bt)
+        self.sinc_bt = sinc(bt)
+
+    def u(self, u0_val, u1_val):
+        """Mode solution from raw transform values u0_val, u1_val."""
+        return self.env * (u0_val * self.cos_bt + (u1_val + self.a * u0_val)
+                           * self.t * self.sinc_bt)
+
+    def u_t(self, u0_val, u1_val):
+        """Time derivative of the mode solution (uses a^2 + b^2 = r^2)."""
+        r = self.r
+        return self.env * (u1_val * self.cos_bt
+                           - (self.a * u1_val + r * r * u0_val)
+                           * self.t * self.sinc_bt)
+
+    def profile(self, p1: float):
+        """Leading profile P1 * (1+r^2)^(-t/2) * sin(rt)/r."""
+        return p1 * self.env * self.t * sinc(self.r * self.t)
+
+    def k_terms(self, u0_val, u1_val, p1: float):
+        """The five remainder terms, for r > 0 (see ``k_terms``)."""
+        r, t, env = self.r, self.t, self.env
+        if np.any(r <= 0.0):
+            raise ValueError("remainder split requires r > 0")
+        g = symbols.ratio_g(r)
+        sq = np.sqrt(1.0 - g)
+        inv_diff = g / (r * sq * (1.0 + sq))
+        bmr_over_b = -g / (sq * (1.0 + sq))
+        rt = r * t
+
+        k1 = (u1_val - p1) * env * t * self.sinc_bt
+        k2 = u0_val * self.a * env * t * self.sinc_bt
+        k3 = u0_val * env * self.cos_bt
+        k4 = p1 * env * np.sin(rt) * inv_diff
+        delta = bmr_over_b * (r * sq) * t  # = (b - r) t, stably
+        k5 = p1 * env * t * bmr_over_b * np.cos(rt + 0.5 * delta) \
+            * sinc(0.5 * delta)
+        return k1, k2, k3, k4, k5
 
 
-def mode_value_dt(t, r, u0_val, u1_val, damped: bool = True):
-    """Time derivative of the mode solution (uses a^2 + b^2 = r^2)."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    r = np.asarray(r, dtype=float)
-    a, b = _symbol_arrays(r, damped)
-    bt = b * t
-    env = np.exp(-a * t)
-    out = env * (u1_val * np.cos(bt)
-                 - (a * u1_val + r * r * u0_val) * t * sinc(bt))
-    return out if np.ndim(out) else float(out)
+def mode_value(t, r, u0_val, u1_val):
+    """Mode solution from raw transform values u0_val, u1_val at r >= 0."""
+    return _out(Mode(t, r).u(u0_val, u1_val))
 
 
-def u_hat(t, r, u0: InitialDataSpec, u1: InitialDataSpec,
-          damped: bool = True):
+def mode_value_dt(t, r, u0_val, u1_val):
+    """Time derivative of the mode solution."""
+    return _out(Mode(t, r).u_t(u0_val, u1_val))
+
+
+def u_hat(t, r, u0: InitialDataSpec, u1: InitialDataSpec):
     """Transformed solution at time t and radius r for the given data."""
     rr = np.asarray(r, dtype=float)
-    return mode_value(t, rr, u0.fourier(rr), u1.fourier(rr), damped=damped)
+    return mode_value(t, rr, u0.fourier(rr), u1.fourier(rr))
 
 
-def u_hat_t(t, r, u0: InitialDataSpec, u1: InitialDataSpec,
-            damped: bool = True):
+def u_hat_t(t, r, u0: InitialDataSpec, u1: InitialDataSpec):
     """Time derivative of the transformed solution."""
     rr = np.asarray(r, dtype=float)
-    return mode_value_dt(t, rr, u0.fourier(rr), u1.fourier(rr), damped=damped)
+    return mode_value_dt(t, rr, u0.fourier(rr), u1.fourier(rr))
 
 
 def profile_hat(t, r, p1: float):
     """Leading profile P1 * (1+r^2)^(-t/2) * sin(rt)/r, with r=0 limit."""
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
-    r = np.asarray(r, dtype=float)
-    a = symbols.damping_a(r)
-    out = p1 * np.exp(-a * t) * t * sinc(r * t)
-    return out if np.ndim(out) else float(out)
+    return _out(Mode(t, r).profile(p1))
 
 
 def k_terms(t, r, u0: InitialDataSpec, u1: InitialDataSpec):
@@ -227,33 +251,8 @@ def k_terms(t, r, u0: InitialDataSpec, u1: InitialDataSpec):
     the stable b - r, divided by b through the equally stable ratio
     (b-r)/b, so both stay accurate when |b - r| t << 1.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("remainder split requires r > 0")
-    a = symbols.damping_a(r)
-    b = symbols.oscillation_b(r)
-    g = symbols.ratio_g(r)
-    sq = np.sqrt(1.0 - g)
-    inv_diff = symbols.inv_b_minus_inv_r(r)
-    bmr_over_b = -g / (sq * (1.0 + sq))
-
-    env = np.exp(-a * t)
-    bt = b * t
-    rt = r * t
-    dec = decompose_data(u1)
-    u0v = u0.fourier(r)
-
-    k1 = dec.A1(r) * env * t * sinc(bt)
-    k2 = u0v * a * env * t * sinc(bt)
-    k3 = u0v * env * np.cos(bt)
-    k4 = dec.P1 * env * np.sin(rt) * inv_diff
-    delta = bmr_over_b * b * t  # = (b - r) t, from the stable difference
-    k5 = dec.P1 * env * t * bmr_over_b * np.cos(rt + 0.5 * delta) \
-        * sinc(0.5 * delta)
-    return k1, k2, k3, k4, k5
+    return Mode(t, r).k_terms(u0.fourier(r), u1.fourier(r), u1.mass())
 
 
 @dataclass(frozen=True)
@@ -275,9 +274,12 @@ def remainder_terms(t, r, u0: InitialDataSpec,
     closure_residual = |u_hat - profile - sum K_j|, which vanishes to
     roundoff because the split is an algebraic identity.
     """
-    ks = k_terms(t, r, u0, u1)
-    uh = u_hat(t, r, u0, u1)
-    prof = profile_hat(t, r, decompose_data(u1).P1)
+    rr = np.asarray(r, dtype=float)
+    u0v, u1v = u0.fourier(rr), u1.fourier(rr)
+    mode, p1 = Mode(t, rr), u1.mass()
+    ks = mode.k_terms(u0v, u1v, p1)
+    uh = _out(mode.u(u0v, u1v))
+    prof = _out(mode.profile(p1))
     resid = np.abs(uh - prof - sum(ks))
     return ModeDecomposition(t=t, r=r, u_hat=uh, profile=prof,
                              K=ks, closure_residual=resid)

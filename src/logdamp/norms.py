@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import modes, symbols
+from . import modes
 from .modes import InitialDataSpec, sphere_area
 from .quadrature import (GaussTail, PowerTail, QuadratureSpec, TailBest,
                          TailSum, integrate, truncation_point)
 from .stable import sinc
 
 __all__ = [
-    "DecaySeries", "DecayFitResult", "fit_decay", "band_split_radius",
+    "DecaySeries", "DecayFitResult", "fit_decay", "BAND_SPLIT",
     "l2_norm", "residual_norm", "energy", "M_integral", "Q_integral",
     "R_integral", "log_operator_norms", "data_constant",
 ]
@@ -41,16 +41,10 @@ def plancherel_constant(n: int) -> float:
     return (2.0 * math.pi) ** (-n) * sphere_area(n)
 
 
-def band_split_radius(level: float = 0.5) -> float:
-    """Default low/high frequency split radius.
-
-    Defined as the smallest radius where g reaches ``level``; since g
-    peaks around 0.162 the usual level 1/2 is never attained and the
-    split falls back to 1.0, the natural boundary between the peak and
-    tail integral families.
-    """
-    r = symbols.g_level_radius(level)
-    return 1.0 if r is None else min(1.0, r)
+# Default low/high frequency split radius, the natural boundary between
+# the peak and tail integral families.  A split at the smallest radius
+# where g reaches 1/2 would never apply: g peaks near 0.162.
+BAND_SPLIT = 1.0
 
 
 # -- two-phase semi-infinite quadrature -------------------------------------
@@ -122,18 +116,19 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
     return n
 
 
-def _mode_tail(t: float, u0, u1, n: int, damped: bool):
+def _mode_tail(t: float, u0, u1, n: int, factor: float = 1.0):
     """Envelope models for u_hat(t,.)^2 r^(n-1).
 
     Globally |u_hat| <= e^{-a t}(1.58 B0 + min(t, 1.1/r) B1) with
     B_i = sup |data transform| (a/b <= 3^(-1/2), 1/b <= 1.1/r,
     |sin(bt)/b| <= t), which yields one power-decay and one
-    data-decay alternative for the whole integrand.
+    data-decay alternative for the whole integrand, each scaled by
+    ``factor``.
     """
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
-    coeff = (1.58 * b0 + (1.1 + t) * b1) ** 2
+    coeff = (1.58 * b0 + (1.1 + t) * b1) ** 2 * factor
     options = []
-    if damped and t > 0.0:
+    if t > 0.0:
         options.append(PowerTail(t, n - 1.0, coeff))
     widths = [d.width for d in (u0, u1) if d.family != "zero"]
     if widths:
@@ -143,8 +138,7 @@ def _mode_tail(t: float, u0, u1, n: int, damped: bool):
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
-            n: int | None = None, rel_tol: float = 1e-10,
-            damped: bool = True) -> float:
+            n: int | None = None, rel_tol: float = 1e-10) -> float:
     """||u(t, .)||_{L^2} for the given data pair, by radial quadrature.
 
     Raises ArithmeticError if the quadrature cannot certify rel_tol.
@@ -155,9 +149,10 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     t = float(t)
 
     def f(r):
-        return modes.u_hat(t, r, u0, u1, damped=damped) ** 2 * r ** (n - 1)
+        u = modes.Mode(t, r).u(u0.fourier(r), u1.fourier(r))
+        return u ** 2 * r ** (n - 1)
 
-    tail = _mode_tail(t, u0, u1, n, damped)
+    tail = _mode_tail(t, u0, u1, n)
     omega = 2.0 * t
     val, _, ok = _two_phase(f, tail, omega, rel_tol)
     if not ok:
@@ -166,27 +161,24 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
 
 
 def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
-           n: int | None = None, rel_tol: float = 1e-10,
-           damped: bool = True) -> float:
-    """E(t) = (||u_t||^2 + ||grad u||^2) / 2, computed spectrally.
-
-    With the ``damped=False`` hook the mode evolution is the free wave
-    and E is conserved identically.
-    """
+           n: int | None = None, rel_tol: float = 1e-10) -> float:
+    """E(t) = (||u_t||^2 + ||grad u||^2) / 2, computed spectrally."""
     n = _check_pair(u0, u1, n)
     if u0.family == "zero" and u1.family == "zero":
         return 0.0
     t = float(t)
 
     def f(r):
-        ut = modes.u_hat_t(t, r, u0, u1, damped=damped)
-        u = modes.u_hat(t, r, u0, u1, damped=damped)
+        mode = modes.Mode(t, r)
+        u0v, u1v = u0.fourier(r), u1.fourier(r)
+        ut = mode.u_t(u0v, u1v)
+        u = mode.u(u0v, u1v)
         return (ut * ut + (r * u) ** 2) * r ** (n - 1)
 
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
     coeff = 5.2 * (b0 + b1) ** 2
     options = []
-    if damped and t > 0.0:
+    if t > 0.0:
         options.append(PowerTail(t, n + 1.0, coeff))
     widths = [d.width for d in (u0, u1) if d.family != "zero"]
     if widths:
@@ -200,18 +192,10 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
 
 def _residual_tail(t: float, u0, u1, n: int, p1: float):
     """Envelope for (u_hat - profile)^2 r^(n-1) as a sum of two parts."""
-    parts = [_copy_scaled(_mode_tail(t, u0, u1, n, True), 2.0)]
+    parts = [_mode_tail(t, u0, u1, n, 2.0)]
     if p1 != 0.0 and t > 0.0:
         parts.append(PowerTail(t, n - 3.0, 2.0 * p1 * p1))
     return TailSum(tuple(parts))
-
-
-def _copy_scaled(tail, factor: float):
-    if isinstance(tail, TailBest):
-        return TailBest(tuple(_copy_scaled(o, factor) for o in tail.options))
-    if isinstance(tail, PowerTail):
-        return PowerTail(tail.t, tail.p, tail.coeff * factor)
-    return GaussTail(tail.c, tail.q, tail.coeff * factor, tail.min_radius)
 
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -232,18 +216,20 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     if method not in ("difference", "kterms"):
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
-    split = band_split_radius() if delta1 is None else float(delta1)
+    split = BAND_SPLIT if delta1 is None else float(delta1)
     p1 = modes.decompose_data(u1).P1
     if u0.family == "zero" and u1.family == "zero":
         return 0.0
 
     if method == "difference":
         def f(r):
-            d = (modes.u_hat(t, r, u0, u1) - modes.profile_hat(t, r, p1))
+            mode = modes.Mode(t, r)
+            d = mode.u(u0.fourier(r), u1.fourier(r)) - mode.profile(p1)
             return d * d * r ** (n - 1)
     else:
         def f(r):
-            d = sum(modes.k_terms(t, r, u0, u1))
+            mode = modes.Mode(t, r)
+            d = sum(mode.k_terms(u0.fourier(r), u1.fourier(r), p1))
             return d * d * r ** (n - 1)
 
     tail = _residual_tail(t, u0, u1, n, p1)

@@ -27,8 +27,6 @@ from heapq import heappush, heappop
 
 import numpy as np
 
-from .stable import pairwise_sum
-
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
@@ -386,8 +384,8 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
             total_err += e
 
     panels = sorted(heap, key=lambda it: it[2])
-    value = pairwise_sum(np.array([it[4] for it in panels]))
-    quad_err = pairwise_sum(np.array([it[5] for it in panels]))
+    value = float(np.sum([it[4] for it in panels]))
+    quad_err = float(np.sum([it[5] for it in panels]))
     error = quad_err + tail_bound
     converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
     return QuadratureResult(value, error, len(panels), converged, truncation)

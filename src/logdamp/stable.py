@@ -25,11 +25,3 @@ def sinc(x):
         direct = np.where(small, 1.0, np.sin(xs) / np.where(small, 1.0, xs))
     out = np.where(small, series, direct)
     return out if out.ndim else float(out)
-
-
-def pairwise_sum(values: np.ndarray) -> float:
-    """Deterministic pairwise summation of a 1-D float array."""
-    arr = np.ascontiguousarray(values, dtype=float)
-    # numpy's reduce on contiguous float arrays is pairwise and stable
-    # across runs for a fixed input ordering.
-    return float(np.sum(arr))

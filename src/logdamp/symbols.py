@@ -134,6 +134,27 @@ def phi(x):
     return out if out.ndim else float(out)
 
 
+def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
+    """Golden-section bracket of the maximizer of a unimodal f on [a, b].
+
+    Returns (left, right) with right - left <= width.
+    """
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > width:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return a, b
+
+
 def locate_phi_max(lo: float = 0.0, hi: float = 10.0,
                    width: float = 1e-8) -> tuple[float, float]:
     """Golden-section bracket of the maximizer of phi on [lo, hi].
@@ -142,21 +163,7 @@ def locate_phi_max(lo: float = 0.0, hi: float = 10.0,
     reliable down to widths ~1e-7 where phi is still strictly concave
     above double-precision noise.
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > width:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    return a, b
+    return _golden_max(phi, float(lo), float(hi), width)
 
 
 def g_peak() -> tuple[float, float]:
@@ -165,20 +172,7 @@ def g_peak() -> tuple[float, float]:
     g rises from 0, peaks near r = 1.98 at about 0.162, and decays; in
     particular g < 1/4 everywhere (since log(1+r^2) <= r).
     """
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.5, 8.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = ratio_g(c), ratio_g(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = ratio_g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = ratio_g(d)
+    a, b = _golden_max(ratio_g, 0.5, 8.0, 1e-10)
     rstar = 0.5 * (a + b)
     return rstar, ratio_g(rstar)
 
@@ -203,30 +197,3 @@ def g_level_radius(level: float) -> float | None:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def eval_symbols_mp(r, dps: int = 30):
-    """Extended-precision symbol evaluation (oracle mode).
-
-    Returns a dict of mpmath values for a, b, g, b-r and 1/b-1/r at
-    ``dps`` significant digits, computed from the defining formulas
-    directly (no series, no stabilized rewrites), so it is an
-    independent reference for the double-precision path.  Requires
-    mpmath.
-    """
-    import mpmath as mp
-
-    _check_radius(float(r))
-    with mp.workdps(dps):
-        rm = mp.mpf(r)
-        if rm == 0:
-            zero = mp.mpf(0)
-            return {"a": zero, "b": zero, "g": zero,
-                    "b_minus_r": zero, "inv_b_minus_inv_r": zero}
-        lg = mp.log(1 + rm * rm)
-        a = lg / 2
-        g = lg * lg / (4 * rm * rm)
-        b = rm * mp.sqrt(1 - g)
-        return {"a": a, "b": b, "g": g,
-                "b_minus_r": b - rm,
-                "inv_b_minus_inv_r": 1 / b - 1 / rm}

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from logdamp import norms
+from logdamp import norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
+from oracles import mp_energy
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -65,13 +66,11 @@ def test_energy_never_increases():
         assert all(b <= a * (1.0 + 1e-12) for a, b in zip(es, es[1:]))
 
 
-def test_free_wave_energy_is_conserved():
-    ref = norms.energy(0.0, gaussian(1, 2.0, 0.7), gaussian(1), 1,
-                       damped=False)
+def test_energy_matches_root_oracle():
+    u0, u1 = gaussian(1, 2.0, 0.7), gaussian(1)
     for t in (3.7, 11.0, 29.0):
-        e = norms.energy(t, gaussian(1, 2.0, 0.7), gaussian(1), 1,
-                         damped=False)
-        assert e == pytest.approx(ref, rel=1e-10)
+        ref = float(mp_energy(t, u0, u1))
+        assert norms.energy(t, u0, u1, 1) == pytest.approx(ref, rel=1e-10)
 
 
 # -- residual -----------------------------------------------------------------
@@ -122,15 +121,40 @@ def test_high_band_residual_superpolynomial():
         assert hb30 ** 2 <= env
 
 
-def test_band_split_default():
-    assert norms.band_split_radius() == 1.0
-
-
 def test_residual_argument_validation():
     with pytest.raises(ValueError):
         norms.residual_norm(1.0, zero(1), gaussian(1), 1, band="mid")
     with pytest.raises(ValueError):
         norms.residual_norm(1.0, zero(1), gaussian(1), 1, method="oracle")
+
+
+# -- one symbol pass per abscissa --------------------------------------------
+
+@pytest.mark.parametrize("call", [
+    lambda u0, u1: norms.l2_norm(50.0, u0, u1, 2),
+    lambda u0, u1: norms.energy(50.0, u0, u1, 2),
+    lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2),
+    lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2, method="kterms"),
+], ids=["l2_norm", "energy", "residual_difference", "residual_kterms"])
+def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call):
+    seen = {"symbol": 0, "integrand": 0}
+    damping_a, integrate_ = symbols.damping_a, norms.integrate
+
+    def counted_damping_a(r):
+        seen["symbol"] += np.size(r)
+        return damping_a(r)
+
+    def counted_integrate(f, spec):
+        def g(x):
+            seen["integrand"] += np.size(x)
+            return f(x)
+        return integrate_(g, spec)
+
+    monkeypatch.setattr(symbols, "damping_a", counted_damping_a)
+    monkeypatch.setattr(norms, "integrate", counted_integrate)
+    call(gaussian(2, 2.0, 0.7), gaussian(2))
+    assert seen["integrand"] > 0
+    assert seen["symbol"] == seen["integrand"]
 
 
 # -- named integrals ----------------------------------------------------------

@@ -120,11 +120,11 @@ def test_differences_against_high_precision():
 def test_extended_precision_mode_digits():
     import mpmath as mp
     x = 0.37
-    vals = symbols.eval_symbols_mp(x, dps=35)
+    a, b = mp_symbols(x, dps=35)[:2]
     with mp.workdps(35):
         ref = mp.log(1 + mp.mpf(x) ** 2) / 2
-        assert mp.almosteq(vals["a"], ref, rel_eps=mp.mpf(10) ** -30)
-        assert mp.almosteq(vals["a"] ** 2 + vals["b"] ** 2, mp.mpf(x) ** 2,
+        assert mp.almosteq(a, ref, rel_eps=mp.mpf(10) ** -30)
+        assert mp.almosteq(a ** 2 + b ** 2, mp.mpf(x) ** 2,
                            rel_eps=mp.mpf(10) ** -30)
 
 
