@@ -327,25 +327,23 @@ def log_operator_norms(vhat, n: int, radius: float, breakpoints=(),
 
     A has symbol r^2 and L has symbol log(1+r^2); all three norms are
     radial quadratures of vhat^2 against the symbol squares on
-    [0, radius], outside which vhat must be negligible.
+    [0, radius], outside which vhat must be negligible.  They share one
+    panelling, so vhat is evaluated once per abscissa, and each meets
+    rel_tol on its own.  Raises ArithmeticError if one does not.
     """
-    cn = plancherel_constant(n)
-
-    def make(fsym):
-        def f(r):
-            v = vhat(r)
-            return fsym(r) * v * v * r ** (n - 1)
-        return f
+    def f(r):
+        v = vhat(r)
+        w = v * v * r ** (n - 1)
+        return np.stack([w, r ** 4 * w, np.log1p(r * r) ** 2 * w])
 
     spec = QuadratureSpec(0.0, float(radius), rel_tol=rel_tol,
                           breakpoints=tuple(breakpoints), min_panels=32)
-    out = []
-    for fsym in (lambda r: 1.0 + 0.0 * r,
-                 lambda r: r ** 4,
-                 lambda r: np.log1p(r * r) ** 2):
-        res = integrate(make(fsym), spec)
-        out.append(math.sqrt(cn * max(res.value, 0.0)))
-    return tuple(out)
+    res = integrate(f, spec)
+    if not res.converged:
+        raise ArithmeticError(
+            f"log_operator_norms quadrature did not converge, n={n}")
+    cn = plancherel_constant(n)
+    return tuple(math.sqrt(cn * max(v, 0.0)) for v in res.value.tolist())
 
 
 def data_constant(u0: InitialDataSpec, u1: InitialDataSpec) -> float:

@@ -1,8 +1,16 @@
 """Adaptive one-dimensional quadrature for radial integrals.
 
 A 15-point Kronrod rule with embedded 7-point Gauss estimate is applied
-per panel; panels are bisected worst-first until the accumulated error
-estimate meets the tolerance.  Two features matter for this package:
+per panel.  Panels are numpy arrays (edges, values, errors), evaluated
+at most _CHUNK at a time, which bounds the arrays an integrand sees.  An
+initial panelling that meets the tolerance is returned at once;
+otherwise each wave bisects the smallest worst-first prefix of the
+splittable panels whose errors cover the excess (error plus tail bound
+minus target).  A panel is unsplittable once its width is a few ulps of
+its own |endpoints|; it is skipped, not a reason to stop.  Integrands
+return shape (N,), or (k, N) for k integrals on one panelling, each
+held to its own max(abs_tol, rel_tol * |value_k|).  Two further
+features matter for this package:
 
 * oscillation awareness: when the integrand contains sin(w*r) or
   cos(w*r), initial panels are no wider than pi/w, so no panel spans
@@ -14,16 +22,14 @@ estimate meets the tolerance.  Two features matter for this package:
   below budget, and that closed-form tail bound is added to the error
   estimate rather than silently dropped.
 
-Integrands must be vectorized (accept a float ndarray, return same
-shape).  Panel sums are accumulated pairwise over panels sorted by
-position, so a result is bit-reproducible for a fixed panel set.
+Panel sums are taken in position order, so a result is bit-reproducible
+for a fixed panel set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappush, heappop
 
 import numpy as np
 
@@ -263,8 +269,11 @@ class QuadratureSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    value: float
-    error_estimate: float
+    """``value`` and ``error_estimate`` are floats for a scalar integrand
+    and arrays of shape (k,) for a k-vector one."""
+
+    value: float | np.ndarray
+    error_estimate: float | np.ndarray
     panels_used: int
     converged: bool
     truncation: float | None = None
@@ -272,52 +281,91 @@ class QuadratureResult:
 
 # --- the adaptive engine ---------------------------------------------------
 
+_CHUNK = 2048  # panels per _panel_rule call: 15 abscissae each
+# A panel is unsplittable once its width is 16 ulps of its |endpoints|.
+_FLOOR = 16.0 * np.finfo(float).eps
+
+
 def _panel_rule(f, a: np.ndarray, b: np.ndarray):
-    """Vectorized K15/G7 on a batch of panels; returns (values, errors)."""
+    """Vectorized K15/G7 on a batch of m panels; returns (values, errors),
+    each of shape (m,) for a scalar integrand and (k, m) for a vector one.
+    """
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    x = mid[:, None] + hw[:, None] * _XGK[None, :]
-    fx = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    if not np.all(np.isfinite(fx)):
-        bad = np.argwhere(~np.isfinite(fx.ravel()))[0, 0]
+    x = mid[:, None] + hw[:, None] * _XGK
+    fx = np.asarray(f(x.ravel()), dtype=float)
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
+    if not np.isfinite(fx).all():
+        bad = tuple(np.argwhere(~np.isfinite(fx))[0][-2:])
         raise EvaluationError(
-            f"integrand returned a non-finite value at r={x.ravel()[bad]!r}")
+            f"integrand returned a non-finite value at r={x[bad]!r}")
     k15 = hw * (fx @ _WGK)
-    g7 = hw * (fx[:, 1::2] @ _WG)
+    g7 = hw * (fx[..., 1::2] @ _WG)
     return k15, np.abs(k15 - g7)
 
 
+def _rule(f, a: np.ndarray, b: np.ndarray):
+    """``_panel_rule`` in chunks of at most _CHUNK panels: (values, errors)
+    as (k, m) arrays, k = 1 for a scalar integrand, and its shape."""
+    vals, errs = [], []
+    for i in range(0, a.size, _CHUNK):
+        v, e = _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK])
+        vals.append(v.reshape(-1, v.shape[-1]))
+        errs.append(e.reshape(-1, e.shape[-1]))
+    shape = v.shape[:-1]
+    return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1), shape
+
+
 def _initial_edges(spec: QuadratureSpec, upper: float) -> np.ndarray:
-    pts = [spec.lower, upper]
-    for bp in spec.breakpoints:
-        if spec.lower < bp < upper:
-            pts.append(float(bp))
-    pts = sorted(set(pts))
+    pts = sorted({spec.lower, upper, *(float(bp) for bp in spec.breakpoints
+                                       if spec.lower < bp < upper)})
     width_cap = math.inf
     if spec.oscillation_frequency > 0.0:
         width_cap = math.pi / spec.oscillation_frequency
-    edges = [pts[0]]
-    total = sum(
-        max(1, math.ceil((right - left) / width_cap)) if width_cap < math.inf
-        else 1
-        for left, right in zip(pts, pts[1:])
-    )
+    spans = list(zip(pts, pts[1:]))
+    total = sum(max(1, math.ceil((right - left) / width_cap))
+                for left, right in spans)
     # Respect the panel budget even if the half-period cap asks for more.
     scale = max(1.0, total / max(1, spec.max_panels - 8))
-    for left, right in zip(pts, pts[1:]):
-        n = 1
-        if width_cap < math.inf:
-            n = max(1, math.ceil((right - left) / (width_cap * scale)))
-        if spec.min_panels > 1:
-            n = max(n, math.ceil(spec.min_panels / max(1, len(pts) - 1)))
-        step = (right - left) / n
-        edges.extend(left + step * k for k in range(1, n))
-        edges.append(right)
-    return np.array(edges)
+    edges = [[pts[0]]]
+    for left, right in spans:
+        n = max(1, math.ceil((right - left) / (width_cap * scale)),
+                math.ceil(spec.min_panels / len(spans)))
+        edges.append(left + (right - left) / n * np.arange(1, n))
+        edges.append([right])
+    return np.concatenate(edges)
+
+
+def _wave(a, b, err, excess, budget, room):
+    """Indices of the panels to bisect next, or None if refinement is stuck:
+    no splittable panel carries error, or the unsplittable ones alone
+    exceed a component's quadrature ``budget``.  Panels are ranked by
+    their largest error relative to each component's excess."""
+    # a < b, so max(-a, b) is the larger |endpoint|.
+    split = b - a > _FLOOR * np.maximum(-a, b)
+    if not split.all() and (np.where(split, 0.0, err).sum(axis=1)
+                            > budget).any():
+        return None
+    # A component within its target weighs 0 and needs an empty prefix.
+    score = (err / np.where(excess > 0.0, excess, np.inf)[:, None]).max(axis=0)
+    cand = np.flatnonzero(split & (score > 0.0))
+    if cand.size == 0:
+        return None
+    order = cand[np.argsort(-score[cand], kind="stable")]
+    covered = err[:, order].cumsum(axis=1) >= excess[:, None]
+    need = np.where(covered.any(axis=1), covered.argmax(axis=1), order.size)
+    return order[:min(int(need.max()) + 1, room)]
 
 
 def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
     """Adaptively integrate ``f`` according to ``spec``.
+
+    ``f`` maps an abscissa array of shape (N,) to shape (N,), or to
+    (k, N) for k integrands sharing one panelling; then ``value`` and
+    ``error_estimate`` have shape (k,) and every component must meet
+    max(abs_tol, rel_tol * |value_k|).  The tail bound is charged to
+    every component.  An interval wholly beyond the truncation radius
+    gives a scalar 0.0 for any k.
 
     Never returns a silently wrong answer: if the tolerance cannot be
     met within ``max_panels`` the result carries converged=False, and a
@@ -340,52 +388,39 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
         upper = radius
 
     edges = _initial_edges(spec, upper)
-    lefts, rights = edges[:-1], edges[1:]
-    vals, errs = _panel_rule(f, lefts, rights)
-
-    heap: list[tuple[float, int, float, float, float, float]] = []
-    seq = 0
-    for a0, b0, v, e in zip(lefts, rights, vals, errs):
-        heappush(heap, (-e, seq, a0, b0, v, e))
-        seq += 1
-    total_val = float(np.sum(vals))
-    total_err = float(np.sum(errs))
-
-    span = max(abs(spec.lower), abs(upper), 1.0)
-    wave = 64
+    a, b = edges[:-1], edges[1:].copy()
+    val, err, shape = _rule(f, a, b)
+    initial = a.size
     while True:
-        target = max(spec.abs_tol, spec.rel_tol * abs(total_val))
-        if total_err + tail_bound <= target:
+        total, error = val.sum(axis=1), err.sum(axis=1) + tail_bound
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+        excess = error - target
+        room = spec.max_panels - a.size
+        if (excess <= 0.0).all() or room <= 0:
             break
-        if len(heap) >= spec.max_panels:
+        pick = _wave(a, b, err, excess, target - tail_bound, room)
+        if pick is None:
             break
-        batch = []
-        budget = spec.max_panels - len(heap)
-        while heap and len(batch) < min(wave, budget):
-            item = heappop(heap)
-            if item[3] - item[2] <= 16.0 * 2.2e-16 * span:
-                heappush(heap, item)  # cannot be bisected further
-                break
-            batch.append(item)
-        if not batch:
-            break
-        a0 = np.array([it[2] for it in batch])
-        b0 = np.array([it[3] for it in batch])
-        mid = 0.5 * (a0 + b0)
-        la, lb = np.concatenate([a0, mid]), np.concatenate([mid, b0])
-        vals, errs = _panel_rule(f, la, lb)
-        for it in batch:
-            total_val -= it[4]
-            total_err -= it[5]
-        for a1, b1, v, e in zip(la, lb, vals, errs):
-            heappush(heap, (-e, seq, a1, b1, v, e))
-            seq += 1
-            total_val += v
-            total_err += e
+        lo, hi = a[pick], b[pick]
+        mid = 0.5 * (lo + hi)
+        halves_val, halves_err, _ = _rule(f, np.concatenate([lo, mid]),
+                                          np.concatenate([mid, hi]))
+        # Left halves take their parents' slots; right halves go last.
+        n = pick.size
+        b[pick] = mid
+        val[:, pick], err[:, pick] = halves_val[:, :n], halves_err[:, :n]
+        a, b = np.concatenate([a, mid]), np.concatenate([b, hi])
+        val = np.concatenate([val, halves_val[:, n:]], axis=1)
+        err = np.concatenate([err, halves_err[:, n:]], axis=1)
 
-    panels = sorted(heap, key=lambda it: it[2])
-    value = float(np.sum([it[4] for it in panels]))
-    quad_err = float(np.sum([it[5] for it in panels]))
-    error = quad_err + tail_bound
-    converged = error <= max(spec.abs_tol, spec.rel_tol * abs(value))
-    return QuadratureResult(value, error, len(panels), converged, truncation)
+    if a.size > initial:
+        # Sum in position order, so a panel set always gives the same bits.
+        order = np.argsort(a, kind="stable")
+        total = val[:, order].sum(axis=1)
+        error = err[:, order].sum(axis=1) + tail_bound
+    converged = bool((
+        error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))).all())
+    value, error = total.reshape(shape), error.reshape(shape)
+    if not shape:
+        value, error = float(value), float(error)
+    return QuadratureResult(value, error, a.size, converged, truncation)

@@ -120,6 +120,9 @@ def J_p_direct(t: float, p: float, rel_tol: float = 1e-10) -> float:
     for _ in range(3):
         radius = max(2.0, (tail_tol * q) ** (-1.0 / q))
         res = integrate(f, QuadratureSpec(1.0, radius, rel_tol=rel_tol))
+        if not res.converged:
+            raise ArithmeticError(
+                f"J_p_direct({t}, {p}) quadrature did not converge")
         value = res.value
         new_tol = 0.25 * rel_tol * abs(value)
         if new_tol <= 0.0 or tail_tol <= new_tol:
@@ -179,6 +182,9 @@ def middle_band(eta: float, p: float, t: float, rel_tol: float = 1e-12) -> float
         return w(r) * r ** float(p)
 
     res = integrate(f, QuadratureSpec(eta, 1.0, rel_tol=rel_tol))
+    if not res.converged:
+        raise ArithmeticError(
+            f"middle_band({eta}, {p}, {t}) quadrature did not converge")
     return res.value
 
 

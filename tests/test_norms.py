@@ -246,6 +246,49 @@ def test_log_operator_relative_bound_random_profiles():
         assert nlv <= (2.0 / math.e) * (nv + nav) * (1.0 + 1e-9)
 
 
+def test_log_operator_norms_one_pass_against_closed_forms(monkeypatch):
+    # vhat = e^{-r^2/2}, n = 1: int e^{-r^2} = sqrt(pi)/2 and
+    # int r^4 e^{-r^2} = 3 sqrt(pi)/8; the log weight from mpmath.
+    import mpmath as mp
+    from logdamp import quadrature
+    seen = {"vhat": 0, "rule": 0, "calls": 0}
+    panel_rule, integrate_ = quadrature._panel_rule, norms.integrate
+
+    def counting_integrate(f, spec):
+        seen["calls"] += 1
+        return integrate_(f, spec)
+
+    def counting_rule(f, a, b):
+        seen["rule"] += len(quadrature._XGK) * len(a)
+        return panel_rule(f, a, b)
+
+    def vhat(r):
+        seen["vhat"] += r.size
+        return np.exp(-0.5 * r * r)
+
+    monkeypatch.setattr(quadrature, "_panel_rule", counting_rule)
+    monkeypatch.setattr(norms, "integrate", counting_integrate)
+    got = norms.log_operator_norms(vhat, 1, 12.0, rel_tol=1e-11)
+    c1 = norms.plancherel_constant(1)
+    with mp.workdps(30):
+        log_w = mp.quad(lambda r: mp.log(1 + r * r) ** 2 * mp.exp(-r * r),
+                        [0, 2, 12])
+    exact = (math.sqrt(c1 * math.sqrt(math.pi) / 2.0),
+             math.sqrt(c1 * 3.0 * math.sqrt(math.pi) / 8.0),
+             math.sqrt(c1 * float(log_w)))
+    for g, e in zip(got, exact):
+        assert g == pytest.approx(e, rel=1e-11)
+    # One shared panelling: one call, vhat once per abscissa.
+    assert seen["calls"] == 1
+    assert seen["vhat"] == seen["rule"] > 0
+
+
+def test_log_operator_norms_refuses_uncertified():
+    with pytest.raises(ArithmeticError, match="log_operator_norms"):
+        norms.log_operator_norms(lambda r: np.exp(-0.5 * r * r), 3, 12.0,
+                                 rel_tol=1e-30)
+
+
 # -- fitting ------------------------------------------------------------------
 
 def test_fit_exact_power_law():

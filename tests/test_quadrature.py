@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from logdamp import norms, quadrature
+from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import (EvaluationError, GaussTail, PowerTail,
                                 QuadratureSpec, TailBest, TailSum, integrate,
                                 truncation_point, truncation_radius)
@@ -225,3 +227,86 @@ def test_breakpoint_hints_catch_narrow_bumps():
                                          breakpoints=(17.3,)))
     exact = 0.02 * math.sqrt(math.pi)
     assert hinted.value == pytest.approx(exact, rel=1e-9)
+
+
+# -- the array engine: waves, chunks, vector integrands ----------------------
+
+def _count_rule_calls(monkeypatch):
+    """Record the panel count of every ``_panel_rule`` call."""
+    sizes = []
+    panel_rule = quadrature._panel_rule
+
+    def counting_rule(f, a, b):
+        sizes.append(len(a))
+        return panel_rule(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel_rule", counting_rule)
+    return sizes
+
+
+def test_converged_initial_panelling_takes_one_rule_call(monkeypatch):
+    sizes = _count_rule_calls(monkeypatch)
+    res = integrate(lambda x: np.exp(-x) * np.cos(3.0 * x),
+                    QuadratureSpec(0.0, 10.0, rel_tol=1e-10,
+                                   oscillation_frequency=300.0))
+    exact = (1.0 - math.exp(-10.0) * (math.cos(30.0) - 3.0 * math.sin(30.0))
+             ) / 10.0
+    assert res.converged
+    assert sizes == [res.panels_used] and res.panels_used > 100
+    assert isinstance(res.value, float)
+    assert res.value == pytest.approx(exact, rel=1e-10)
+
+
+def test_rule_calls_stay_within_the_chunk_at_t_1e8(monkeypatch):
+    sizes = _count_rule_calls(monkeypatch)
+    u0 = InitialDataSpec("zero", dimension=3)
+    u1 = InitialDataSpec("gaussian", 1.0, 1.0, 3)
+    assert norms.l2_norm(1e8, u0, u1, 3) > 0.0
+    assert max(sizes) <= quadrature._CHUNK
+    assert sum(sizes) > 10 * quadrature._CHUNK
+
+
+def test_vector_integrand_certifies_each_component():
+    # Components 1e8 apart in scale: a target on the vector's norm would
+    # allow the small one an error of rel * 1e4, a third of its value.
+    def f(x):
+        return np.stack([1e4 * np.exp(-x), 1e-4 * np.cos(40.0 * x),
+                         1.0 / (1.0 + x * x)])
+
+    rel = 1e-10
+    res = integrate(f, QuadratureSpec(0.0, 2.0, rel_tol=rel))
+    exact = np.array([1e4 * (1.0 - math.exp(-2.0)),
+                      1e-4 * math.sin(80.0) / 40.0, math.atan(2.0)])
+    assert res.converged
+    assert res.value.shape == res.error_estimate.shape == (3,)
+    assert np.all(res.error_estimate <= rel * np.abs(res.value))
+    assert np.all(np.abs(res.value - exact) <= 10.0 * rel * np.abs(exact))
+    for k in range(3):
+        alone = integrate(lambda x, k=k: f(x)[k],
+                          QuadratureSpec(0.0, 2.0, rel_tol=rel))
+        assert alone.value == pytest.approx(exact[k], rel=10.0 * rel)
+
+
+def test_unsplittable_span_floor_does_not_stop_refinement():
+    # On [1, 1e28] a floor taken over the whole span (16 eps * 1e28) makes
+    # every panel near r = 1 unsplittable, yet all of the mass sits there.
+    # The floor is per panel, so refinement reaches down to r = 1.
+    upper = 1e28
+    res = integrate(lambda r: r ** -1.5,
+                    QuadratureSpec(1.0, upper, rel_tol=1e-10))
+    assert res.converged
+    assert res.value == pytest.approx(2.0 * (1.0 - upper ** -0.5), rel=1e-10)
+
+
+def test_unsplittable_panel_over_budget_ends_refinement():
+    # A jump inside a panel two ulps wide: no bisection can shrink its
+    # error, so refinement stops at once instead of spending max_panels.
+    right = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+
+    def f(x):
+        return np.where((x > 1.0) & (x < right), 1e30, 0.0) + np.exp(-x)
+
+    res = integrate(f, QuadratureSpec(0.0, 3.0, rel_tol=1e-12,
+                                      breakpoints=(1.0, float(right))))
+    assert not res.converged
+    assert res.panels_used < 100

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdamp import special
+from oracles import mp_weight_tail
 
 
 def test_peak_integral_closed_forms():
@@ -117,6 +118,18 @@ def test_tail_integral_closed_form_via_direct_mode():
                                                          rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [0.999, 1.0])
+def test_tail_integral_direct_near_its_domain_edge(t):
+    # Truncated near R ~ 2e21, with all the mass near r = 1.
+    ref = float(mp_weight_tail(t, 0.5, 1.0))
+    assert special.J_p_direct(t, 0.5) == pytest.approx(ref, rel=1e-10)
+
+
+def test_tail_integral_direct_refuses_uncertified():
+    with pytest.raises(ArithmeticError, match="J_p_direct"):
+        special.J_p_direct(10.0, 2.0, rel_tol=1e-30)
+
+
 def test_tail_integral_exact_p1():
     # J_1(t) = 2^(-t)/(t-1) exactly
     for t in (5.0, 12.0, 40.0):
@@ -151,6 +164,11 @@ def test_mid_band_values():
         special.middle_band(0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         special.middle_band(1.5, 0.0, 1.0)
+
+
+def test_mid_band_refuses_uncertified():
+    with pytest.raises(ArithmeticError, match="middle_band"):
+        special.middle_band(0.5, 1.0, 5.0, rel_tol=1e-30)
 
 
 def test_mid_band_exponential_bound():
