@@ -13,7 +13,8 @@ document; precedence is CLI flag > config file > built-in default.
 Every command is deterministic given (config, seed); CSV output starts
 with comment lines carrying the resolved-config hash.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage/domain error.
+Exit codes: 0 all checks pass, 1 a check failed or a quantity could
+not be certified, 2 usage/domain error.
 """
 
 from __future__ import annotations
@@ -160,8 +161,8 @@ def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
     t_min = _coerce("t_min", merged["t_min"], float)
     t_max = _coerce("t_max", merged["t_max"], float)
     t_points = _coerce("t_points", merged["t_points"], int)
-    if not (0.0 < t_min < t_max):
-        raise ConfigError("t_min/t_max: need 0 < t_min < t_max")
+    if not (0.0 < t_min < t_max < math.inf):
+        raise ConfigError("t_min/t_max: need finite 0 < t_min < t_max")
     if t_points < 2:
         raise ConfigError("t_points: need at least 2 grid points")
     tol = _coerce("tol", merged["tol"], float)
@@ -232,14 +233,16 @@ def cmd_special(cfg: RunConfig) -> int:
             return special.J_p_direct(t, p, rel_tol=1e-11)
         return math.nan
 
+    failures = []
     h0_relerr: dict[float, float] = {}
     for t in ts:
         j0 = j_value(t, 0.0)
         h0 = special.I_p(t, 0.0) + j0
         ref = 0.5 * math.sqrt(math.pi) * special.gamma_ratio(t)
         h0_relerr[t] = abs(h0 - ref) / ref
+        if h0_relerr[t] >= cfg.tol:
+            failures.append(f"h0 identity at t={t:g}: {h0_relerr[t]:.3e}")
 
-    failures = []
     scaled_by_p: dict[float, list[float]] = {p: [] for p in ps}
     for p in ps:
         for t in ts:
@@ -254,8 +257,6 @@ def cmd_special(cfg: RunConfig) -> int:
             rep.row(p, t, _fmt(ival), _fmt(iscaled), _fmt(jval),
                     _fmt(jscaled), _fmt(special.hyp2f1_special(t, p)),
                     _fmt(special.gamma_ratio(t)), _fmt(h0_relerr[t]))
-            if h0_relerr[t] >= cfg.tol:
-                failures.append(f"h0 identity at t={t:g}: {h0_relerr[t]:.3e}")
             if t >= 100.0:
                 scaled_by_p[p].append(iscaled)
             # Sandwich check only where 2^-t is far enough from the
@@ -562,6 +563,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return E_USAGE
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return E_CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -7,9 +7,10 @@ All physical-space norms are computed spectrally: for radial data,
 with omega_n the unit-sphere area.  Semi-infinite integrals run in two
 phases: a first pass out to a radius where the analytic envelope is
 small gives the magnitude, a second pass (plus the closed-form tail
-bound) then meets the requested relative tolerance.  Mode integrands
-oscillate like sin(b(r) t) with phase slope <= t in r, so their squares
-carry oscillation frequency 2t into the panelling.
+bound) then meets the requested relative tolerance, or the call raises
+ArithmeticError naming its site and t.  Mode integrands oscillate like
+sin(b(r) t) with phase slope <= t in r, so their squares carry
+oscillation frequency 2t into the panelling.
 
 The "varies like" statements about decaying quantities are made
 checkable two ways: scaled-band reports over a log grid, and least
@@ -49,22 +50,24 @@ BAND_SPLIT = 1.0
 
 # -- two-phase semi-infinite quadrature -------------------------------------
 
-def _two_phase(f, tail, omega: float, rel_tol: float, lower: float = 0.0,
-               cap: float = math.inf, max_panels: int = 200_000,
-               abs_floor: float = 0.0):
-    """Integrate f over [lower, cap) with an analytic tail envelope.
+def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
+               lower: float = 0.0, cap: float = math.inf,
+               abs_floor: float = 0.0) -> float:
+    """Integral of f over [lower, cap): the one half-line route.
 
-    Phase 1 integrates to a provisional truncation radius to learn the
-    magnitude; phase 2 extends the radius until the envelope bound is
-    below rel_tol * |value| / 4.  Returns (value, error, converged).
-    A finite ``cap`` ends the domain there (band integrals) and no tail
-    bound is charged beyond it.  ``abs_floor`` certifies results whose
-    error is negligible on the caller's absolute scale (bands that have
-    decayed to nothing cannot be certified relative to themselves).
+    Phase 1 integrates to a provisional truncation radius of the
+    analytic tail envelope to learn the magnitude; phase 2 extends the
+    radius until the envelope bound is below rel_tol * |value| / 4 and
+    charges that bound to the error.  A finite ``cap`` ends the domain
+    there (band integrals) and no tail bound is charged beyond it.
+    ``abs_floor`` certifies results whose error is negligible on the
+    caller's absolute scale (bands that have decayed to nothing cannot
+    be certified relative to themselves).  Returns the value, or raises
+    ArithmeticError("<site> did not converge").
     """
     scale = tail.scale
     if scale == 0.0:
-        return 0.0, 0.0, True
+        return 0.0
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
     if 0.0 < b_at_1 < math.inf:
@@ -81,7 +84,7 @@ def _two_phase(f, tail, omega: float, rel_tol: float, lower: float = 0.0,
     def spec(lo, hi, abs_tol):
         return QuadratureSpec(lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
                               oscillation_frequency=omega,
-                              max_panels=max_panels)
+                              max_panels=200_000)
 
     value = err = 0.0
     if r1 > lower:
@@ -101,9 +104,10 @@ def _two_phase(f, tail, omega: float, rel_tol: float, lower: float = 0.0,
     elif r1 < cap:
         err += bound1
 
-    converged = err <= max(rel_tol * abs(value), abs_floor,
-                           1e-280 * max(scale, 1.0))
-    return value, err, converged
+    if not err <= max(rel_tol * abs(value), abs_floor,
+                      1e-280 * max(scale, 1.0)):
+        raise ArithmeticError(f"{site} did not converge")
+    return value
 
 
 def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
@@ -114,6 +118,19 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
     if n != u0.dimension:
         raise ValueError("n must match the data dimension")
     return n
+
+
+def _envelope(t: float, u0, u1, coeff: float, p: float, q: float):
+    """The better of coeff (1+r^2)^(-t) r^p and, for r >= 1,
+    coeff r^q exp(-w^2 r^2) with w the narrowest data width: a
+    power-decay and a data-decay envelope of the whole integrand."""
+    options = []
+    if t > 0.0:
+        options.append(PowerTail(t, p, coeff))
+    widths = [d.width for d in (u0, u1) if d.family != "zero"]
+    if widths:
+        options.append(GaussTail(min(widths) ** 2, q, coeff, min_radius=1.0))
+    return TailBest(tuple(options))
 
 
 def _mode_tail(t: float, u0, u1, n: int, factor: float = 1.0):
@@ -127,14 +144,7 @@ def _mode_tail(t: float, u0, u1, n: int, factor: float = 1.0):
     """
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
     coeff = (1.58 * b0 + (1.1 + t) * b1) ** 2 * factor
-    options = []
-    if t > 0.0:
-        options.append(PowerTail(t, n - 1.0, coeff))
-    widths = [d.width for d in (u0, u1) if d.family != "zero"]
-    if widths:
-        cmin = min(widths) ** 2
-        options.append(GaussTail(cmin, n - 1.0, coeff, min_radius=1.0))
-    return TailBest(tuple(options))
+    return _envelope(t, u0, u1, coeff, n - 1.0, n - 1.0)
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -152,11 +162,8 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         u = modes.Mode(t, r).u(u0.fourier(r), u1.fourier(r))
         return u ** 2 * r ** (n - 1)
 
-    tail = _mode_tail(t, u0, u1, n)
-    omega = 2.0 * t
-    val, _, ok = _two_phase(f, tail, omega, rel_tol)
-    if not ok:
-        raise ArithmeticError(f"l2_norm quadrature did not converge at t={t}")
+    val = _two_phase(f, _mode_tail(t, u0, u1, n), 2.0 * t, rel_tol,
+                     f"l2_norm at t={t}")
     return math.sqrt(plancherel_constant(n) * max(val, 0.0))
 
 
@@ -175,18 +182,9 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         u = mode.u(u0v, u1v)
         return (ut * ut + (r * u) ** 2) * r ** (n - 1)
 
-    b0, b1 = u0.fourier_sup(), u1.fourier_sup()
-    coeff = 5.2 * (b0 + b1) ** 2
-    options = []
-    if t > 0.0:
-        options.append(PowerTail(t, n + 1.0, coeff))
-    widths = [d.width for d in (u0, u1) if d.family != "zero"]
-    if widths:
-        options.append(GaussTail(min(widths) ** 2, n + 3.0, coeff,
-                                 min_radius=1.0))
-    val, _, ok = _two_phase(f, TailBest(tuple(options)), 2.0 * t, rel_tol)
-    if not ok:
-        raise ArithmeticError(f"energy quadrature did not converge at t={t}")
+    coeff = 5.2 * (u0.fourier_sup() + u1.fourier_sup()) ** 2
+    tail = _envelope(t, u0, u1, coeff, n + 1.0, n + 3.0)
+    val = _two_phase(f, tail, 2.0 * t, rel_tol, f"energy at t={t}")
     return 0.5 * plancherel_constant(n) * max(val, 0.0)
 
 
@@ -200,12 +198,11 @@ def _residual_tail(t: float, u0, u1, n: int, p1: float):
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
                   n: int | None = None, band: str = "both",
-                  method: str = "difference", delta1: float | None = None,
-                  rel_tol: float = 1e-9) -> float:
+                  method: str = "difference", rel_tol: float = 1e-9) -> float:
     """L^2 distance between u_hat(t) and the mass profile.
 
-    ``band`` restricts to low ([0, delta1]), high ([delta1, inf)) or
-    both.  ``method`` evaluates the integrand either as the direct
+    ``band`` restricts to low ([0, BAND_SPLIT]), high ([BAND_SPLIT, inf))
+    or both.  ``method`` evaluates the integrand either as the direct
     difference or as the sum of the five remainder terms; the two agree
     to roundoff by the closure identity and both are kept as a
     cross-check route.
@@ -216,7 +213,6 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     if method not in ("difference", "kterms"):
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
-    split = BAND_SPLIT if delta1 is None else float(delta1)
     p1 = modes.decompose_data(u1).P1
     if u0.family == "zero" and u1.family == "zero":
         return 0.0
@@ -238,29 +234,31 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     # units, data scale) count as converged zeros.
     floor = (rel_tol * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     total = 0.0
-    if band in ("both", "low"):
-        val, _, ok = _two_phase(f, tail, omega, rel_tol, lower=0.0,
-                                cap=split, abs_floor=floor)
-        if not ok:
-            raise ArithmeticError(f"residual low band not converged, t={t}")
-        total += max(val, 0.0)
-    if band in ("both", "high"):
-        val, _, ok = _two_phase(f, tail, omega, rel_tol, lower=split,
-                                abs_floor=floor)
-        if not ok:
-            raise ArithmeticError(f"residual high band not converged, t={t}")
-        total += max(val, 0.0)
+    for name, lower, cap in (("low", 0.0, BAND_SPLIT),
+                             ("high", BAND_SPLIT, math.inf)):
+        if band in ("both", name):
+            val = _two_phase(f, tail, omega, rel_tol,
+                             f"residual_norm {name} band at t={t}",
+                             lower=lower, cap=cap, abs_floor=floor)
+            total += max(val, 0.0)
     return math.sqrt(plancherel_constant(n) * total)
 
 
 # -- named decay integrals ---------------------------------------------------
 
+def _sine_weight(t: float, k: int):
+    """(1+r^2)^(-t) sin^2(rt) r^(k-2), evaluated as t^2 sinc^2(rt) r^k so
+    the removable singularity at r = 0 costs nothing."""
+    def f(r):
+        return np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2 * r ** k
+    return f
+
+
 def M_integral(t: float, n: int, kind: str, rel_tol: float = 1e-10) -> float:
     """omega_n * integral_0^inf (1+r^2)^(-t) w(r) r^(n-1) dr.
 
     kind='sin' uses w = sin^2(rt)/r^2 (requires n > 2); kind='cos' uses
-    w = cos^2(rt) (any n >= 1).  Both need t > 1.  The removable
-    singularity of the sin kind is evaluated as t^2 sinc^2(rt).
+    w = cos^2(rt) (any n >= 1).  Both need t > 1.
     """
     t = float(t)
     if kind not in ("sin", "cos"):
@@ -273,20 +271,14 @@ def M_integral(t: float, n: int, kind: str, rel_tol: float = 1e-10) -> float:
         raise ValueError("dimension must be >= 1")
 
     if kind == "sin":
-        def f(r):
-            return (np.exp(-t * np.log1p(r * r)) * t * t
-                    * sinc(r * t) ** 2 * r ** (n - 1))
-        tail = PowerTail(t, n - 3.0, 1.0)
+        f, tail = _sine_weight(t, n - 1), PowerTail(t, n - 3.0, 1.0)
     else:
         def f(r):
             return (np.exp(-t * np.log1p(r * r))
                     * np.cos(r * t) ** 2 * r ** (n - 1))
         tail = PowerTail(t, n - 1.0, 1.0)
-
-    val, _, ok = _two_phase(f, tail, 2.0 * t, rel_tol)
-    if not ok:
-        raise ArithmeticError(f"M_integral did not converge at t={t}")
-    return sphere_area(n) * val
+    site = f"M_integral({kind}) at t={t}"
+    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, rel_tol, site)
 
 
 def Q_integral(t: float, rel_tol: float = 1e-10) -> float:
@@ -294,14 +286,8 @@ def Q_integral(t: float, rel_tol: float = 1e-10) -> float:
     t = float(t)
     if t <= 2.0:
         raise ValueError("Q_integral requires t > 2")
-
-    def f(r):
-        return np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2
-
-    val, _, ok = _two_phase(f, PowerTail(t, -2.0, 1.0), 2.0 * t, rel_tol)
-    if not ok:
-        raise ArithmeticError(f"Q_integral did not converge at t={t}")
-    return val
+    return _two_phase(_sine_weight(t, 0), PowerTail(t, -2.0, 1.0), 2.0 * t,
+                      rel_tol, f"Q_integral at t={t}")
 
 
 def R_integral(t: float, rel_tol: float = 1e-10) -> float:
@@ -309,14 +295,8 @@ def R_integral(t: float, rel_tol: float = 1e-10) -> float:
     t = float(t)
     if t <= 2.0:
         raise ValueError("R_integral requires t > 2")
-
-    def f(r):
-        return np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2 * r
-
-    val, _, ok = _two_phase(f, PowerTail(t, -1.0, 1.0), 2.0 * t, rel_tol)
-    if not ok:
-        raise ArithmeticError(f"R_integral did not converge at t={t}")
-    return val
+    return _two_phase(_sine_weight(t, 1), PowerTail(t, -1.0, 1.0), 2.0 * t,
+                      rel_tol, f"R_integral at t={t}")
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

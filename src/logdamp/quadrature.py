@@ -1,26 +1,23 @@
-"""Adaptive one-dimensional quadrature for radial integrals.
+"""Adaptive one-dimensional quadrature over finite intervals.
 
 A 15-point Kronrod rule with embedded 7-point Gauss estimate is applied
 per panel.  Panels are numpy arrays (edges, values, errors), evaluated
 at most _CHUNK at a time, which bounds the arrays an integrand sees.  An
 initial panelling that meets the tolerance is returned at once;
 otherwise each wave bisects the smallest worst-first prefix of the
-splittable panels whose errors cover the excess (error plus tail bound
-minus target).  A panel is unsplittable once its width is a few ulps of
-its own |endpoints|; it is skipped, not a reason to stop.  Integrands
-return shape (N,), or (k, N) for k integrals on one panelling, each
-held to its own max(abs_tol, rel_tol * |value_k|).  Two further
-features matter for this package:
+splittable panels whose errors cover the excess (error minus target).
+A panel is unsplittable once its width is a few ulps of its own
+|endpoints|; it is skipped, not a reason to stop.  Integrands return
+shape (N,), or (k, N) for k integrals on one panelling, each held to its
+own max(abs_tol, rel_tol * |value_k|).  When the integrand contains
+sin(w*r) or cos(w*r), initial panels are no wider than pi/w, so no panel
+spans more than a half-period and the embedded error estimate cannot be
+fooled by symmetric cancellation.
 
-* oscillation awareness: when the integrand contains sin(w*r) or
-  cos(w*r), initial panels are no wider than pi/w, so no panel spans
-  more than a half-period and the embedded error estimate cannot be
-  fooled by symmetric cancellation;
-
-* semi-infinite intervals: the integral is truncated at a radius where
-  an analytic tail envelope (power-decay or Gaussian-decay model) is
-  below budget, and that closed-form tail bound is added to the error
-  estimate rather than silently dropped.
+The analytic tail envelopes (power-decay and Gaussian-decay models and
+their combinations) and ``truncation_point`` serve the half-line route
+in ``norms._two_phase``, which truncates there and charges the
+closed-form tail bound to the error.
 
 Panel sums are taken in position order, so a result is bit-reproducible
 for a fixed panel set.
@@ -43,7 +40,6 @@ __all__ = [
     "EvaluationError",
     "integrate",
     "truncation_point",
-    "truncation_radius",
 ]
 
 
@@ -216,32 +212,16 @@ def truncation_point(tail, tol: float) -> tuple[float, float]:
     return hi, tail.bound(hi)
 
 
-def truncation_radius(t: float, p: float, tail_tol: float) -> float:
-    """Radius R >= 1 with closed-form tail of (1+r^2)^(-t) r^p below tol.
-
-    Requires t > (p+1)/2 + 1 so the substitution-based estimate holds
-    with margin.  The returned bound is the documented PowerTail one and
-    is tested against direct quadrature of the tail.
-    """
-    if not (t > (p + 1.0) / 2.0 + 1.0):
-        raise ValueError("truncation_radius requires t > (p+1)/2 + 1")
-    if not (tail_tol > 0.0 and math.isfinite(tail_tol)):
-        raise ValueError("tail_tol must be positive and finite")
-    radius, _ = truncation_point(PowerTail(t, p), tail_tol)
-    return max(1.0, radius)
-
-
 # --- specs and results ----------------------------------------------------
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: interval, tolerances, oscillation, tail model.
+    """How to integrate: finite interval, tolerances, oscillation.
 
-    ``upper`` may be math.inf, in which case ``tail`` (a PowerTail /
-    GaussTail or a TailSum / TailBest combination) must be given and
-    the truncation budget is abs_tol/2.  ``oscillation_frequency`` is
-    the w of the fastest sin(w r)/cos(w r) factor; 0 means smooth.
-    ``breakpoints`` are optional interior split hints (peak locations).
+    Both limits must be finite; half-line integrals are truncated by
+    ``norms._two_phase``.  ``oscillation_frequency`` is the w of the
+    fastest sin(w r)/cos(w r) factor; 0 means smooth.  ``breakpoints``
+    are optional interior split hints (peak locations).
     """
 
     lower: float
@@ -252,9 +232,10 @@ class QuadratureSpec:
     max_panels: int = 50_000
     breakpoints: tuple[float, ...] = ()
     min_panels: int = 1
-    tail: object = None
 
     def validate(self) -> None:
+        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
+            raise ValueError("limits must be finite")
         if not (self.lower < self.upper):
             raise ValueError("lower must be < upper")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
@@ -263,8 +244,6 @@ class QuadratureSpec:
             raise ValueError("oscillation_frequency must be >= 0")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
-        if math.isinf(self.upper) and self.tail is None:
-            raise ValueError("semi-infinite integral needs a tail model")
 
 
 @dataclass(frozen=True)
@@ -276,7 +255,6 @@ class QuadratureResult:
     error_estimate: float | np.ndarray
     panels_used: int
     converged: bool
-    truncation: float | None = None
 
 
 # --- the adaptive engine ---------------------------------------------------
@@ -316,9 +294,10 @@ def _rule(f, a: np.ndarray, b: np.ndarray):
     return np.concatenate(vals, axis=1), np.concatenate(errs, axis=1), shape
 
 
-def _initial_edges(spec: QuadratureSpec, upper: float) -> np.ndarray:
-    pts = sorted({spec.lower, upper, *(float(bp) for bp in spec.breakpoints
-                                       if spec.lower < bp < upper)})
+def _initial_edges(spec: QuadratureSpec) -> np.ndarray:
+    pts = sorted({spec.lower, spec.upper,
+                  *(float(bp) for bp in spec.breakpoints
+                    if spec.lower < bp < spec.upper)})
     width_cap = math.inf
     if spec.oscillation_frequency > 0.0:
         width_cap = math.pi / spec.oscillation_frequency
@@ -336,15 +315,15 @@ def _initial_edges(spec: QuadratureSpec, upper: float) -> np.ndarray:
     return np.concatenate(edges)
 
 
-def _wave(a, b, err, excess, budget, room):
+def _wave(a, b, err, excess, target, room):
     """Indices of the panels to bisect next, or None if refinement is stuck:
     no splittable panel carries error, or the unsplittable ones alone
-    exceed a component's quadrature ``budget``.  Panels are ranked by
-    their largest error relative to each component's excess."""
+    exceed a component's ``target``.  Panels are ranked by their largest
+    error relative to each component's excess."""
     # a < b, so max(-a, b) is the larger |endpoint|.
     split = b - a > _FLOOR * np.maximum(-a, b)
     if not split.all() and (np.where(split, 0.0, err).sum(axis=1)
-                            > budget).any():
+                            > target).any():
         return None
     # A component within its target weighs 0 and needs an empty prefix.
     score = (err / np.where(excess > 0.0, excess, np.inf)[:, None]).max(axis=0)
@@ -358,14 +337,12 @@ def _wave(a, b, err, excess, budget, room):
 
 
 def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
-    """Adaptively integrate ``f`` according to ``spec``.
+    """Adaptively integrate ``f`` over the finite interval of ``spec``.
 
     ``f`` maps an abscissa array of shape (N,) to shape (N,), or to
     (k, N) for k integrands sharing one panelling; then ``value`` and
     ``error_estimate`` have shape (k,) and every component must meet
-    max(abs_tol, rel_tol * |value_k|).  The tail bound is charged to
-    every component.  An interval wholly beyond the truncation radius
-    gives a scalar 0.0 for any k.
+    max(abs_tol, rel_tol * |value_k|).
 
     Never returns a silently wrong answer: if the tolerance cannot be
     met within ``max_panels`` the result carries converged=False, and a
@@ -373,32 +350,18 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
     abscissa.
     """
     spec.validate()
-
-    tail_bound = 0.0
-    truncation = None
-    upper = spec.upper
-    if math.isinf(upper):
-        radius, tail_bound = truncation_point(spec.tail, 0.5 * spec.abs_tol)
-        truncation = radius
-        if radius <= spec.lower:
-            # Everything beyond ``lower`` is already below budget.
-            bound = spec.tail.bound(spec.lower)
-            return QuadratureResult(0.0, bound, 0, bound <= spec.abs_tol,
-                                    spec.lower)
-        upper = radius
-
-    edges = _initial_edges(spec, upper)
+    edges = _initial_edges(spec)
     a, b = edges[:-1], edges[1:].copy()
     val, err, shape = _rule(f, a, b)
     initial = a.size
     while True:
-        total, error = val.sum(axis=1), err.sum(axis=1) + tail_bound
+        total, error = val.sum(axis=1), err.sum(axis=1)
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
         excess = error - target
         room = spec.max_panels - a.size
         if (excess <= 0.0).all() or room <= 0:
             break
-        pick = _wave(a, b, err, excess, target - tail_bound, room)
+        pick = _wave(a, b, err, excess, target, room)
         if pick is None:
             break
         lo, hi = a[pick], b[pick]
@@ -417,10 +380,10 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
         # Sum in position order, so a panel set always gives the same bits.
         order = np.argsort(a, kind="stable")
         total = val[:, order].sum(axis=1)
-        error = err[:, order].sum(axis=1) + tail_bound
+        error = err[:, order].sum(axis=1)
     converged = bool((
         error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))).all())
     value, error = total.reshape(shape), error.reshape(shape)
     if not shape:
         value, error = float(value), float(error)
-    return QuadratureResult(value, error, a.size, converged, truncation)
+    return QuadratureResult(value, error, a.size, converged)

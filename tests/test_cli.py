@@ -44,6 +44,9 @@ def test_special_zero_tolerance_fails(tmp_path):
     code, text = run(tmp_path, "special", "--tol", "0")
     assert code == 1
     assert "# checks=FAIL" in text
+    fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
+    assert fails
+    assert len(fails) == len(set(fails))  # each failure printed once
 
 
 def test_config_hash_present(tmp_path):
@@ -113,6 +116,25 @@ def test_config_file_precedence(tmp_path):
 def test_single_point_grid_is_a_config_error(tmp_path):
     assert main(["profile", "--t-points", "1"]) == 2
     assert main(["decay", "--t-points", "4"]) == 2
+
+
+def test_non_finite_time_is_a_config_error(capsys):
+    assert main(["decay", "--t-max", "inf"]) == 2
+    assert main(["profile", "--t-min", "inf"]) == 2
+    assert main(["special", "--t-max", "nan"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(ln.startswith("error: invalid config: t_min/t_max")
+               for ln in err)
+
+
+def test_uncertified_quantity_is_one_error_line(tmp_path, capsys):
+    # The high band of the n = 3 residual cannot be certified at t = 1.
+    code, _ = run(tmp_path, "profile", "--t-min", "1", "--t-max", "10",
+                  "--dim", "3", "--t-points", "3")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: residual_norm high band at t=1.0 did not converge\n")
 
 
 def test_unknown_config_key(tmp_path):

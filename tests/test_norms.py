@@ -1,6 +1,8 @@
 """Plancherel norms, energy decay, named integrals, and slope fitting."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +157,35 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call):
     call(gaussian(2, 2.0, 0.7), gaussian(2))
     assert seen["integrand"] > 0
     assert seen["symbol"] == seen["integrand"]
+
+
+# -- one certify path ---------------------------------------------------------
+
+@pytest.mark.parametrize("site, call", [
+    ("l2_norm", lambda t: norms.l2_norm(t, zero(3), gaussian(3), 3)),
+    ("energy", lambda t: norms.energy(t, gaussian(3, 2.0, 0.7), gaussian(3),
+                                      3)),
+    ("residual_norm low band",
+     lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3, band="low")),
+    ("residual_norm high band",
+     lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3, band="high")),
+    ("M_integral(sin)", lambda t: norms.M_integral(t, 3, "sin")),
+    ("M_integral(cos)", lambda t: norms.M_integral(t, 3, "cos")),
+    ("Q_integral", norms.Q_integral),
+    ("R_integral", norms.R_integral),
+], ids=["l2_norm", "energy", "residual_low", "residual_high", "M_sin",
+        "M_cos", "Q_integral", "R_integral"])
+def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, call):
+    # At t = 5 every band carries weight, so no absolute floor certifies
+    # a truncated panelling; with 2 panels none can meet its tolerance.
+    t = 5.0
+    assert math.isfinite(call(t))
+    integrate_ = norms.integrate
+    monkeypatch.setattr(norms, "integrate", lambda f, spec: integrate_(
+        f, dataclasses.replace(spec, max_panels=2)))
+    with pytest.raises(ArithmeticError,
+                       match=re.escape(f"{site} at t={t} did not converge")):
+        call(t)
 
 
 # -- named integrals ----------------------------------------------------------

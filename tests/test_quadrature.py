@@ -9,7 +9,7 @@ from logdamp import norms, quadrature
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import (EvaluationError, GaussTail, PowerTail,
                                 QuadratureSpec, TailBest, TailSum, integrate,
-                                truncation_point, truncation_radius)
+                                truncation_point)
 from oracles import mp_weight_tail
 
 # 40-digit panelled reference for sin(100 r)^2 (1+r^2)^(-100) on [0, 1]
@@ -54,12 +54,10 @@ def test_oscillation_safety_gaussian_window(omega):
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-9)
 
-    semi = QuadratureSpec(0.0, math.inf, abs_tol=1e-13, rel_tol=1e-11,
-                          oscillation_frequency=2.0 * omega,
-                          tail=GaussTail(1.0, 0.0))
-    res2 = integrate(f, semi)
-    assert res2.converged
-    assert res2.value == pytest.approx(exact, rel=1e-9)
+    # The same window on the half-line, through the two-phase route.
+    semi = norms._two_phase(f, GaussTail(1.0, 0.0), 2.0 * omega, 1e-11,
+                            "window")
+    assert semi == pytest.approx(exact, rel=1e-9)
 
 
 def test_additivity_over_random_smooth_integrands():
@@ -148,43 +146,53 @@ def test_spec_validation():
         integrate(lambda x: x, QuadratureSpec(1.0, 1.0))
     with pytest.raises(ValueError, match="tolerances"):
         integrate(lambda x: x, QuadratureSpec(0.0, 1.0, rel_tol=0.0))
-    with pytest.raises(ValueError, match="tail"):
+    with pytest.raises(ValueError, match="finite"):
         integrate(lambda x: x, QuadratureSpec(0.0, math.inf))
     with pytest.raises(ValueError, match="oscillation"):
         integrate(lambda x: x,
                   QuadratureSpec(0.0, 1.0, oscillation_frequency=-1.0))
 
 
-def test_semi_infinite_with_power_tail():
-    spec = QuadratureSpec(0.0, math.inf, abs_tol=1e-13, rel_tol=1e-12,
-                          tail=PowerTail(2.0, 0.0))
-    res = integrate(lambda x: (1.0 + x * x) ** -2, spec)
-    assert res.converged
-    assert res.value == pytest.approx(math.pi / 4.0, abs=1e-12)
-    assert res.truncation is not None and res.truncation > 1.0
+def test_semi_infinite_with_power_tail(monkeypatch):
+    uppers = []
+    integrate_ = norms.integrate
+
+    def recording_integrate(f, spec):
+        uppers.append(spec.upper)
+        return integrate_(f, spec)
+
+    monkeypatch.setattr(norms, "integrate", recording_integrate)
+    value = norms._two_phase(lambda x: (1.0 + x * x) ** -2,
+                             PowerTail(2.0, 0.0), 0.0, 1e-12, "power tail")
+    assert value == pytest.approx(math.pi / 4.0, abs=1e-12)
+    # Truncated at a finite radius beyond the bulk of the integrand.
+    assert uppers and math.isfinite(uppers[-1]) and uppers[-1] > 1.0
 
 
-def test_truncation_radius_tail_actually_small():
-    radius = truncation_radius(50.0, 0.0, 1e-16)
-    assert radius >= 1.0
+def test_truncation_point_tail_actually_small():
+    radius, bound = truncation_point(PowerTail(50.0, 0.0), 1e-16)
+    assert bound <= 1e-16
     tail = float(mp_weight_tail(50.0, 0.0, radius))
     assert tail < 1e-15
 
 
-def test_truncation_radius_against_closed_form_tail():
-    radius = truncation_radius(2.0, 0.0, 1e-10)
+def test_truncation_point_against_closed_form_tail():
+    radius, _ = truncation_point(PowerTail(2.0, 0.0), 1e-10)
     # tail of (1+r^2)^(-2): pi/4 - R/(2(1+R^2)) - arctan(R)/2
     tail = (math.pi / 4.0 - radius / (2.0 * (1.0 + radius ** 2))
             - math.atan(radius) / 2.0)
     assert 0.0 < tail <= 1e-10
 
 
-def test_truncation_radius_contract():
-    assert truncation_radius(100.0, 3.0, 1e-8) >= 1.0
-    with pytest.raises(ValueError):
-        truncation_radius(1.5, 2.0, 1e-8)
-    with pytest.raises(ValueError):
-        truncation_radius(50.0, 0.0, 0.0)
+def test_truncation_point_contract():
+    radius, bound = truncation_point(PowerTail(100.0, 3.0), 1e-8)
+    assert radius > 0.0 and bound <= 1e-8
+    with pytest.raises(ValueError, match="positive"):
+        truncation_point(PowerTail(50.0, 0.0), 0.0)
+    # (1+r^2)^(-1/2) r^2 is not integrable: no radius reaches the budget.
+    with pytest.raises(ValueError, match="cannot reach"):
+        truncation_point(PowerTail(0.5, 2.0), 1e-8)
+    assert truncation_point(PowerTail(5.0, 0.0, 0.0), 1e-8) == (1e-9, 0.0)
 
 
 def test_tail_model_bounds_are_upper_bounds():
