@@ -1,20 +1,25 @@
 """Command-line front end: verification suites with CSV/report output.
 
-Subcommands
------------
-special : radial weight integrals, their scalings and identities
-lemmas  : every inequality suite, one PASS/FAIL line per property
-decay   : L2 decay exponents of the damped wave against theory
-profile : distance to the mass profile, scaled by the predicted rate
+Subcommands and the options each reads
+--------------------------------------
+special : weight integrals, scalings, identities; --t-min, --t-max,
+          --t-points, --log-grid/--linear-grid, --tol
+lemmas  : inequality suites with PASS/FAIL lines; --dim, --seed,
+          --samples and the data keys
+decay   : L2 decay exponents vs theory; --dim, the grid flags, --tol
+          and the data keys
+profile : scaled distance to the mass profile; the options of decay
+          plus --i0-multiple
 
-Common flags: --dim, --t-min, --t-max, --t-points, --log-grid, --tol,
---out, --seed, --config.  A config file is a flat "key = value" text
-document; precedence is CLI flag > config file > built-in default.
-Every command is deterministic given (config, seed); CSV output starts
-with comment lines carrying the resolved-config hash.
+Every command also takes --out and --config.  The data keys (u0_family,
+u0_amplitude, u0_width, and the same for u1) have no flags; a config
+file ("key = value" lines) sets any option.  Precedence is CLI flag >
+config file > default.  An option the command does not read is a usage
+error.  CSV output starts with comment lines carrying a hash over the
+resolved option values, so a run's hash depends only on what it computes.
 
-Exit codes: 0 all checks pass, 1 a check failed or a quantity could
-not be certified, 2 usage/domain error.
+Exit codes: 0 all checks pass, 1 a check failed or a quantity could not
+be certified, 2 usage or domain error (such as a profile not in L^2).
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import argparse
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,47 +45,54 @@ class ConfigError(Exception):
 
 # -- configuration -----------------------------------------------------------
 
-_DEFAULTS = {
-    "dim": "1,2,3",
-    "t_min": None,       # command-specific
-    "t_max": None,
-    "t_points": None,
-    "log_grid": True,
-    "tol": None,
-    "seed": 12345,
-    "out": None,
-    "samples": 1000,
-    "i0_multiple": 1.0,
-    "u0_family": "zero",
-    "u0_amplitude": 1.0,
-    "u0_width": 1.0,
-    "u1_family": "gaussian",
-    "u1_amplitude": 1.0,
-    "u1_width": 1.0,
+def _checked(kind, test, need: str):
+    """Parser that converts with ``kind`` and requires ``test``."""
+    def parse(value):
+        value = kind(value)
+        if not test(value):
+            raise ValueError(need)
+        return value
+    return parse
+
+
+def _dims(value) -> tuple[int, ...]:
+    return tuple(int(d) for d in str(value).replace(",", " ").split())
+
+
+def _boolean(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    if value.lower() in ("1", "true", "yes", "on"):
+        return True
+    if value.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+# Every option and its parser.
+_OPTIONS = {
+    "dim": _checked(_dims, lambda d: d and min(d) >= 1,
+                    "need one or more integers >= 1"),
+    "t_min": float, "t_max": float,
+    "t_points": _checked(int, lambda k: k >= 2, "need at least 2 grid points"),
+    "log_grid": _boolean,
+    "tol": _checked(float, lambda x: x >= 0.0, "must be >= 0"),
+    "seed": _checked(int, lambda k: k >= 0, "must be >= 0"),
+    "samples": _checked(int, lambda k: k >= 1, "must be >= 1"),
+    "i0_multiple": _checked(float, lambda x: x > 0.0, "must be > 0"),
+    # The data keys, set in a config file only; InitialDataSpec checks them.
+    "u0_family": str, "u0_amplitude": float, "u0_width": float,
+    "u1_family": str, "u1_amplitude": float, "u1_width": float,
 }
-
-_COMMAND_DEFAULTS = {
-    "special": {"t_min": 1.0, "t_max": 1000.0, "t_points": 4, "tol": 1e-10},
-    "lemmas": {"t_min": 10.0, "t_max": 1e4, "t_points": 7, "tol": 1e-10},
-    "decay": {"t_min": 1e2, "t_max": 1e5, "t_points": 20, "tol": 0.05},
-    "profile": {"t_min": 1e2, "t_max": 1e4, "t_points": 9, "tol": 3.0},
-}
+_DATA = {"u0_family": "zero", "u0_amplitude": 1.0, "u0_width": 1.0,
+         "u1_family": "gaussian", "u1_amplitude": 1.0, "u1_width": 1.0}
+_HELP = {"dim": "dimension(s), e.g. 3 or 1,2,3",
+         "tol": "check tolerance (relative)"}
 
 
-@dataclass
-class RunConfig:
-    command: str
-    dims: tuple[int, ...]
-    t_min: float
-    t_max: float
-    t_points: int
-    log_grid: bool
-    tol: float
-    seed: int
-    out: str | None
-    samples: int
-    i0_multiple: float
-    raw: dict = field(default_factory=dict)
+class RunConfig(SimpleNamespace):
+    """The command, the output path, and the resolved value of each
+    option the command reads (``cfg.tol``); no other option is set."""
 
     def t_grid(self) -> np.ndarray:
         if self.log_grid:
@@ -89,24 +101,22 @@ class RunConfig:
         return np.linspace(self.t_min, self.t_max, self.t_points)
 
     def data_pair(self, n: int) -> tuple[InitialDataSpec, InitialDataSpec]:
-        r = self.raw
+        v = vars(self)
         try:
-            u0 = InitialDataSpec(r["u0_family"], float(r["u0_amplitude"]),
-                                 float(r["u0_width"]), n)
-            u1 = InitialDataSpec(r["u1_family"], float(r["u1_amplitude"]),
-                                 float(r["u1_width"]), n)
+            return tuple(InitialDataSpec(v[f"{u}_family"], v[f"{u}_amplitude"],
+                                         v[f"{u}_width"], n)
+                         for u in ("u0", "u1"))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        return u0, u1
 
     def config_hash(self) -> str:
         # The output path does not affect any computed value.
-        text = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw)
-                         if k != "out")
+        text = "\n".join(f"{k}={v!r}" for k, v in sorted(vars(self).items())
+                         if k not in ("command", "out"))
         return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, keys) -> dict:
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -119,7 +129,7 @@ def _parse_config_file(path: str) -> dict:
                         f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _DEFAULTS:
+                if key not in keys:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = val.strip()
     except OSError as exc:
@@ -127,75 +137,35 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(name: str, value, kind):
-    try:
-        if kind is bool and isinstance(value, str):
-            if value.lower() in ("1", "true", "yes", "on"):
-                return True
-            if value.lower() in ("0", "false", "no", "off"):
-                return False
-            raise ValueError("expected a boolean")
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-
-
 def resolve_config(command: str, args: argparse.Namespace) -> RunConfig:
-    file_cfg = _parse_config_file(args.config) if args.config else {}
-    merged = dict(_DEFAULTS)
-    merged.update(_COMMAND_DEFAULTS[command])
-    merged.update(file_cfg)
+    merged = {**_COMMANDS[command][2], "out": None}
+    if args.config:
+        merged.update(_parse_config_file(args.config, merged))
     for key in merged:
-        cli_val = getattr(args, key, None)
-        if cli_val is not None:
-            merged[key] = cli_val
-
-    dims_raw = str(merged["dim"])
-    try:
-        dims = tuple(int(d) for d in dims_raw.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"dim: {exc}") from exc
-    if not dims or any(d < 1 for d in dims):
-        raise ConfigError("dim: need one or more integers >= 1")
-
-    t_min = _coerce("t_min", merged["t_min"], float)
-    t_max = _coerce("t_max", merged["t_max"], float)
-    t_points = _coerce("t_points", merged["t_points"], int)
-    if not (0.0 < t_min < t_max < math.inf):
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
+    cfg = RunConfig(command=command, out=merged.pop("out"))
+    for key, value in merged.items():
+        try:
+            setattr(cfg, key, _OPTIONS[key](value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+    if "t_min" in merged and not 0.0 < cfg.t_min < cfg.t_max < math.inf:
         raise ConfigError("t_min/t_max: need finite 0 < t_min < t_max")
-    if t_points < 2:
-        raise ConfigError("t_points: need at least 2 grid points")
-    tol = _coerce("tol", merged["tol"], float)
-    if tol < 0.0:
-        raise ConfigError("tol: must be >= 0")
-    seed = _coerce("seed", merged["seed"], int)
-    if seed < 0:
-        raise ConfigError("seed: must be >= 0")
-    samples = _coerce("samples", merged["samples"], int)
-    if samples < 1:
-        raise ConfigError("samples: must be >= 1")
-    i0_multiple = _coerce("i0_multiple", merged["i0_multiple"], float)
-    if i0_multiple <= 0.0:
-        raise ConfigError("i0_multiple: must be > 0")
-
-    cfg = RunConfig(command=command, dims=dims, t_min=t_min, t_max=t_max,
-                    t_points=t_points,
-                    log_grid=_coerce("log_grid", merged["log_grid"], bool),
-                    tol=tol, seed=seed, out=merged["out"], samples=samples,
-                    i0_multiple=i0_multiple,
-                    raw={k: merged[k] for k in sorted(merged)})
-    # Fail fast on bad data fields even before a command needs them.
-    cfg.data_pair(dims[0])
+    if "u0_family" in merged:
+        # Fail fast on bad data fields even before a command needs them.
+        cfg.data_pair(cfg.dim[0])
     return cfg
 
 
 # -- output ------------------------------------------------------------------
 
 class Report:
-    def __init__(self, cfg: RunConfig):
+    def __init__(self, cfg: RunConfig, *header: str):
         self.lines: list[str] = [f"# command={cfg.command}",
                                  f"# config={cfg.config_hash()}"]
         self.out = cfg.out
+        self.row(*header)
 
     def comment(self, text: str):
         self.lines.append(f"# {text}")
@@ -203,17 +173,21 @@ class Report:
     def row(self, *cells):
         self.lines.append(",".join(str(c) for c in cells))
 
-    def emit(self):
+    def finish(self, failures) -> int:
+        """Write one FAIL line per failure and the verdict, emit the
+        report, and return the exit code."""
+        for msg in failures:
+            self.comment(f"FAIL {msg}")
+        self.comment(f"checks={'FAIL' if failures else 'PASS'}")
         text = "\n".join(self.lines) + "\n"
         sys.stdout.write(text)
         if self.out:
             with open(self.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        return E_CHECK_FAILED if failures else 0
 
 
 def _fmt(x: float) -> str:
-    if x != x:
-        return "nan"
     return format(x, ".12e")
 
 
@@ -222,9 +196,8 @@ def _fmt(x: float) -> str:
 def cmd_special(cfg: RunConfig) -> int:
     ps = (0.0, 0.5, 1.0, 2.0, 3.0)
     ts = cfg.t_grid()
-    rep = Report(cfg)
-    rep.row("p", "t", "I_p", "I_p_scaled", "J_p", "J_p_scaled",
-            "hyp2f1", "gamma_ratio", "h0_identity_relerr")
+    rep = Report(cfg, "p", "t", "I_p", "I_p_scaled", "J_p", "J_p_scaled",
+                 "hyp2f1", "gamma_ratio", "h0_identity_relerr")
 
     def j_value(t: float, p: float) -> float:
         if t > (p + 3.0) / 2.0:
@@ -249,11 +222,10 @@ def cmd_special(cfg: RunConfig) -> int:
             ival = special.I_p(t, p)
             iscaled = ival * t ** ((p + 1.0) / 2.0)
             jval = j_value(t, p)
-            if jval == jval and jval > 0.0:
+            jscaled = math.nan
+            if jval > 0.0 and t > 1.0:   # false for a nan jval
                 jscaled = math.exp(math.log(jval) + math.log(t - 1.0)
-                                   + t * math.log(2.0)) if t > 1.0 else math.nan
-            else:
-                jscaled = math.nan
+                                   + t * math.log(2.0))
             rep.row(p, t, _fmt(ival), _fmt(iscaled), _fmt(jval),
                     _fmt(jscaled), _fmt(special.hyp2f1_special(t, p)),
                     _fmt(special.gamma_ratio(t)), _fmt(h0_relerr[t]))
@@ -261,7 +233,7 @@ def cmd_special(cfg: RunConfig) -> int:
                 scaled_by_p[p].append(iscaled)
             # Sandwich check only where 2^-t is far enough from the
             # subnormal floor that J carries full relative precision.
-            if jscaled == jscaled and t >= 5.0 and jval > 1e-280:
+            if t >= 5.0 and jval > 1e-280:
                 lo, hi = special.j_sandwich_bounds(t, p)
                 if not (lo * (1 - 1e-9) <= jscaled <= hi * (1 + 1e-9)):
                     failures.append(
@@ -275,11 +247,7 @@ def cmd_special(cfg: RunConfig) -> int:
                 failures.append(f"peak-integral band p={p}: ratio {ratio:.3f},"
                                 f" range [{min(vals):.3f}, {max(vals):.3f}]")
 
-    for msg in failures:
-        rep.comment(f"FAIL {msg}")
-    rep.comment(f"checks={'FAIL' if failures else 'PASS'}")
-    rep.emit()
-    return E_CHECK_FAILED if failures else 0
+    return rep.finish(failures)
 
 
 # -- lemmas ------------------------------------------------------------------
@@ -334,7 +302,7 @@ def _suite_lines(cfg: RunConfig):
                 count += 1
     yield ("mid_band_bound", count, -worst, worst <= 1e-12)
 
-    u1 = cfg.data_pair(cfg.dims[0])[1]
+    u1 = cfg.data_pair(cfg.dim[0])[1]
     dec = modes.decompose_data(u1)
     w11 = u1.weighted_l1_norm()
     if w11 > 0.0:
@@ -357,13 +325,13 @@ def _suite_lines(cfg: RunConfig):
         yield (f"oscillating_band_{kind}", count, 1.5 - worst, worst <= 1.5)
 
     worst = -math.inf
-    for n in cfg.dims:
+    for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         hb20 = norms.residual_norm(20.0, u0, u1, n, band="high")
         hb40 = norms.residual_norm(40.0, u0, u1, n, band="high")
         env = hb20 ** 2 / (20.0 ** 2 * 2.0 ** -20) * 40.0 ** 2 * 2.0 ** -40
         worst = max(worst, hb40 ** 2 / env - 1.0)
-    yield ("high_band_envelope", len(cfg.dims), -worst, worst <= 0.0)
+    yield ("high_band_envelope", len(cfg.dim), -worst, worst <= 0.0)
 
     worst = -math.inf
     nprof = cfg.samples
@@ -396,16 +364,16 @@ def _suite_lines(cfg: RunConfig):
     yield ("phi_maximum", 1, 1e-6 - loc_err, ok)
 
     worst = -math.inf
-    for n in cfg.dims:
+    for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         if u0.family == "zero" and u1.family == "zero":
             continue
         es = [norms.energy(t, u0, u1, n) for t in np.linspace(0.0, 40.0, 20)]
         worst = max(worst, max((b - a) / es[0]
                                for a, b in zip(es, es[1:])))
-    yield ("energy_monotone", 20 * len(cfg.dims), -worst, worst <= 1e-12)
+    yield ("energy_monotone", 20 * len(cfg.dim), -worst, worst <= 1e-12)
 
-    u0, u1 = cfg.data_pair(cfg.dims[0])
+    u0, u1 = cfg.data_pair(cfg.dim[0])
     worst = 0.0
     for _ in range(100):
         t = rng.uniform(0.0, 1e3)
@@ -421,15 +389,13 @@ def _suite_lines(cfg: RunConfig):
 
 
 def cmd_lemmas(cfg: RunConfig) -> int:
-    rep = Report(cfg)
-    rep.row("name", "samples", "margin", "status")
-    all_ok = True
+    rep = Report(cfg, "name", "samples", "margin", "status")
+    failures = []
     for name, count, margin, ok in _suite_lines(cfg):
         rep.row(name, count, format(margin, ".6e"), "PASS" if ok else "FAIL")
-        all_ok = all_ok and ok
-    rep.comment(f"checks={'PASS' if all_ok else 'FAIL'}")
-    rep.emit()
-    return 0 if all_ok else E_CHECK_FAILED
+        if not ok:
+            failures.append(name)
+    return rep.finish(failures)
 
 
 # -- decay -------------------------------------------------------------------
@@ -446,10 +412,9 @@ def cmd_decay(cfg: RunConfig) -> int:
     ts = cfg.t_grid()
     if cfg.t_points < 5:
         raise ConfigError("t_points: decay fits need at least 5 grid points")
-    rep = Report(cfg)
-    rep.row("n", "t", "norm", "scaled")
+    rep = Report(cfg, "n", "t", "norm", "scaled")
     failures = []
-    for n in cfg.dims:
+    for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         vals = [norms.l2_norm(t, u0, u1, n, rel_tol=1e-9) for t in ts]
         expected = _expected_slope(n)
@@ -471,21 +436,16 @@ def cmd_decay(cfg: RunConfig) -> int:
                         f"expected={expected:+.4f} tol={cfg.tol:g}")
             if abs(fit.slope - expected) > cfg.tol:
                 failures.append(f"n={n} slope {fit.slope:+.4f}")
-    for msg in failures:
-        rep.comment(f"FAIL {msg}")
-    rep.comment(f"checks={'FAIL' if failures else 'PASS'}")
-    rep.emit()
-    return E_CHECK_FAILED if failures else 0
+    return rep.finish(failures)
 
 
 # -- profile -----------------------------------------------------------------
 
 def cmd_profile(cfg: RunConfig) -> int:
     ts = cfg.t_grid()
-    rep = Report(cfg)
-    rep.row("n", "t", "residual", "scaled", "I0")
+    rep = Report(cfg, "n", "t", "residual", "scaled", "I0")
     failures = []
-    for n in cfg.dims:
+    for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         i0 = norms.data_constant(u0, u1)
         vals = [norms.residual_norm(t, u0, u1, n) for t in ts]
@@ -502,61 +462,54 @@ def cmd_profile(cfg: RunConfig) -> int:
                 failures.append(
                     f"n={n} scaled residual {max(positive):.4f} exceeds "
                     f"{cfg.i0_multiple:g} * I0 = {cfg.i0_multiple * i0:.4f}")
-    for msg in failures:
-        rep.comment(f"FAIL {msg}")
-    rep.comment(f"checks={'FAIL' if failures else 'PASS'}")
-    rep.emit()
-    return E_CHECK_FAILED if failures else 0
+    return rep.finish(failures)
 
 
 # -- entry point --------------------------------------------------------------
+
+# Each command: its function, its help line, and the options it reads
+# with their defaults.
+_COMMANDS = {
+    "special": (cmd_special, "weight integrals, scalings, identities",
+                {"t_min": 1.0, "t_max": 1000.0, "t_points": 4,
+                 "log_grid": True, "tol": 1e-10}),
+    "lemmas": (cmd_lemmas, "inequality suites with PASS/FAIL lines",
+               {"dim": "1,2,3", "seed": 12345, "samples": 1000, **_DATA}),
+    "decay": (cmd_decay, "L2 decay exponents vs theory",
+              {"dim": "1,2,3", "t_min": 1e2, "t_max": 1e5, "t_points": 20,
+               "log_grid": True, "tol": 0.05, **_DATA}),
+    "profile": (cmd_profile, "scaled distance to the mass profile",
+                {"dim": "1,2,3", "t_min": 1e2, "t_max": 1e4, "t_points": 9,
+                 "log_grid": True, "tol": 3.0, "i0_multiple": 1.0, **_DATA}),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logdamp",
         description="verification runs for the log-damped wave equation")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("special", "weight integrals, scalings, identities"),
-            ("lemmas", "inequality suites with PASS/FAIL lines"),
-            ("decay", "L2 decay exponents vs theory"),
-            ("profile", "scaled distance to the mass profile")):
+    for name, (_, help_text, defaults) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dim", dest="dim", default=None,
-                       help="dimension(s), e.g. 3 or 1,2,3")
-        p.add_argument("--t-min", dest="t_min", type=float, default=None)
-        p.add_argument("--t-max", dest="t_max", type=float, default=None)
-        p.add_argument("--t-points", dest="t_points", type=int, default=None)
-        p.add_argument("--log-grid", dest="log_grid", default=None,
-                       action="store_const", const=True)
-        p.add_argument("--linear-grid", dest="log_grid",
-                       action="store_const", const=False)
-        p.add_argument("--tol", dest="tol", type=float, default=None,
-                       help="check tolerance (relative)")
-        p.add_argument("--out", dest="out", default=None,
-                       help="also write the CSV/report to this path")
-        p.add_argument("--seed", dest="seed", type=int, default=None)
-        p.add_argument("--samples", dest="samples", type=int, default=None)
-        p.add_argument("--i0-multiple", dest="i0_multiple", type=float,
-                       default=None)
-        p.add_argument("--config", dest="config", default=None,
-                       help="flat key = value config file")
+        for key in defaults:
+            if key == "log_grid":
+                p.add_argument("--log-grid", dest=key, action="store_const",
+                               const=True)
+                p.add_argument("--linear-grid", dest=key,
+                               action="store_const", const=False)
+            elif key not in _DATA:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               help=_HELP.get(key))
+        p.add_argument("--out", help="also write the CSV/report to this path")
+        p.add_argument("--config", help="flat key = value config file")
     return parser
-
-
-_COMMANDS = {
-    "special": cmd_special,
-    "lemmas": cmd_lemmas,
-    "decay": cmd_decay,
-    "profile": cmd_profile,
-}
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args.command, args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return E_USAGE

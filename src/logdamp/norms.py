@@ -136,14 +136,14 @@ def _envelope(t: float, u0, u1, coeff: float, p: float, q: float):
 def _mode_tail(t: float, u0, u1, n: int, factor: float = 1.0):
     """Envelope models for u_hat(t,.)^2 r^(n-1).
 
-    Globally |u_hat| <= e^{-a t}(1.58 B0 + min(t, 1.1/r) B1) with
-    B_i = sup |data transform| (a/b <= 3^(-1/2), 1/b <= 1.1/r,
-    |sin(bt)/b| <= t), which yields one power-decay and one
-    data-decay alternative for the whole integrand, each scaled by
-    ``factor``.
+    Globally |u_hat| <= e^{-a t}(1.58 B0 + min(t, 1.1/r) B1) <=
+    e^{-a t}(1.58 B0 + t B1) with B_i = sup |data transform|
+    (a/b <= 3^(-1/2), 1/b <= 1.1/r, |sin(bt)/b| <= t), which yields one
+    power-decay and one data-decay alternative for the whole integrand,
+    each scaled by ``factor``.  The B1 term vanishes at t = 0.
     """
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
-    coeff = (1.58 * b0 + (1.1 + t) * b1) ** 2 * factor
+    coeff = (1.58 * b0 + t * b1) ** 2 * factor
     return _envelope(t, u0, u1, coeff, n - 1.0, n - 1.0)
 
 
@@ -205,7 +205,9 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     or both.  ``method`` evaluates the integrand either as the direct
     difference or as the sum of the five remainder terms; the two agree
     to roundoff by the closure identity and both are kept as a
-    cross-check route.
+    cross-check route.  For n >= 3 and P1 != 0 the profile is in L^2
+    only when 2t > n - 2; below that the call raises ValueError naming
+    t and n, before any quadrature.
     """
     n = _check_pair(u0, u1, n)
     if band not in ("both", "low", "high"):
@@ -216,6 +218,9 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     p1 = modes.decompose_data(u1).P1
     if u0.family == "zero" and u1.family == "zero":
         return 0.0
+    if p1 != 0.0 and 0.0 < 2.0 * t <= n - 2.0:
+        raise ValueError(f"residual_norm at t={t}: the profile is not in L^2"
+                         f" for n={n} (needs 2t > n - 2)")
 
     if method == "difference":
         def f(r):

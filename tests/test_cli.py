@@ -157,3 +157,111 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+
+
+def test_profile_outside_its_domain_is_one_domain_error(tmp_path, capsys):
+    # n = 3 needs 2t > 1; at t = 0.5 the residual is infinite.
+    code, _ = run(tmp_path, "profile", "--t-min", "0.5", "--t-max", "10",
+                  "--dim", "3", "--t-points", "3")
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: residual_norm at t=0.5: ")
+
+
+# -- each command takes only the options it reads ----------------------------
+
+_DATA_KEYS = ("u0_family", "u0_amplitude", "u0_width",
+              "u1_family", "u1_amplitude", "u1_width")
+# The 21 (command, option) pairs where the command does not read the option.
+_UNREAD = ([("special", k) for k in ("dim", "seed", "samples", "i0_multiple",
+                                     *_DATA_KEYS)]
+           + [("lemmas", k) for k in ("t_min", "t_max", "t_points",
+                                      "log_grid", "tol", "i0_multiple")]
+           + [("decay", k) for k in ("seed", "samples", "i0_multiple")]
+           + [("profile", k) for k in ("seed", "samples")])
+_VALUE = {"dim": "3", "seed": "7", "samples": "5", "i0_multiple": "2",
+          "t_min": "2", "t_max": "50", "t_points": "5", "log_grid": "no",
+          "tol": "0.1", "u0_family": "gaussian", "u0_amplitude": "2",
+          "u0_width": "2", "u1_family": "zero", "u1_amplitude": "2",
+          "u1_width": "2"}
+
+
+@pytest.mark.parametrize("command, key", _UNREAD,
+                         ids=[f"{c}-{k}" for c, k in _UNREAD])
+def test_unread_option_is_a_usage_error(tmp_path, capsys, command, key):
+    if key not in _DATA_KEYS:   # the data keys have no flags
+        flag = ("--linear-grid",) if key == "log_grid" else (
+            "--" + key.replace("_", "-"), _VALUE[key])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flag])
+        assert exc.value.code == 2
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {_VALUE[key]}\n")
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+
+def _outcome(tmp_path, command, values):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    code, text = run(tmp_path, command, "--config", str(cfg))
+    return code, [ln for ln in text.splitlines()
+                  if not ln.startswith("# config=")]
+
+
+# Small runs to vary one option against.
+_BASE = {"special": {"t_points": "3"},
+         "lemmas": {"samples": "20", "dim": "1"},
+         "decay": {"dim": "1", "t_max": "1e3", "t_points": "5"},
+         "profile": {"dim": "1", "t_max": "1e3", "t_points": "3"}}
+_READ = ([("special", k, v) for k, v in (
+             ("t_min", "2"), ("t_max", "500"), ("t_points", "4"),
+             ("log_grid", "no"), ("tol", "0"))]
+         + [("lemmas", k, v) for k, v in (
+             ("dim", "3"), ("seed", "7"), ("samples", "21"))]
+         + [(c, k, v) for c in ("decay", "profile") for k, v in (
+             ("dim", "3"), ("t_min", "200"), ("t_max", "2e3"),
+             ("t_points", "6"), ("log_grid", "no"))]
+         + [("decay", "tol", "0"), ("profile", "tol", "1"),
+            ("profile", "i0_multiple", "0.01")]
+         + [(c, k, _VALUE[k]) for c in ("lemmas", "decay", "profile")
+            for k in _DATA_KEYS])
+
+
+@pytest.mark.parametrize("command, key, value", _READ,
+                         ids=[f"{c}-{k}" for c, k, _ in _READ])
+def test_read_option_changes_the_outcome(tmp_path, command, key, value):
+    # Set in a config file, the one route every key has.  The data keys
+    # other than u0_family vary on top of a Gaussian u0, so that no one
+    # datum scales the whole (linear) run.
+    base = dict(_BASE[command])
+    if key in _DATA_KEYS and key != "u0_family":
+        base["u0_family"] = "gaussian"
+    assert (_outcome(tmp_path, command, {**base, key: value})
+            != _outcome(tmp_path, command, base))
+
+
+def _hash(tmp_path, argv, lines=()):
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("".join(f"{ln}\n" for ln in lines))
+    _, text = run(tmp_path, *argv, "--config", str(cfg))
+    return [ln for ln in text.splitlines() if ln.startswith("# config=")]
+
+
+def test_config_hash_covers_resolved_values(tmp_path):
+    special = ("special", "--t-points", "2")
+    same = [_hash(tmp_path, [*special, "--t-max", "1e3"]),
+            _hash(tmp_path, [*special, "--t-max", "1000"]),
+            _hash(tmp_path, special, ["t_max = 1e3"]),
+            _hash(tmp_path, [*special, "--t-max", "1000", "--log-grid"]),
+            _hash(tmp_path, special, ["t_max = 1e3", "log_grid = yes"])]
+    assert all(h == same[0] for h in same) and len(same[0]) == 1
+    assert _hash(tmp_path, [*special, "--t-max", "999"]) != same[0]
+    profile = ("profile", "--t-points", "2", "--t-max", "200")
+    assert (_hash(tmp_path, [*profile, "--dim", "1,3"])
+            == _hash(tmp_path, [*profile, "--dim", "1 3"])
+            == _hash(tmp_path, profile, ["dim = 1, 3"]))
+    assert (_hash(tmp_path, [*profile, "--dim", "1,3"])
+            != _hash(tmp_path, [*profile, "--dim", "3,1"]))

@@ -37,6 +37,15 @@ def test_zero_data_norm():
     assert norms.l2_norm(7.0, zero(2), zero(2), 2) == 0.0
 
 
+def test_norm_at_start_is_the_displacement_norm():
+    # u(0) = u0 exactly, whatever u1 is; a zero u0 gives exactly 0.
+    for n in (1, 2, 3):
+        assert norms.l2_norm(0.0, zero(n), gaussian(n), n) == 0.0
+        u0 = gaussian(n, 2.0, 0.7)
+        got = norms.l2_norm(0.0, u0, gaussian(n), n)
+        assert got == pytest.approx(u0.l2_norm(), rel=1e-10)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         norms.l2_norm(1.0, gaussian(1), gaussian(2))
@@ -121,6 +130,18 @@ def test_high_band_residual_superpolynomial():
                                    band="high")
         env = hb20 ** 2 / (20.0 ** 2 * 2.0 ** -20) * 30.0 ** 2 * 2.0 ** -30
         assert hb30 ** 2 <= env
+
+
+@pytest.mark.parametrize("t, n", [(0.5, 3), (1.0, 4), (1.5, 5)])
+def test_residual_outside_the_profile_domain_names_itself(t, n):
+    # For P1 != 0 the profile squares like r^(n-3-2t) at large r, so it
+    # is in L^2 only when 2t > n - 2; the call says so before quadrature.
+    for band in ("low", "high", "both"):
+        with pytest.raises(ValueError,
+                           match=rf"^residual_norm at t={t}: .* n={n} "):
+            norms.residual_norm(t, zero(n), gaussian(n), n, band=band)
+    # Without velocity mass the profile is zero and the residual finite.
+    assert norms.residual_norm(t, gaussian(n), zero(n), n) > 0.0
 
 
 def test_residual_argument_validation():
