@@ -156,8 +156,10 @@ class Mode:
     The roots -a +/- ib of the mode equation fix a, e^{-at}, cos(bt) and
     sinc(bt) once per abscissa array; each method builds one field from
     them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
-    exact.  Only these four full-size arrays are held, to keep peak
-    memory low; g and sqrt(1-g) are recomputed on the K-term path.
+    exact.  One log1p per abscissa: g comes from the held a through
+    ``symbols.ratio_g_from_a``.  Only these four full-size arrays are
+    held, to keep peak memory low; g and sqrt(1-g) are recomputed from
+    a on the K-term path.
     """
 
     def __init__(self, t, r):
@@ -168,7 +170,7 @@ class Mode:
         self.r = r = np.asarray(r, dtype=float)
         self.a = symbols.damping_a(r)
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
-        bt = r * np.sqrt(1.0 - symbols.ratio_g(r)) * t
+        bt = r * np.sqrt(1.0 - symbols.ratio_g_from_a(r, self.a)) * t
         self.env = np.exp(-self.a * t)
         self.cos_bt = np.cos(bt)
         self.sinc_bt = sinc(bt)
@@ -194,7 +196,7 @@ class Mode:
         r, t, env = self.r, self.t, self.env
         if np.any(r <= 0.0):
             raise ValueError("remainder split requires r > 0")
-        g = symbols.ratio_g(r)
+        g = symbols.ratio_g_from_a(r, self.a)
         sq = np.sqrt(1.0 - g)
         inv_diff = g / (r * sq * (1.0 + sq))
         bmr_over_b = -g / (sq * (1.0 + sq))

@@ -9,8 +9,10 @@ The mode at radius r = |xi| solves  v'' + 2*a(r)*v' + r^2*v = 0  with
 so the characteristic roots are lambda_pm = -a +/- i*b and a^2 + b^2 = r^2
 exactly.  Everything here is evaluated in forms that stay accurate near
 r = 0, where the naive 4r^2 - log^2(1+r^2) loses half the significand:
-g uses a Taylor series below r = 1e-4, and the differences b - r and
-1/b - 1/r are computed from g without subtraction of close quantities.
+g uses a Taylor series below r = 1e-4 and is a^2/r^2 above it (one
+route, ``ratio_g_from_a``, so a kernel that already holds a pays no
+second log1p), and the differences b - r and 1/b - 1/r are computed
+from g without subtraction of close quantities.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -54,19 +56,31 @@ def damping_a(r):
 
 
 def ratio_g(r):
-    """g(r) = log^2(1+r^2)/(4r^2); series below r = 1e-4, 0 at r = 0.
-
-    Series: with x = r^2,
-    g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
-    """
+    """g(r) = log^2(1+r^2)/(4r^2); series below r = 1e-4, 0 at r = 0."""
     r = _check_radius(r)
-    x = r * r
-    small = r < G_SERIES_CUT
-    series = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0 - x * (5.0 / 6.0))))
-    xd = np.where(small, 1.0, x)  # dummy to keep the direct branch finite
-    direct = np.log1p(xd) ** 2 / (4.0 * xd)
-    out = np.where(small, series, direct)
+    out = ratio_g_from_a(r, damping_a(r))
     return out if out.ndim else float(out)
+
+
+def ratio_g_from_a(r, a):
+    """g(r) from a = damping_a(r) at the same (already checked) radii.
+
+    Above r = 1e-4, g = a*a/(r*r); wherever 4r^2 is finite this is
+    bit-identical to log^2(1+r^2)/(4r^2), because 1/2 and 4 are powers
+    of two.  Below it the entries are overwritten by the series, with
+    x = r^2, g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
+    Returns an array of r's shape (0-d for a scalar r).
+    """
+    r = np.asarray(r, dtype=float)
+    r1, a1 = np.atleast_1d(r, a)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = a1 * a1 / (r1 * r1)
+    small = r1 < G_SERIES_CUT
+    if small.any():
+        x = r1[small] * r1[small]
+        out[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
+                                                        - x * (5.0 / 6.0))))
+    return out.reshape(r.shape)
 
 
 def oscillation_b(r):

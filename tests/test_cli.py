@@ -113,6 +113,37 @@ def test_config_file_precedence(tmp_path):
     assert len(rows) == 7                    # flag beats the file
 
 
+def _zero_data_config(tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("u1_family = zero\n")
+    return str(cfg)
+
+
+def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):
+    code, text = run(tmp_path, "lemmas", "--config",
+                     _zero_data_config(tmp_path), "--samples", "20")
+    assert code == 0
+    assert "error:" not in capsys.readouterr().err
+    rows = {r["name"]: r for r in parse_rows(text)}
+    # All-zero pairs are skipped, and only checked dimensions count.
+    for name in ("high_band_envelope", "energy_monotone"):
+        assert rows[name]["samples"] == "0"
+        assert rows[name]["status"] == "PASS"
+
+
+def test_decay_with_zero_data_names_the_missing_fit(tmp_path, capsys):
+    code, text = run(tmp_path, "decay", "--config",
+                     _zero_data_config(tmp_path), "--dim", "1,2,3",
+                     "--t-points", "5")
+    assert code == 0
+    assert "error:" not in capsys.readouterr().err
+    notes = [ln for ln in text.splitlines() if "zero data" in ln]
+    assert notes == [f"# n={n} zero data: no decay to fit"
+                     for n in (1, 2, 3)]
+    assert all(float(r["norm"]) == 0.0 for r in parse_rows(text))
+    assert "# checks=PASS" in text
+
+
 def test_single_point_grid_is_a_config_error(tmp_path):
     assert main(["profile", "--t-points", "1"]) == 2
     assert main(["decay", "--t-points", "4"]) == 2

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logdamp import symbols
-from logdamp.modes import (InitialDataSpec, decompose_data, k_terms,
+from logdamp.stable import sinc
+from logdamp.modes import (InitialDataSpec, Mode, decompose_data, k_terms,
                            mode_value, mode_value_dt, profile_hat,
                            remainder_terms, sphere_area, u_hat, u_hat_t)
 
@@ -135,6 +136,19 @@ def test_profile_values():
     assert np.all(profile_hat(2.0, np.linspace(0, 5, 11), 0.0) == 0.0)
     assert profile_hat(2.0, 1.0, 1.0) == pytest.approx(0.5 * math.sin(2.0),
                                                        rel=1e-14)
+
+
+def test_mode_kernel_matches_ratio_g_bit_for_bit():
+    # g from the held a, on both sides of the series cut and at r = 0.
+    r = np.concatenate([[0.0], np.geomspace(1e-200, 1e12, 20_001)])
+    assert (r < symbols.G_SERIES_CUT).sum() > 1000
+    assert (r > symbols.G_SERIES_CUT).sum() > 1000
+    for t in (0.0, 0.5, 1e2, 1e8):
+        mode = Mode(t, r)
+        bt = r * np.sqrt(1.0 - symbols.ratio_g(r)) * t
+        assert mode.cos_bt.tobytes() == np.cos(bt).tobytes()
+        assert mode.sinc_bt.tobytes() == sinc(bt).tobytes()
+        assert mode.a.tobytes() == symbols.damping_a(r).tobytes()
 
 
 def test_negative_time_rejected():

@@ -252,7 +252,7 @@ def _count_rule_calls(monkeypatch):
     return sizes
 
 
-def test_converged_initial_panelling_takes_one_rule_call(monkeypatch):
+def test_converged_initial_panelling_takes_one_rule_pass(monkeypatch):
     sizes = _count_rule_calls(monkeypatch)
     res = integrate(lambda x: np.exp(-x) * np.cos(3.0 * x),
                     QuadratureSpec(0.0, 10.0, rel_tol=1e-10,
@@ -260,7 +260,9 @@ def test_converged_initial_panelling_takes_one_rule_call(monkeypatch):
     exact = (1.0 - math.exp(-10.0) * (math.cos(30.0) - 3.0 * math.sin(30.0))
              ) / 10.0
     assert res.converged
-    assert sizes == [res.panels_used] and res.panels_used > 100
+    # Every panel is evaluated once, in chunks: no bisection happened.
+    assert sum(sizes) == res.panels_used > 100
+    assert max(sizes) <= quadrature._CHUNK
     assert isinstance(res.value, float)
     assert res.value == pytest.approx(exact, rel=1e-10)
 
@@ -272,6 +274,27 @@ def test_rule_calls_stay_within_the_chunk_at_t_1e8(monkeypatch):
     assert norms.l2_norm(1e8, u0, u1, 3) > 0.0
     assert max(sizes) <= quadrature._CHUNK
     assert sum(sizes) > 10 * quadrature._CHUNK
+
+
+_ZERO3 = InitialDataSpec("zero", dimension=3)
+_GAUSS3 = InitialDataSpec("gaussian", 1.0, 1.0, 3)
+_WIDE3 = InitialDataSpec("gaussian", 2.0, 0.7, 3)
+
+
+@pytest.mark.parametrize("t", [1e2, 1e6])
+def test_chunk_size_changes_no_bit(monkeypatch, t):
+    calls = (
+        lambda: norms.l2_norm(t, _WIDE3, _GAUSS3, 3),
+        lambda: norms.energy(t, _WIDE3, _GAUSS3, 3),
+        lambda: norms.residual_norm(t, _ZERO3, _GAUSS3, 3),
+        lambda: norms.residual_norm(t, _ZERO3, _GAUSS3, 3, method="kterms"),
+        lambda: norms.M_integral(t, 3, "sin"),
+    )
+    seen = []
+    for chunk in (64, quadrature._CHUNK, 2048):
+        monkeypatch.setattr(quadrature, "_CHUNK", chunk)
+        seen.append([float(call()).hex() for call in calls])
+    assert seen[0] == seen[1] == seen[2]
 
 
 def test_vector_integrand_certifies_each_component():

@@ -81,6 +81,25 @@ def test_g_vanishes_at_both_ends():
     assert symbols.ratio_g(1e10) < 1e-17
 
 
+def test_ratio_g_is_pinned_to_its_closed_form_and_series():
+    # log^2(1+x)/(4x) above the cut, bit for bit (a*a/(r*r) equals it
+    # because 1/2 and 4 are powers of two), and the series below it.
+    r = np.concatenate([[0.0], np.geomspace(1e-200, 1e150, 20_001)])
+    x = r * r
+    small = r < symbols.G_SERIES_CUT
+    assert 1000 < small.sum() < r.size - 1000
+    with np.errstate(all="ignore"):
+        series = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
+                                                    - x * (5.0 / 6.0))))
+        direct = np.log1p(x) ** 2 / (4.0 * x)
+    expected = np.where(small, series, direct)
+    assert symbols.ratio_g(r).tobytes() == expected.tobytes()
+    a = symbols.damping_a(r)
+    assert symbols.ratio_g_from_a(r, a).tobytes() == expected.tobytes()
+    assert symbols.ratio_g(0.0) == 0.0
+    assert type(symbols.ratio_g(2.0)) is float
+
+
 def test_small_radius_series():
     # one ulp of slack: near r ~ 1e-8 the bound r^2/4 dips below eps
     r = np.exp(np.linspace(math.log(1e-8), math.log(1e-2), 200))
