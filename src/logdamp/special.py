@@ -17,23 +17,35 @@ powering overflows long before the interesting range t ~ 1e6.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import QuadratureSpec, integrate
 
 __all__ = [
-    "I_p", "J_p", "J_p_direct", "I_p_recurrence", "hyp2f1_special",
-    "gamma_ratio", "middle_band", "AsymptoticBandReport", "i_band_report",
-    "j_sandwich_bounds",
+    "I_p", "J_p", "J_p_direct", "J_p_scaled", "I_p_recurrence",
+    "hyp2f1_special", "gamma_ratio", "middle_band", "j_sandwich_bounds",
 ]
 
 
-def _weight(t):
+def _weight(t, p):
     def f(r):
-        return np.exp(-t * np.log1p(r * r))
+        return np.exp(-t * np.log1p(r * r)) * r ** p
     return f
+
+
+def _certified(f, spec, site, tail=0.0, tail_bound=0.0):
+    """integrate(f, spec) plus a closed-form ``tail`` past spec.upper.
+
+    The quadrature error and ``tail_bound`` (the tail's own error) must
+    each meet spec's tolerance, so the value is certified to twice it.
+    Raises ArithmeticError("<site> did not converge") otherwise.
+    """
+    res = integrate(f, spec)
+    value = res.value + tail
+    if not (res.converged and tail_bound <= spec.rel_tol * abs(value)):
+        raise ArithmeticError(f"{site} did not converge")
+    return value
 
 
 def I_p(t: float, p: float, rel_tol: float = 1e-12) -> float:
@@ -43,92 +55,65 @@ def I_p(t: float, p: float, rel_tol: float = 1e-12) -> float:
     in a peak of width ~ t^(-1/2) near the origin, so peak-scale
     breakpoints are passed as hints.
     """
-    t = float(t)
-    p = float(p)
+    t, p = float(t), float(p)
     if p < 0.0:
         raise ValueError("I_p requires p >= 0")
     if not math.isfinite(t):
         raise ValueError("I_p requires finite t")
-    w = _weight(t)
-
-    def f(r):
-        if p == 0.0:
-            return w(r)
-        # r**p at r=0 with p>0 is fine (0.0); avoid 0**0 ambiguity above.
-        return w(r) * r ** p
-
-    hints = []
+    hints = ()
     if t > 4.0 * (p + 2.0):
         scale = math.sqrt((p + 1.0) / t)
-        for frac in (1.0, 8.0):
-            x = frac * scale
-            if 0.0 < x < 1.0:
-                hints.append(x)
-    res = integrate(f, QuadratureSpec(0.0, 1.0, rel_tol=rel_tol,
-                                      breakpoints=tuple(hints)))
-    if not res.converged:
-        raise ArithmeticError(f"I_p({t}, {p}) quadrature did not converge")
-    return res.value
+        hints = tuple(x for x in (scale, 8.0 * scale) if x < 1.0)
+    return _certified(_weight(t, p), QuadratureSpec(
+        0.0, 1.0, rel_tol=rel_tol, breakpoints=hints), f"I_p({t}, {p})")
+
+
+def _tail_integral(t: float, p: float, rel_tol: float) -> float:
+    """K = J_p(t) * 2^s with s = t - (p+1)/2, for every 2t > p + 1.
+
+    With v = log(1+r^2) - log 2 the tail integral becomes
+        J_p = 2^(-s) K,  K = (1/2) integral_0^inf e^(-sv) c(v)^((p-1)/2) dv,
+    c(v) = 1 - e^(-v)/2.  On v >= 0 the factor c^((p-1)/2) lies in
+    [m, M] = [min(1, 2^((1-p)/2)), max(1, 2^((1-p)/2))] and tends to 1,
+    so K >= m/(2s), and past V the tail is e^(-sV)/(2s) to within
+    M e^(-sV)/(2s).  V = log(4M/(m rel_tol))/s makes that bound at most
+    rel_tol/4 of K; the quadrature on [0, V] runs at rel_tol/2.
+    """
+    t, p = float(t), float(p)
+    s = t - (p + 1.0) / 2.0
+    if not (s > 0.0):
+        raise ValueError("J_p requires 2t > p + 1")
+    power = (p - 1.0) / 2.0
+    m, M = sorted((1.0, 2.0 ** -power))
+    decay = m * rel_tol / (4.0 * M)        # e^(-sV)
+
+    def f(v):
+        return 0.5 * np.exp(-s * v) * (1.0 - 0.5 * np.exp(-v)) ** power
+
+    # Panel ends at 2-16 e-folds of e^(-sv): one or two waves, not five.
+    spec = QuadratureSpec(0.0, -math.log(decay) / s, rel_tol=0.5 * rel_tol,
+                          breakpoints=tuple(k / s for k in (2, 4, 8, 16)))
+    return _certified(f, spec, f"J_p({t}, {p})", tail=0.5 * decay / s,
+                      tail_bound=0.5 * M * decay / s)
 
 
 def J_p(t: float, p: float, rel_tol: float = 1e-12) -> float:
-    """integral_1^inf (1+r^2)^(-t) r^p dr for t > (p+3)/2.
-
-    Uses the substitution u = log(1+r^2):
-        J_p = (1/2) integral_{log 2}^inf e^{-(t-1)u} (e^u - 1)^{(p-1)/2} du,
-    truncated where the analytic exponential tail is negligible relative
-    to the leading magnitude 2^(-t).
-    """
-    t = float(t)
-    p = float(p)
-    if not (t > (p + 3.0) / 2.0):
-        raise ValueError("J_p requires t > (p+3)/2")
-    s = t - max(1.0, (p + 1.0) / 2.0)
-    upper = math.log(2.0) + 46.0 / s
-
-    def f(u):
-        return 0.5 * np.exp(-(t - 1.0) * u) * np.expm1(u) ** ((p - 1.0) / 2.0)
-
-    res = integrate(f, QuadratureSpec(math.log(2.0), upper, rel_tol=rel_tol))
-    if not res.converged:
-        raise ArithmeticError(f"J_p({t}, {p}) quadrature did not converge")
-    return res.value
+    """integral_1^inf (1+r^2)^(-t) r^p dr = 2^(-s) K for 2t > p + 1 (see
+    ``_tail_integral``); 0.0 from t ~ 1075 on, where J_p_scaled is not."""
+    return _tail_integral(t, p, rel_tol) \
+        * 2.0 ** -(float(t) - (float(p) + 1.0) / 2.0)
 
 
-def J_p_direct(t: float, p: float, rel_tol: float = 1e-10) -> float:
-    """J_p by direct quadrature on [1, R]; valid whenever 2t > p + 1.
+# ``bench/workloads.py`` and ``bench/tracer.py`` call the tail integral
+# by this name.
+J_p_direct = J_p
 
-    The truncation uses (1+r^2)^(-t) <= r^(-2t), so the omitted tail is
-    at most R^(p+1-2t)/(2t-p-1).  Slower than the substitution form but
-    valid closer to the convergence boundary; serves as an independent
-    cross-check route.
-    """
-    t = float(t)
-    p = float(p)
-    q = 2.0 * t - p - 1.0
-    if not (q > 0.0):
-        raise ValueError("J_p_direct requires 2t > p + 1")
-    w = _weight(t)
 
-    def f(r):
-        return w(r) * r ** p
-
-    # Solve R^(-q)/q <= tail for the truncation point, then refine scale
-    # once the first pass gives the integral's magnitude.
-    value = None
-    tail_tol = 1e-3
-    for _ in range(3):
-        radius = max(2.0, (tail_tol * q) ** (-1.0 / q))
-        res = integrate(f, QuadratureSpec(1.0, radius, rel_tol=rel_tol))
-        if not res.converged:
-            raise ArithmeticError(
-                f"J_p_direct({t}, {p}) quadrature did not converge")
-        value = res.value
-        new_tol = 0.25 * rel_tol * abs(value)
-        if new_tol <= 0.0 or tail_tol <= new_tol:
-            break
-        tail_tol = new_tol
-    return value
+def J_p_scaled(t: float, p: float, rel_tol: float = 1e-12) -> float:
+    """J_p(t) (t-1) 2^t = K (t-1) 2^((p+1)/2): finite at every t, exactly
+    1 for p = 1, and bracketed by ``j_sandwich_bounds``."""
+    return _tail_integral(t, p, rel_tol) * (float(t) - 1.0) \
+        * 2.0 ** ((float(p) + 1.0) / 2.0)
 
 
 def I_p_recurrence(t: float, p: float, I_pm2: float) -> float:
@@ -176,60 +161,18 @@ def middle_band(eta: float, p: float, t: float, rel_tol: float = 1e-12) -> float
         raise ValueError("middle_band requires eta in (0, 1]")
     if eta == 1.0:
         return 0.0
-    w = _weight(float(t))
-
-    def f(r):
-        return w(r) * r ** float(p)
-
-    res = integrate(f, QuadratureSpec(eta, 1.0, rel_tol=rel_tol))
-    if not res.converged:
-        raise ArithmeticError(
-            f"middle_band({eta}, {p}, {t}) quadrature did not converge")
-    return res.value
-
-
-@dataclass(frozen=True)
-class AsymptoticBandReport:
-    """Scaled values of a decaying quantity over a t-grid.
-
-    scaled_values[i] = value(t_grid[i]) * t_grid[i]^rate_exponent; the
-    band [band_min, band_max] and the tail-monotonicity flag let callers
-    assert two-sided boundedness without knowing sharp constants.
-    """
-
-    p: float
-    t_grid: tuple[float, ...]
-    scaled_values: tuple[float, ...]
-    band_min: float
-    band_max: float
-    monotone_tail: bool
-
-
-def i_band_report(p: float, t_grid) -> AsymptoticBandReport:
-    """Band report for I_p(t) * t^((p+1)/2) over an increasing t-grid."""
-    ts = tuple(float(t) for t in t_grid)
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_grid must be strictly increasing")
-    scaled = tuple(I_p(t, p) * t ** ((p + 1.0) / 2.0) for t in ts)
-    diffs = [b - a for a, b in zip(scaled, scaled[1:])]
-    monotone = all(d <= 0 for d in diffs) or all(d >= 0 for d in diffs)
-    return AsymptoticBandReport(float(p), ts, scaled,
-                                min(scaled), max(scaled), monotone)
+    return _certified(_weight(float(t), float(p)),
+                      QuadratureSpec(eta, 1.0, rel_tol=rel_tol),
+                      f"middle_band({eta}, {p}, {t})")
 
 
 def j_sandwich_bounds(t: float, p: float) -> tuple[float, float]:
-    """Two-sided bounds for J_p(t) * (t-1) * 2^t from the substitution.
+    """Two-sided bounds for ``J_p_scaled``: K in [m, M]/(2s) (see
+    ``_tail_integral``) puts it in [m, M] (t-1) 2^((p-1)/2)/s.
 
-    On u >= log 2 one has e^u/2 <= e^u - 1 <= e^u, hence
-    (e^u-1)^((p-1)/2) is sandwiched between the corresponding powers and
-
-        lo = min(1, 2^((p-1)/2)) * (t-1)/(t-(p+1)/2)
-        hi = max(1, 2^((p-1)/2)) * (t-1)/(t-(p+1)/2).
-
-    Requires t > (p+1)/2.  For p = 1 both sides equal 1 (J_1 is exact).
+    Requires 2t > p + 1.  For p = 1 both sides equal 1 (J_1 is exact).
     """
-    t = float(t)
-    p = float(p)
+    t, p = float(t), float(p)
     if not (t > (p + 1.0) / 2.0):
         raise ValueError("sandwich requires t > (p+1)/2")
     base = (t - 1.0) / (t - (p + 1.0) / 2.0)

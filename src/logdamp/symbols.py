@@ -48,10 +48,25 @@ class SymbolValues:
     inv_b_minus_inv_r: float
 
 
+def _square(r):
+    """(r*r, the mask where it overflows or None); numpy's overflow flag
+    spares ordinary radii (r <= 1.34e154) an extra pass."""
+    try:
+        with np.errstate(over="raise"):
+            return r * r, None
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            rr = r * r
+        return rr, np.isinf(rr)
+
+
 def damping_a(r):
-    """a(r) = log(1 + r^2)/2, via log1p."""
+    """a(r) = log(1 + r^2)/2, via log1p; log r where r*r overflows."""
     r = _check_radius(r)
-    out = 0.5 * np.log1p(r * r)
+    rr, big = _square(r)
+    out = 0.5 * np.log1p(rr)
+    if big is not None:   # log1p(r^-2)/2 < 1e-308 is dropped there
+        out = np.where(big, np.log(np.where(big, r, 1.0)), out)
     return out if out.ndim else float(out)
 
 
@@ -67,14 +82,18 @@ def ratio_g_from_a(r, a):
 
     Above r = 1e-4, g = a*a/(r*r); wherever 4r^2 is finite this is
     bit-identical to log^2(1+r^2)/(4r^2), because 1/2 and 4 are powers
-    of two.  Below it the entries are overwritten by the series, with
-    x = r^2, g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
+    of two.  Where r*r overflows, g = (a/r)^2.  Below r = 1e-4 the
+    entries are overwritten by the series, with x = r^2,
+    g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
     Returns an array of r's shape (0-d for a scalar r).
     """
     r = np.asarray(r, dtype=float)
     r1, a1 = np.atleast_1d(r, a)
+    rr, big = _square(r1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = a1 * a1 / (r1 * r1)
+        out = a1 * a1 / rr
+    if big is not None:
+        out[big] = (a1[big] / r1[big]) ** 2
     small = r1 < G_SERIES_CUT
     if small.any():
         x = r1[small] * r1[small]

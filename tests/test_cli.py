@@ -49,6 +49,18 @@ def test_special_zero_tolerance_fails(tmp_path):
     assert len(fails) == len(set(fails))  # each failure printed once
 
 
+def test_special_scaled_tail_is_finite_at_large_t(tmp_path):
+    code, text = run(tmp_path, "special", "--t-max", "1e4")
+    assert code == 0
+    assert "# checks=PASS" in text
+    rows = parse_rows(text)
+    for row in rows:
+        if float(row["t"]) > 1.0:
+            assert math.isfinite(float(row["J_p_scaled"]))
+    exact = [r for r in rows if float(r["p"]) == 1.0 and float(r["t"]) > 1.0]
+    assert {r["J_p_scaled"] for r in exact} == {"1.000000000000e+00"}
+
+
 def test_config_hash_present(tmp_path):
     _, text = run(tmp_path, "special")
     assert any(ln.startswith("# config=") for ln in text.splitlines())
@@ -117,6 +129,18 @@ def _zero_data_config(tmp_path):
     cfg = tmp_path / "zero.cfg"
     cfg.write_text("u1_family = zero\n")
     return str(cfg)
+
+
+def test_decay_with_underflowing_norms_is_not_certified(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("u1_amplitude = 1e-200\n")
+    code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3",
+                     "--t-points", "5")
+    assert code == 1
+    assert text == ""
+    err = capsys.readouterr().err
+    assert err == ("error: decay n=3: l2_norm of nonzero data underflows "
+                   "to 0.0 at t=100\n")
 
 
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):

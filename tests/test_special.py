@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +71,14 @@ def test_hypergeometric_slice_values():
         3.0 * math.pi / 32.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("t", [1.0, 3.0, 10.0, 100.0])
+def test_hypergeometric_slice_against_mpmath(t, p):
+    ref = mpmath.hyp2f1(t, (p + 1.0) / 2.0, (p + 3.0) / 2.0, -1.0)
+    assert special.hyp2f1_special(t, p) == pytest.approx(float(ref),
+                                                         rel=1e-11, abs=0.0)
+
+
 def test_hypergeometric_slice_scaled_band():
     scaled = [special.hyp2f1_special(t, 0.0) * math.sqrt(t)
               for t in (1e2, 1e3, 1e4, 1e5, 1e6)]
@@ -105,29 +114,40 @@ def test_gamma_ratio_square_root_limit():
 
 
 def test_tail_integral_substitution_vs_direct():
-    sub = special.J_p(10.0, 2.0)
-    direct = special.J_p_direct(10.0, 2.0)
-    assert direct == pytest.approx(sub, rel=1e-10)
+    # The substitution route against the incomplete beta function.
+    ref = float(mp_weight_tail(10.0, 2.0, 1.0))
+    assert special.J_p(10.0, 2.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_tail_integral_closed_form_via_direct_mode():
-    # J_0(1) = pi/2 - arctan(1); outside the substitution's domain
-    with pytest.raises(ValueError):
-        special.J_p(1.0, 0.0)
-    assert special.J_p_direct(1.0, 0.0) == pytest.approx(math.pi / 4.0,
-                                                         rel=1e-9)
+def test_tail_integral_is_the_only_route():
+    assert special.J_p_direct is special.J_p
+
+
+def test_tail_integral_closed_form_at_unit_time():
+    # J_0(1) = pi/2 - arctan(1)
+    assert special.J_p(1.0, 0.0) == pytest.approx(math.pi / 4.0, rel=1e-14,
+                                                  abs=0.0)
 
 
 @pytest.mark.parametrize("t", [0.999, 1.0])
-def test_tail_integral_direct_near_its_domain_edge(t):
-    # Truncated near R ~ 2e21, with all the mass near r = 1.
+def test_tail_integral_near_its_domain_edge(t):
+    # s = t - 3/4 is small, so the truncation point V ~ 120 is far out.
     ref = float(mp_weight_tail(t, 0.5, 1.0))
-    assert special.J_p_direct(t, 0.5) == pytest.approx(ref, rel=1e-10)
+    assert special.J_p(t, 0.5) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
-def test_tail_integral_direct_refuses_uncertified():
-    with pytest.raises(ArithmeticError, match="J_p_direct"):
-        special.J_p_direct(10.0, 2.0, rel_tol=1e-30)
+@pytest.mark.parametrize("p", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("q", [0.25, 0.5, 1.0, 10.0])
+def test_tail_integral_across_its_domain(p, q):
+    # q = 2t - p - 1 > 0 is the whole domain of convergence.
+    t = (q + p + 1.0) / 2.0
+    ref = float(mp_weight_tail(t, p, 1.0))
+    assert special.J_p(t, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+def test_tail_integral_refuses_uncertified():
+    with pytest.raises(ArithmeticError, match=r"J_p\(10.0, 2.0\)"):
+        special.J_p(10.0, 2.0, rel_tol=1e-30)
 
 
 def test_tail_integral_exact_p1():
@@ -135,6 +155,26 @@ def test_tail_integral_exact_p1():
     for t in (5.0, 12.0, 40.0):
         assert special.J_p(t, 1.0) == pytest.approx(
             2.0 ** -t / (t - 1.0), rel=1e-12)
+
+
+def test_scaled_tail_integral_is_finite_where_j_underflows():
+    # J_p underflows from t ~ 1075 on; its scaled form stays exact.
+    for t in (1e3, 1e4, 1e6):
+        assert special.J_p_scaled(t, 1.0) == pytest.approx(1.0, rel=1e-14,
+                                                           abs=0.0)
+        for p in (-1.0, 0.0, 0.5, 2.0, 3.0):
+            lo, hi = special.j_sandwich_bounds(t, p)
+            assert lo * (1.0 - 1e-12) <= special.J_p_scaled(t, p) \
+                <= hi * (1.0 + 1e-12)
+    assert special.J_p(1e4, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
+def test_scaled_tail_integral_matches_the_oracle(p):
+    t = 20.0
+    ref = mp_weight_tail(t, p, 1.0) * (t - 1.0) * mpmath.mpf(2) ** t
+    assert special.J_p_scaled(t, p) == pytest.approx(float(ref), rel=1e-12,
+                                                     abs=0.0)
 
 
 @pytest.mark.parametrize("p", [-1.0, 0.0, 1.0, 3.0])
@@ -147,9 +187,9 @@ def test_tail_integral_sandwich(p, t):
 
 def test_tail_integral_domain():
     with pytest.raises(ValueError):
-        special.J_p(2.0, 2.0)   # needs t > (p+3)/2
+        special.J_p(1.5, 2.0)   # needs 2t > p + 1
     with pytest.raises(ValueError):
-        special.J_p_direct(0.5, 0.0)
+        special.J_p_scaled(0.5, 0.0)
     with pytest.raises(ValueError):
         special.j_sandwich_bounds(1.0, 1.0)
 
@@ -177,15 +217,6 @@ def test_mid_band_exponential_bound():
             for p in (0.0, 2.0):
                 bound = math.exp(-t * math.log1p(eta * eta))
                 assert special.middle_band(eta, p, t) <= bound * (1 + 1e-12)
-
-
-def test_band_report_structure():
-    rep = special.i_band_report(2.0, [1e2, 1e3, 1e4])
-    assert rep.band_min <= min(rep.scaled_values)
-    assert rep.band_max >= max(rep.scaled_values)
-    assert rep.monotone_tail
-    with pytest.raises(ValueError):
-        special.i_band_report(2.0, [1e3, 1e2])
 
 
 def test_peak_integral_two_sided_witness():

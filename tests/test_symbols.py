@@ -136,6 +136,19 @@ def test_differences_against_high_precision():
                                                     abs=1e-300)
 
 
+@pytest.mark.parametrize("r", [2e154, 1e200, 1e300])
+def test_symbols_where_r_squared_overflows(r):
+    # r * r is inf here; a = log r and g = (a/r)^2 stay exact (g may
+    # underflow to 0).  Any overflow warning fails the test.
+    a, b, g = (float(x) for x in mp_symbols(r)[:3])
+    assert symbols.damping_a(r) == pytest.approx(a, rel=1e-15)
+    assert symbols.ratio_g(r) == pytest.approx(g, rel=1e-15, abs=0.0)
+    assert symbols.oscillation_b(r) == pytest.approx(b, rel=1e-15)
+    arr = symbols.damping_a(np.array([1.0, r]))
+    assert arr[0] == symbols.damping_a(1.0)
+    assert arr[1] == symbols.damping_a(r)
+
+
 def test_extended_precision_mode_digits():
     import mpmath as mp
     x = 0.37
