@@ -421,7 +421,8 @@ def cmd_decay(cfg: RunConfig) -> int:
     for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         vals = [norms.l2_norm(t, u0, u1, n, rel_tol=1e-9) for t in ts]
-        if not _zero_data(u0, u1) and 0.0 in vals:
+        zero = _zero_data(u0, u1)
+        if not zero and 0.0 in vals:
             t0 = ts[vals.index(0.0)]
             raise ArithmeticError(f"decay n={n}: l2_norm of nonzero data "
                                   f"underflows to 0.0 at t={t0:g}")
@@ -432,7 +433,7 @@ def cmd_decay(cfg: RunConfig) -> int:
             scaled = [v * t ** (-expected) for v, t in zip(vals, ts)]
         for t, v, s in zip(ts, vals, scaled):
             rep.row(n, t, _fmt(v), _fmt(s))
-        if _zero_data(u0, u1):
+        if zero:
             rep.comment(f"n={n} zero data: no decay to fit")
         elif expected is None:
             ratio = max(scaled) / min(scaled)

@@ -114,9 +114,13 @@ def test_gamma_ratio_square_root_limit():
 
 
 def test_tail_integral_substitution_vs_direct():
-    # The substitution route against the incomplete beta function.
-    ref = float(mp_weight_tail(10.0, 2.0, 1.0))
-    assert special.J_p(10.0, 2.0) == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # The v = log(1+r^2) - log 2 substitution against a direct quadrature
+    # of the untransformed integrand in r, independent of the beta form.
+    with mpmath.workdps(40):
+        ref = mpmath.quad(lambda r: (1 + r * r) ** -10 * r * r,
+                          [1, 2, 4, mpmath.inf])
+    assert special.J_p(10.0, 2.0) == pytest.approx(float(ref), rel=1e-12,
+                                                   abs=0.0)
 
 
 def test_tail_integral_is_the_only_route():
@@ -129,18 +133,14 @@ def test_tail_integral_closed_form_at_unit_time():
                                                   abs=0.0)
 
 
-@pytest.mark.parametrize("t", [0.999, 1.0])
-def test_tail_integral_near_its_domain_edge(t):
-    # s = t - 3/4 is small, so the truncation point V ~ 120 is far out.
-    ref = float(mp_weight_tail(t, 0.5, 1.0))
-    assert special.J_p(t, 0.5) == pytest.approx(ref, rel=1e-12, abs=0.0)
+# q = 2t - p - 1 > 0 is the whole domain of convergence; near q = 0 the
+# decay rate s = q/2 is small, so the truncation point V is far out.
+_DOMAIN = [((q + p + 1.0) / 2.0, p) for p in (-1.0, 0.0, 0.5, 1.0, 2.0, 3.0)
+           for q in (0.25, 0.5, 1.0, 10.0)] + [(0.999, 0.5)]
 
 
-@pytest.mark.parametrize("p", [-1.0, 0.0, 0.5, 1.0, 2.0, 3.0])
-@pytest.mark.parametrize("q", [0.25, 0.5, 1.0, 10.0])
-def test_tail_integral_across_its_domain(p, q):
-    # q = 2t - p - 1 > 0 is the whole domain of convergence.
-    t = (q + p + 1.0) / 2.0
+@pytest.mark.parametrize("t, p", _DOMAIN)
+def test_tail_integral_across_its_domain(t, p):
     ref = float(mp_weight_tail(t, p, 1.0))
     assert special.J_p(t, p) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -170,8 +170,9 @@ def test_scaled_tail_integral_is_finite_where_j_underflows():
 
 
 @pytest.mark.parametrize("p", [0.0, 0.5, 2.0])
-def test_scaled_tail_integral_matches_the_oracle(p):
-    t = 20.0
+@pytest.mark.parametrize("t", [20.0, 1e3, 1e4])
+def test_scaled_tail_integral_matches_the_oracle(t, p):
+    # From t ~ 1000 on the unscaled integrand is near the underflow floor.
     ref = mp_weight_tail(t, p, 1.0) * (t - 1.0) * mpmath.mpf(2) ** t
     assert special.J_p_scaled(t, p) == pytest.approx(float(ref), rel=1e-12,
                                                      abs=0.0)
