@@ -358,7 +358,7 @@ def _suite_lines(cfg: RunConfig):
             worst = max(worst, nlv / rhs - 1.0)
     yield ("log_operator_relative_bound", nprof, -worst, worst <= 0.0)
 
-    left, right = symbols.locate_phi_max(0.0, 10.0, width=1e-8)
+    left, right = symbols.locate_phi_max()
     xstar = 0.5 * (left + right)
     loc_err = abs(xstar - (math.e - 1.0))
     val_err = abs(symbols.phi(xstar) - 1.0 / math.e)

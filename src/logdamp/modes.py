@@ -134,8 +134,6 @@ class DataDecomposition:
 
 
 def decompose_data(u1: InitialDataSpec) -> DataDecomposition:
-    if u1.family not in _FAMILIES:
-        raise ValueError(f"unsupported data family {u1.family!r}")
     p1 = u1.mass()
 
     def a1(r):

@@ -198,8 +198,8 @@ def _residual_tail(t: float, u0, u1, n: int, p1: float):
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
                   n: int | None = None, band: str = "both",
-                  method: str = "difference", rel_tol: float = 1e-9) -> float:
-    """L^2 distance between u_hat(t) and the mass profile.
+                  method: str = "difference") -> float:
+    """L^2 distance between u_hat(t) and the mass profile, to 1e-9.
 
     ``band`` restricts to low ([0, BAND_SPLIT]), high ([BAND_SPLIT, inf))
     or both.  ``method`` evaluates the integrand either as the direct
@@ -237,12 +237,12 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     omega = 2.0 * max(t, 1.0)
     # Bands that have decayed below this absolute level (squared-norm
     # units, data scale) count as converged zeros.
-    floor = (rel_tol * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
+    floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     total = 0.0
     for name, lower, cap in (("low", 0.0, BAND_SPLIT),
                              ("high", BAND_SPLIT, math.inf)):
         if band in ("both", name):
-            val = _two_phase(f, tail, omega, rel_tol,
+            val = _two_phase(f, tail, omega, 1e-9,
                              f"residual_norm {name} band at t={t}",
                              lower=lower, cap=cap, abs_floor=floor)
             total += max(val, 0.0)
@@ -259,8 +259,8 @@ def _sine_weight(t: float, k: int):
     return f
 
 
-def M_integral(t: float, n: int, kind: str, rel_tol: float = 1e-10) -> float:
-    """omega_n * integral_0^inf (1+r^2)^(-t) w(r) r^(n-1) dr.
+def M_integral(t: float, n: int, kind: str) -> float:
+    """omega_n * integral_0^inf (1+r^2)^(-t) w(r) r^(n-1) dr, to 1e-10.
 
     kind='sin' uses w = sin^2(rt)/r^2 (requires n > 2); kind='cos' uses
     w = cos^2(rt) (any n >= 1).  Both need t > 1.
@@ -272,8 +272,6 @@ def M_integral(t: float, n: int, kind: str, rel_tol: float = 1e-10) -> float:
         raise ValueError("M_integral requires t > 1")
     if kind == "sin" and n <= 2:
         raise ValueError("kind='sin' requires n > 2")
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
 
     if kind == "sin":
         f, tail = _sine_weight(t, n - 1), PowerTail(t, n - 3.0, 1.0)
@@ -283,25 +281,25 @@ def M_integral(t: float, n: int, kind: str, rel_tol: float = 1e-10) -> float:
                     * np.cos(r * t) ** 2 * r ** (n - 1))
         tail = PowerTail(t, n - 1.0, 1.0)
     site = f"M_integral({kind}) at t={t}"
-    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, rel_tol, site)
+    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site)
 
 
-def Q_integral(t: float, rel_tol: float = 1e-10) -> float:
-    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r^2 dr, which grows like t."""
+def Q_integral(t: float) -> float:
+    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r^2 dr ~ t, to 1e-10."""
     t = float(t)
     if t <= 2.0:
         raise ValueError("Q_integral requires t > 2")
     return _two_phase(_sine_weight(t, 0), PowerTail(t, -2.0, 1.0), 2.0 * t,
-                      rel_tol, f"Q_integral at t={t}")
+                      1e-10, f"Q_integral at t={t}")
 
 
-def R_integral(t: float, rel_tol: float = 1e-10) -> float:
-    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r dr, which grows like log t."""
+def R_integral(t: float) -> float:
+    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r dr ~ log t, to 1e-10."""
     t = float(t)
     if t <= 2.0:
         raise ValueError("R_integral requires t > 2")
     return _two_phase(_sine_weight(t, 1), PowerTail(t, -1.0, 1.0), 2.0 * t,
-                      rel_tol, f"R_integral at t={t}")
+                      1e-10, f"R_integral at t={t}")
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

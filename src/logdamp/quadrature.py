@@ -19,10 +19,10 @@ sin(w*r) or cos(w*r), initial panels are no wider than pi/w, so no panel
 spans more than a half-period and the embedded error estimate cannot be
 fooled by symmetric cancellation.
 
-The analytic tail envelopes (power-decay and Gaussian-decay models and
-their combinations) and ``truncation_point`` serve the half-line route
-in ``norms._two_phase``, which truncates there and charges the
-closed-form tail bound to the error.
+The tail envelopes and ``truncation_point`` serve the half-line route
+in ``norms._two_phase``, which truncates there and charges the tail
+bound to the error.  The weight (1+r^2)^(-t) r^p has one tail bound,
+the range of ``weight_factor_range``, which ``special.J_p`` shares.
 
 Panel sums are taken in position order, so a result is bit-reproducible
 for a fixed panel set.
@@ -40,6 +40,7 @@ __all__ = [
     "QuadratureResult",
     "PowerTail",
     "GaussTail",
+    "weight_factor_range",
     "TailSum",
     "TailBest",
     "EvaluationError",
@@ -77,22 +78,25 @@ _WG = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
 # --- analytic tail envelopes ---------------------------------------------
 
+def weight_factor_range(p: float, radius: float) -> tuple[float, float]:
+    """[m, M] = sorted(1, (1 + R^-2)^((1-p)/2)).  With w = log(1+r^2) and
+    s = t - (p+1)/2 > 0 (DLMF 8.17, incomplete beta),
+        integral_R^inf (1+r^2)^(-t) r^p dr
+            = (1/2) integral_{log(1+R^2)}^inf e^(-sw) (1-e^(-w))^((p-1)/2) dw,
+    whose last factor lies in [m, M]: the tail is [m, M] (1+R^2)^(-s)/(2s).
+    R^-2 overflows (OverflowError) below R ~ 1e-154.
+    """
+    f = (1.0 + float(radius) ** -2.0) ** ((1.0 - p) / 2.0)
+    return min(1.0, f), max(1.0, f)
+
+
 @dataclass(frozen=True)
 class PowerTail:
     """Envelope |f(r)| <= coeff * (1+r^2)^(-t) * r^p.
 
-    ``bound(R)`` is a closed-form upper bound for the integral of the
-    envelope over [R, inf), combining three estimates:
-
-    * substitution u = log(1+r^2) plus (e^u - 1)^((p-1)/2) <= max(1,
-      e^((p-1)u/2)) on u >= log 2 gives (1+R^2)^(-s)/(2s) with
-      s = t - max(1, (p+1)/2), valid for R >= 1 and s > 0;
-    * (1+r^2)^(-t) <= r^(-2t) gives R^(p+1-2t)/(2t-p-1), valid for
-      2t > p + 1 and any R > 0;
-    * for R < 1, [R, 1] is bounded by the integrand sup times width and
-      the [1, inf) part by the above.
-
-    The minimum of the valid estimates is returned; +inf if none apply.
+    ``bound(R)`` = coeff * M(R) (1+R^2)^(-s)/(2s), s = t - (p+1)/2, the top
+    of the range of ``weight_factor_range``: valid for 2t > p + 1 and every
+    R > 0 (+inf elsewhere), and at most M/m times the exact tail.
     """
 
     t: float
@@ -103,29 +107,16 @@ class PowerTail:
     def scale(self) -> float:
         return self.coeff
 
-    def _bound_ge1(self, radius: float) -> float:
-        best = math.inf
-        s = self.t - max(1.0, (self.p + 1.0) / 2.0)
-        if s > 0.0:
-            b = math.exp(-s * math.log1p(radius * radius)) / (2.0 * s)
-            best = min(best, b)
-        q = 2.0 * self.t - self.p - 1.0
-        if q > 0.0:
-            b = math.exp((self.p + 1.0 - 2.0 * self.t) * math.log(radius)) / q
-            best = min(best, b)
-        return self.coeff * best
-
     def bound(self, radius: float) -> float:
         if self.coeff == 0.0:
             return 0.0
-        if radius >= 1.0:
-            return self._bound_ge1(radius)
-        if radius <= 0.0:
+        s = self.t - (self.p + 1.0) / 2.0
+        if not (s > 0.0 and radius > 0.0):
             return math.inf
-        head = math.exp(-self.t * math.log1p(radius * radius))
-        if self.p < 0.0:
-            head *= radius ** self.p
-        return self.coeff * head * (1.0 - radius) + self._bound_ge1(1.0)
+        r = float(radius)       # log(1+R^2), also where R*R overflows
+        w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
+        top = weight_factor_range(self.p, r)[1]
+        return self.coeff * top * math.exp(-s * w) / (2.0 * s)
 
 
 @dataclass(frozen=True)
@@ -157,9 +148,7 @@ class GaussTail:
             return math.inf
         log_b = (math.log(self.coeff) + (self.q - 1.0) * math.log(radius)
                  - x - math.log(self.c))
-        if log_b > 700.0:
-            return math.inf
-        return math.exp(log_b)
+        return math.exp(log_b) if log_b <= 700.0 else math.inf
 
 
 @dataclass(frozen=True)

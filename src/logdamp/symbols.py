@@ -113,11 +113,16 @@ def b_minus_r(r):
     """The difference b(r) - r = -r*g / (1 + sqrt(1-g)), always <= 0.
 
     This rewrite is exact and avoids the cancellation of b - r for small
-    r, where both sides agree to leading order r^3/8.
+    r, where both sides agree to leading order r^3/8.  Where r*r
+    overflows, g underflows, so there it is -a (a/r)/2.
     """
     r = _check_radius(r)
-    g = ratio_g(r)
+    a = damping_a(r)
+    g = ratio_g_from_a(r, a)
     out = -r * g / (1.0 + np.sqrt(1.0 - g))
+    _, big = _square(r)
+    if big is not None:
+        out = np.where(big, -0.5 * a * (a / np.maximum(r, 1.0)), out)
     return out if out.ndim else float(out)
 
 
@@ -125,13 +130,16 @@ def inv_b_minus_inv_r(r):
     """1/b(r) - 1/r = g / (r * sqrt(1-g) * (1 + sqrt(1-g))), >= 0.
 
     Returns the limit value 0 at r = 0 (the quantity behaves like r/8
-    there); callers multiply by factors that vanish fast enough.
+    there); callers multiply by factors that vanish fast enough, and 0
+    where r*r overflows, as a^2/(2 r^3) underflows there.
     """
     r = _check_radius(r)
     g = ratio_g(r)
     sq = np.sqrt(1.0 - g)
-    rd = np.where(r == 0.0, 1.0, r)
-    out = np.where(r == 0.0, 0.0, g / (rd * sq * (1.0 + sq)))
+    _, big = _square(r)
+    zero = r == 0.0 if big is None else (r == 0.0) | big
+    rd = np.where(zero, 1.0, r)
+    out = np.where(zero, 0.0, g / (rd * sq * (1.0 + sq)))
     return out if out.ndim else float(out)
 
 
@@ -188,15 +196,11 @@ def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
     return a, b
 
 
-def locate_phi_max(lo: float = 0.0, hi: float = 10.0,
-                   width: float = 1e-8) -> tuple[float, float]:
-    """Golden-section bracket of the maximizer of phi on [lo, hi].
-
-    Returns (left, right) with right - left <= width.  The bracket is
-    reliable down to widths ~1e-7 where phi is still strictly concave
-    above double-precision noise.
-    """
-    return _golden_max(phi, float(lo), float(hi), width)
+def locate_phi_max() -> tuple[float, float]:
+    """Golden-section bracket (left, right) of the maximizer of phi on
+    [0, 10], right - left <= 1e-8; phi is strictly concave above
+    double-precision noise down to widths ~1e-7."""
+    return _golden_max(phi, 0.0, 10.0, 1e-8)
 
 
 def g_peak() -> tuple[float, float]:

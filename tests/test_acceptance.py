@@ -205,7 +205,7 @@ def test_12_log_operator_bound_and_phi_maximum():
         rhs = 2.0 / math.e * (nv + nav)
         if rhs > 0.0:
             worst = max(worst, nlv / rhs - 1.0)
-    lo, hi = symbols.locate_phi_max(0.0, 10.0, width=1e-8)
+    lo, hi = symbols.locate_phi_max()
     mid = 0.5 * (lo + hi)
     loc_ok = abs(mid - (math.e - 1.0)) <= 1e-6
     val_ok = abs(symbols.phi(mid) - 1.0 / math.e) <= 1e-12

@@ -178,9 +178,9 @@ def test_truncation_point_tail_actually_small():
 
 def test_truncation_point_against_closed_form_tail():
     radius, _ = truncation_point(PowerTail(2.0, 0.0), 1e-10)
-    # tail of (1+r^2)^(-2): pi/4 - R/(2(1+R^2)) - arctan(R)/2
-    tail = (math.pi / 4.0 - radius / (2.0 * (1.0 + radius ** 2))
-            - math.atan(radius) / 2.0)
+    # The incomplete beta at 40 digits: the double-precision closed form
+    # pi/4 - R/(2(1+R^2)) - arctan(R)/2 cancels near R ~ 1500.
+    tail = float(mp_weight_tail(2.0, 0.0, radius))
     assert 0.0 < tail <= 1e-10
 
 
@@ -201,6 +201,35 @@ def test_tail_model_bounds_are_upper_bounds():
         for radius in (1.0, 1.7, 3.0):
             true = float(mp_weight_tail(t, p, radius))
             assert true <= tail.bound(radius)
+
+
+def test_power_tail_bound_is_valid_and_sharp():
+    # Within the factor range [m, M] of the exact tail: never below it,
+    # and above it by at most M/m (beyond rounding of exp(-s log1p(R^2))).
+    radii = (1e-9, 1e-3, 0.1, 0.5, 1.0, 2.0, 10.0, 1e3, 1e6)
+    checked = 0
+    for t in (0.6, 1.0, 2.0, 5.0, 100.0, 1e4, 1e8):
+        for p in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
+            if not 2.0 * t > p + 1.0:
+                continue
+            tail, s = PowerTail(t, p), t - (p + 1.0) / 2.0
+            for radius in radii:
+                # Beyond e^(-750) the tail is below 1e-300 for every p
+                # here, and mpmath's beta series stalls at t = 1e8.
+                if s * math.log1p(radius * radius) > 750.0:
+                    continue
+                exact = float(mp_weight_tail(t, p, radius))
+                if exact < 1e-300:
+                    continue
+                m, M = quadrature.weight_factor_range(p, radius)
+                bound = tail.bound(radius)
+                assert (1.0 - 1e-12) * exact <= bound \
+                    <= M / m * (1.0 + 1e-12) * exact, (t, p, radius)
+                checked += 1
+            for radius in np.geomspace(1e-9, 1e300, 60).tolist():
+                assert tail.bound(radius) >= 0.0
+            assert tail.bound(0.0) == math.inf
+    assert checked > 250
 
 
 def test_gauss_tail_bound_is_upper_bound():

@@ -96,9 +96,27 @@ def test_gamma_ratio_closed_forms():
 
 
 def test_gamma_ratio_no_overflow_at_large_argument():
-    # raw Gamma overflows past ~170; the log route must not
+    # raw Gamma overflows past ~170; the series route must not
     val = special.gamma_ratio(1e6)
     assert val == pytest.approx(1e-3, rel=1e-6)
+
+
+def test_gamma_ratio_against_mpmath():
+    # math.gamma below the switch at t = 40, the asymptotic series above.
+    for t in np.geomspace(0.6, 1e15, 40).tolist():
+        with mpmath.workdps(50):
+            ref = mpmath.gamma(mpmath.mpf(t) - 0.5) / mpmath.gamma(t)
+        assert special.gamma_ratio(t) == pytest.approx(float(ref), rel=1e-14,
+                                                       abs=0.0)
+
+
+def test_half_line_identity_at_large_t():
+    # I_0 + J_0 = (sqrt(pi)/2) Gamma(t-1/2)/Gamma(t) to the quadrature
+    # tolerance, also where log-gamma differences lose eps * lgamma(t).
+    for t in (1e4, 1e6):
+        h0 = special.I_p(t, 0.0) + special.J_p(t, 0.0)
+        ref = 0.5 * math.sqrt(math.pi) * special.gamma_ratio(t)
+        assert h0 == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_half_line_identity():

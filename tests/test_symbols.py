@@ -149,6 +149,18 @@ def test_symbols_where_r_squared_overflows(r):
     assert arr[1] == symbols.damping_a(r)
 
 
+@pytest.mark.parametrize("r", [1e200, 1e300, 1.7e308])
+def test_stable_differences_where_r_squared_overflows(r):
+    # b - r = -a (a/r)/2 there, and 1/b - 1/r ~ a^2/(2 r^3) underflows.
+    # Resolving b - r against r takes ~2 log10(r) digits in mpmath.
+    bmr, invd = (float(x) for x in mp_symbols(r, dps=700)[3:])
+    s = symbols.eval_symbols(r)
+    assert s.b_minus_r == pytest.approx(bmr, rel=1e-15, abs=0.0)
+    assert s.inv_b_minus_inv_r == invd == 0.0
+    arr = symbols.b_minus_r(np.array([0.0, 1.0, r]))
+    assert arr[1] == symbols.b_minus_r(1.0) and arr[2] == s.b_minus_r
+
+
 def test_extended_precision_mode_digits():
     import mpmath as mp
     x = 0.37
@@ -172,7 +184,7 @@ def test_phi_never_exceeds_its_maximum():
 
 
 def test_phi_maximizer_bracket():
-    lo, hi = symbols.locate_phi_max(0.0, 10.0, width=1e-8)
+    lo, hi = symbols.locate_phi_max()
     assert hi - lo <= 1e-8
     assert lo - 1e-6 <= math.e - 1.0 <= hi + 1e-6
     mid = 0.5 * (lo + hi)
