@@ -263,7 +263,7 @@ def _suite_lines(cfg: RunConfig):
     worst = float(np.max((a / b) ** 2))
     yield ("damping_ratio_bound", r.size, 1.0 / 3.0 - worst,
            worst <= 1.0 / 3.0 + 1e-12)
-    worst = float(np.max(((b - r) / b) ** 2))
+    worst = float(np.max((symbols.b_minus_r(r) / b) ** 2))
     yield ("dispersion_shift_bound", r.size, 28.0 / 3.0 - worst,
            worst <= 28.0 / 3.0 + 1e-9)
     worst = float(np.max(np.log1p(r * r) ** 2 / (2.0 * r * r)))

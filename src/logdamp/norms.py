@@ -26,8 +26,8 @@ import numpy as np
 
 from . import modes
 from .modes import InitialDataSpec, sphere_area
-from .quadrature import (GaussTail, PowerTail, QuadratureSpec, TailBest,
-                         TailSum, integrate, truncation_point)
+from .quadrature import (Envelope, QuadratureSpec, integrate,
+                         truncation_point)
 from .stable import sinc
 
 __all__ = [
@@ -42,7 +42,7 @@ def plancherel_constant(n: int) -> float:
     return (2.0 * math.pi) ** (-n) * sphere_area(n)
 
 
-# Default low/high frequency split radius, the natural boundary between
+# Lower limit of residual_norm's high band, the natural boundary between
 # the peak and tail integral families.  A split at the smallest radius
 # where g reaches 1/2 would never apply: g peaks near 0.162.
 BAND_SPLIT = 1.0
@@ -51,15 +51,14 @@ BAND_SPLIT = 1.0
 # -- two-phase semi-infinite quadrature -------------------------------------
 
 def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
-               lower: float = 0.0, cap: float = math.inf,
-               abs_floor: float = 0.0) -> float:
-    """Integral of f over [lower, cap): the one half-line route.
+               lower: float = 0.0, abs_floor: float = 0.0) -> float:
+    """Integral of f over [lower, inf): the one half-line route.
 
     Phase 1 integrates to a provisional truncation radius of the
     analytic tail envelope to learn the magnitude; phase 2 extends the
-    radius until the envelope bound is below rel_tol * |value| / 4 and
-    charges that bound to the error.  A finite ``cap`` ends the domain
-    there (band integrals) and no tail bound is charged beyond it.
+    radius until the envelope bound is below rel_tol * |value| / 4.  The
+    bound at the radius where integration stops (``lower`` itself when
+    the envelope is already small there) is charged to the error.
     ``abs_floor`` certifies results whose error is negligible on the
     caller's absolute scale (bands that have decayed to nothing cannot
     be certified relative to themselves).  Returns the value, or raises
@@ -70,16 +69,12 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         return 0.0
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
-    if 0.0 < b_at_1 < math.inf:
-        tau1 = 1e-4 * b_at_1
-    else:
-        tau1 = 1e-25 * scale
+    tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-25 * scale
     if abs_floor > 0.0:
         tau1 = min(tau1, 0.25 * abs_floor)
-    r1, bound1 = truncation_point(tail, tau1)
-    r1 = min(max(r1, lower), cap)
-    if r1 >= cap:
-        r1, bound1 = cap, 0.0
+    r1, bound = truncation_point(tail, tau1)
+    if r1 < lower:
+        r1, bound = lower, tail.bound(lower)
 
     def spec(lo, hi, abs_tol):
         return QuadratureSpec(lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
@@ -92,17 +87,14 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         value, err = res.value, res.error_estimate
 
     tau2 = 0.25 * rel_tol * abs(value)
-    if r1 < cap and bound1 > tau2 and tau2 > 0.0:
-        r2, _ = truncation_point(tail, tau2)
-        r2 = min(max(r2, r1), cap)
+    if bound > tau2 > 0.0:
+        r2, bound2 = truncation_point(tail, tau2)
         if r2 > r1:
             res2 = integrate(f, spec(r1, r2, max(tau2, 1e-300)))
             value += res2.value
             err += res2.error_estimate
-        if r2 < cap:
-            err += tail.bound(r2) if r2 > r1 else bound1
-    elif r1 < cap:
-        err += bound1
+            bound = bound2
+    err += bound
 
     if not err <= max(rel_tol * abs(value), abs_floor,
                       1e-280 * max(scale, 1.0)):
@@ -120,31 +112,33 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
     return n
 
 
-def _envelope(t: float, u0, u1, coeff: float, p: float, q: float):
-    """The better of coeff (1+r^2)^(-t) r^p and, for r >= 1,
-    coeff r^q exp(-w^2 r^2) with w the narrowest data width: a
-    power-decay and a data-decay envelope of the whole integrand."""
-    options = []
-    if t > 0.0:
-        options.append(PowerTail(t, p, coeff))
-    widths = [d.width for d in (u0, u1) if d.family != "zero"]
-    if widths:
-        options.append(GaussTail(min(widths) ** 2, q, coeff, min_radius=1.0))
-    return TailBest(tuple(options))
+def _envelope(t: float, u0, u1, n: int, energy: bool = False,
+              p1: float | None = None) -> Envelope:
+    """Tail envelope of a mode integrand, from B_i = sup |data transform|
+    and the narrowest data width w: for r >= 1 the first term's weight
+    (1+r^2)^(-t) r^p may also be replaced by r^q exp(-w^2 r^2).
 
+    u_hat(t,.)^2 r^(n-1): |u_hat| <= e^{-at}(1.58 B0 + min(t, 1.1/r) B1)
+    <= e^{-at}(1.58 B0 + t B1) (a/b <= 3^(-1/2), 1/b <= 1.1/r,
+    |sin(bt)/b| <= t), so the term is (1.58 B0 + t B1)^2 (1+r^2)^(-t)
+    r^(n-1), q = n - 1; the B1 part vanishes at t = 0.
 
-def _mode_tail(t: float, u0, u1, n: int, factor: float = 1.0):
-    """Envelope models for u_hat(t,.)^2 r^(n-1).
-
-    Globally |u_hat| <= e^{-a t}(1.58 B0 + min(t, 1.1/r) B1) <=
-    e^{-a t}(1.58 B0 + t B1) with B_i = sup |data transform|
-    (a/b <= 3^(-1/2), 1/b <= 1.1/r, |sin(bt)/b| <= t), which yields one
-    power-decay and one data-decay alternative for the whole integrand,
-    each scaled by ``factor``.  The B1 term vanishes at t = 0.
+    ``energy``: (u_t^2 + r^2 u^2) r^(n-1) <= 5.2 (B0 + B1)^2 (1+r^2)^(-t)
+    r^(n+1), q = n + 3.  ``p1`` (the residual against the mass-p1 profile
+    P): (u_hat - P)^2 <= 2 u_hat^2 + 2 P^2, a second term from
+    P^2 r^(n-1) <= p1^2 (1+r^2)^(-t) r^(n-3).
     """
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
-    coeff = (1.58 * b0 + t * b1) ** 2 * factor
-    return _envelope(t, u0, u1, coeff, n - 1.0, n - 1.0)
+    if energy:
+        coeff, p, q = 5.2 * (b0 + b1) ** 2, n + 1.0, n + 3.0
+    else:
+        coeff, p, q = (1.58 * b0 + t * b1) ** 2, n - 1.0, n - 1.0
+    if p1 is not None:
+        coeff *= 2.0
+    widths = [d.width for d in (u0, u1) if d.family != "zero"]
+    data = (min(widths) ** 2, q) if widths else None
+    profile = [(2.0 * p1 * p1, (t, n - 3.0), None)] if p1 and t > 0.0 else []
+    return Envelope((coeff, (t, p), data), *profile)
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -162,7 +156,7 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         u = modes.Mode(t, r).u(u0.fourier(r), u1.fourier(r))
         return u ** 2 * r ** (n - 1)
 
-    val = _two_phase(f, _mode_tail(t, u0, u1, n), 2.0 * t, rel_tol,
+    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol,
                      f"l2_norm at t={t}")
     return math.sqrt(plancherel_constant(n) * max(val, 0.0))
 
@@ -182,18 +176,9 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         u = mode.u(u0v, u1v)
         return (ut * ut + (r * u) ** 2) * r ** (n - 1)
 
-    coeff = 5.2 * (u0.fourier_sup() + u1.fourier_sup()) ** 2
-    tail = _envelope(t, u0, u1, coeff, n + 1.0, n + 3.0)
-    val = _two_phase(f, tail, 2.0 * t, rel_tol, f"energy at t={t}")
+    val = _two_phase(f, _envelope(t, u0, u1, n, energy=True), 2.0 * t,
+                     rel_tol, f"energy at t={t}")
     return 0.5 * plancherel_constant(n) * max(val, 0.0)
-
-
-def _residual_tail(t: float, u0, u1, n: int, p1: float):
-    """Envelope for (u_hat - profile)^2 r^(n-1) as a sum of two parts."""
-    parts = [_mode_tail(t, u0, u1, n, 2.0)]
-    if p1 != 0.0 and t > 0.0:
-        parts.append(PowerTail(t, n - 3.0, 2.0 * p1 * p1))
-    return TailSum(tuple(parts))
 
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -201,17 +186,23 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
                   method: str = "difference") -> float:
     """L^2 distance between u_hat(t) and the mass profile, to 1e-9.
 
-    ``band`` restricts to low ([0, BAND_SPLIT]), high ([BAND_SPLIT, inf))
-    or both.  ``method`` evaluates the integrand either as the direct
-    difference or as the sum of the five remainder terms; the two agree
-    to roundoff by the closure identity and both are kept as a
-    cross-check route.  For n >= 3 and P1 != 0 the profile is in L^2
-    only when 2t > n - 2; below that the call raises ValueError naming
-    t and n, before any quadrature.
+    ``band`` is "both" ([0, inf)) or "high" ([BAND_SPLIT, inf)).
+    ``method`` evaluates the integrand either as the direct difference
+    or as the sum of the five remainder terms; the two agree to roundoff
+    by the closure identity and both are kept as a cross-check route.
+    For n >= 3 and P1 != 0 the profile is in L^2 only when 2t > n - 2;
+    below that the call raises ValueError naming t and n, before any
+    quadrature.
+
+    The 1e-9 is relative or absolute, whichever is larger, on the radial
+    integral D of (u_hat - profile)^2 r^(n-1) (the squared norm before
+    the factor (2 pi)^(-n) omega_n): D's error is at most
+    max(1e-9 D, (1e-9 (|P1| + sup|u0_hat| + sup|u1_hat|))^2).  Where D
+    has decayed below that floor, the result is certified only to it.
     """
     n = _check_pair(u0, u1, n)
-    if band not in ("both", "low", "high"):
-        raise ValueError("band must be 'both', 'low' or 'high'")
+    if band not in ("both", "high"):
+        raise ValueError("band must be 'both' or 'high'")
     if method not in ("difference", "kterms"):
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
@@ -233,20 +224,14 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
             d = sum(mode.k_terms(u0.fourier(r), u1.fourier(r), p1))
             return d * d * r ** (n - 1)
 
-    tail = _residual_tail(t, u0, u1, n, p1)
-    omega = 2.0 * max(t, 1.0)
-    # Bands that have decayed below this absolute level (squared-norm
-    # units, data scale) count as converged zeros.
+    if band == "high":
+        lower, site = BAND_SPLIT, f"residual_norm high band at t={t}"
+    else:
+        lower, site = 0.0, f"residual_norm at t={t}"
     floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
-    total = 0.0
-    for name, lower, cap in (("low", 0.0, BAND_SPLIT),
-                             ("high", BAND_SPLIT, math.inf)):
-        if band in ("both", name):
-            val = _two_phase(f, tail, omega, 1e-9,
-                             f"residual_norm {name} band at t={t}",
-                             lower=lower, cap=cap, abs_floor=floor)
-            total += max(val, 0.0)
-    return math.sqrt(plancherel_constant(n) * total)
+    val = _two_phase(f, _envelope(t, u0, u1, n, p1=p1), 2.0 * max(t, 1.0),
+                     1e-9, site, lower=lower, abs_floor=floor)
+    return math.sqrt(plancherel_constant(n) * max(val, 0.0))
 
 
 # -- named decay integrals ---------------------------------------------------
@@ -274,12 +259,12 @@ def M_integral(t: float, n: int, kind: str) -> float:
         raise ValueError("kind='sin' requires n > 2")
 
     if kind == "sin":
-        f, tail = _sine_weight(t, n - 1), PowerTail(t, n - 3.0, 1.0)
+        f, tail = _sine_weight(t, n - 1), Envelope((1.0, (t, n - 3.0), None))
     else:
         def f(r):
             return (np.exp(-t * np.log1p(r * r))
                     * np.cos(r * t) ** 2 * r ** (n - 1))
-        tail = PowerTail(t, n - 1.0, 1.0)
+        tail = Envelope((1.0, (t, n - 1.0), None))
     site = f"M_integral({kind}) at t={t}"
     return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site)
 
@@ -289,8 +274,8 @@ def Q_integral(t: float) -> float:
     t = float(t)
     if t <= 2.0:
         raise ValueError("Q_integral requires t > 2")
-    return _two_phase(_sine_weight(t, 0), PowerTail(t, -2.0, 1.0), 2.0 * t,
-                      1e-10, f"Q_integral at t={t}")
+    return _two_phase(_sine_weight(t, 0), Envelope((1.0, (t, -2.0), None)),
+                      2.0 * t, 1e-10, f"Q_integral at t={t}")
 
 
 def R_integral(t: float) -> float:
@@ -298,8 +283,8 @@ def R_integral(t: float) -> float:
     t = float(t)
     if t <= 2.0:
         raise ValueError("R_integral requires t > 2")
-    return _two_phase(_sine_weight(t, 1), PowerTail(t, -1.0, 1.0), 2.0 * t,
-                      1e-10, f"R_integral at t={t}")
+    return _two_phase(_sine_weight(t, 1), Envelope((1.0, (t, -1.0), None)),
+                      2.0 * t, 1e-10, f"R_integral at t={t}")
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

@@ -17,11 +17,12 @@ shape (N,), or (k, N) for k integrals on one panelling, each held to its
 own max(abs_tol, rel_tol * |value_k|).  When the integrand contains
 sin(w*r) or cos(w*r), initial panels are no wider than pi/w, so no panel
 spans more than a half-period and the embedded error estimate cannot be
-fooled by symmetric cancellation.
+fooled by symmetric cancellation; an interval that needs more such
+panels than max_panels is not integrated at all (converged=False).
 
-The tail envelopes and ``truncation_point`` serve the half-line route
-in ``norms._two_phase``, which truncates there and charges the tail
-bound to the error.  The weight (1+r^2)^(-t) r^p has one tail bound,
+The tail ``Envelope`` and ``truncation_point`` serve the half-line
+route in ``norms._two_phase``, which truncates there and charges the
+tail bound to the error.  The weight (1+r^2)^(-t) r^p has one tail bound,
 the range of ``weight_factor_range``, which ``special.J_p`` shares.
 
 Panel sums are taken in position order, so a result is bit-reproducible
@@ -38,11 +39,8 @@ import numpy as np
 __all__ = [
     "QuadratureSpec",
     "QuadratureResult",
-    "PowerTail",
-    "GaussTail",
+    "Envelope",
     "weight_factor_range",
-    "TailSum",
-    "TailBest",
     "EvaluationError",
     "integrate",
     "truncation_point",
@@ -90,95 +88,46 @@ def weight_factor_range(p: float, radius: float) -> tuple[float, float]:
     return min(1.0, f), max(1.0, f)
 
 
-@dataclass(frozen=True)
-class PowerTail:
-    """Envelope |f(r)| <= coeff * (1+r^2)^(-t) * r^p.
+def _weight_tail(coeff: float, t: float, p: float, radius: float) -> float:
+    """coeff M(R) (1+R^2)^(-s)/(2s), s = t - (p+1)/2, M from
+    ``weight_factor_range``: at least the tail of coeff (1+r^2)^(-t) r^p
+    and at most M/m times it, for 2t > p + 1 and R > 0 (+inf elsewhere)."""
+    s = t - (p + 1.0) / 2.0
+    if not (s > 0.0 and radius > 0.0):
+        return math.inf
+    r = float(radius)           # log(1+R^2), also where R*R overflows
+    w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
+    top = weight_factor_range(p, r)[1]
+    return coeff * top * math.exp(-s * w) / (2.0 * s)
 
-    ``bound(R)`` = coeff * M(R) (1+R^2)^(-s)/(2s), s = t - (p+1)/2, the top
-    of the range of ``weight_factor_range``: valid for 2t > p + 1 and every
-    R > 0 (+inf elsewhere), and at most M/m times the exact tail.
+
+def _data_tail(coeff: float, c: float, q: float, radius: float) -> float:
+    """coeff R^(q-1) exp(-c R^2)/c >= the tail of coeff r^q exp(-c r^2)
+    once R >= 1 and c R^2 >= max(1, q - 1) (incomplete-gamma estimate);
+    +inf below that."""
+    x = c * radius * radius
+    if radius < 1.0 or x < max(1.0, q - 1.0):
+        return math.inf
+    log_b = (math.log(coeff) + (q - 1.0) * math.log(radius)
+             - x - math.log(c))
+    return math.exp(log_b) if log_b <= 700.0 else math.inf
+
+
+class Envelope:
+    """Tail envelope |f(r)| <= sum over terms (coeff, weight, data) of
+    coeff min((1+r^2)^(-t) r^p, r^q exp(-c r^2)), weight = (t, p), data =
+    (c, q) (for r >= 1 only); None drops a side.  ``bound(R)``, the sum of
+    each term's smaller closed-form tail, bounds the integral of |f| past R.
     """
 
-    t: float
-    p: float
-    coeff: float = 1.0
-
-    @property
-    def scale(self) -> float:
-        return self.coeff
+    def __init__(self, *terms: tuple):
+        self.terms = terms
+        self.scale = sum(coeff for coeff, _, _ in terms)
 
     def bound(self, radius: float) -> float:
-        if self.coeff == 0.0:
-            return 0.0
-        s = self.t - (self.p + 1.0) / 2.0
-        if not (s > 0.0 and radius > 0.0):
-            return math.inf
-        r = float(radius)       # log(1+R^2), also where R*R overflows
-        w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
-        top = weight_factor_range(self.p, r)[1]
-        return self.coeff * top * math.exp(-s * w) / (2.0 * s)
-
-
-@dataclass(frozen=True)
-class GaussTail:
-    """Envelope |f(r)| <= coeff * r^q * exp(-c * r^2) for r >= min_radius.
-
-    ``bound(R)`` = coeff * R^(q-1) * exp(-c R^2) / c, valid once
-    c*R^2 >= max(1, q - 1) (incomplete-gamma estimate); +inf below that
-    or below ``min_radius`` (the radius the envelope itself needs).
-    """
-
-    c: float
-    q: float
-    coeff: float = 1.0
-    min_radius: float = 0.0
-
-    @property
-    def scale(self) -> float:
-        return self.coeff
-
-    def bound(self, radius: float) -> float:
-        if self.c <= 0.0:
-            raise ValueError("GaussTail requires c > 0")
-        if self.coeff == 0.0:
-            return 0.0
-        x = self.c * radius * radius
-        if (radius <= 0.0 or radius < self.min_radius
-                or x < max(1.0, self.q - 1.0)):
-            return math.inf
-        log_b = (math.log(self.coeff) + (self.q - 1.0) * math.log(radius)
-                 - x - math.log(self.c))
-        return math.exp(log_b) if log_b <= 700.0 else math.inf
-
-
-@dataclass(frozen=True)
-class TailSum:
-    """Additive envelope: each part bounds one piece of the integrand."""
-
-    parts: tuple
-
-    @property
-    def scale(self) -> float:
-        return sum(p.scale for p in self.parts)
-
-    def bound(self, radius: float) -> float:
-        return sum(p.bound(radius) for p in self.parts)
-
-
-@dataclass(frozen=True)
-class TailBest:
-    """Alternative envelopes: every option bounds the whole integrand,
-    so the smallest (often: power model for large t, Gaussian data decay
-    for small t) wins at each radius."""
-
-    options: tuple
-
-    @property
-    def scale(self) -> float:
-        return min(o.scale for o in self.options)
-
-    def bound(self, radius: float) -> float:
-        return min(o.bound(radius) for o in self.options)
+        return sum(min(_weight_tail(c, *w, radius) if w else math.inf,
+                       _data_tail(c, *d, radius) if d else math.inf)
+                   for c, w, d in self.terms if c != 0.0)
 
 
 def truncation_point(tail, tol: float) -> tuple[float, float]:
@@ -294,7 +243,9 @@ def _rule(f, a: np.ndarray, b: np.ndarray):
     return vals, errs, shape
 
 
-def _initial_edges(spec: QuadratureSpec) -> np.ndarray:
+def _initial_edges(spec: QuadratureSpec) -> np.ndarray | None:
+    """Edges of the initial panels: none wider than a half-period pi/w,
+    at least ``min_panels``; None when that takes more than max_panels."""
     pts = sorted({spec.lower, spec.upper,
                   *(float(bp) for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
@@ -302,14 +253,13 @@ def _initial_edges(spec: QuadratureSpec) -> np.ndarray:
     if spec.oscillation_frequency > 0.0:
         width_cap = math.pi / spec.oscillation_frequency
     spans = list(zip(pts, pts[1:]))
-    total = sum(max(1, math.ceil((right - left) / width_cap))
-                for left, right in spans)
-    # Respect the panel budget even if the half-period cap asks for more.
-    scale = max(1.0, total / max(1, spec.max_panels - 8))
+    counts = [max(1, math.ceil((right - left) / width_cap),
+                  math.ceil(spec.min_panels / len(spans)))
+              for left, right in spans]
+    if sum(counts) > spec.max_panels:
+        return None
     edges = [[pts[0]]]
-    for left, right in spans:
-        n = max(1, math.ceil((right - left) / (width_cap * scale)),
-                math.ceil(spec.min_panels / len(spans)))
+    for (left, right), n in zip(spans, counts):
         edges.append(left + (right - left) / n * np.arange(1, n))
         edges.append([right])
     return np.concatenate(edges)
@@ -347,10 +297,14 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
     Never returns a silently wrong answer: if the tolerance cannot be
     met within ``max_panels`` the result carries converged=False, and a
     non-finite integrand value raises EvaluationError naming the
-    abscissa.
+    abscissa.  If the half-period panelling alone needs more than
+    ``max_panels``, ``f`` is not called: the result is value 0, error
+    +inf, ``panels_used`` 0 and converged=False.
     """
     spec.validate()
     edges = _initial_edges(spec)
+    if edges is None:
+        return QuadratureResult(0.0, math.inf, 0, False)
     a, b = edges[:-1], edges[1:].copy()
     val, err, shape = _rule(f, a, b)
     initial = a.size

@@ -184,12 +184,12 @@ def test_non_finite_time_is_a_config_error(capsys):
 
 
 def test_uncertified_quantity_is_one_error_line(tmp_path, capsys):
-    # The high band of the n = 3 residual cannot be certified at t = 1.
+    # The n = 3 residual cannot be certified at t = 1.
     code, _ = run(tmp_path, "profile", "--t-min", "1", "--t-max", "10",
                   "--dim", "3", "--t-points", "3")
     assert code == 1
     assert capsys.readouterr().err == (
-        "error: residual_norm high band at t=1.0 did not converge\n")
+        "error: residual_norm at t=1.0 did not converge\n")
 
 
 def test_unknown_config_key(tmp_path):

@@ -1,5 +1,6 @@
 """Adaptive quadrature engine: closed forms, oscillation, tails, honesty."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,22 @@ import pytest
 
 from logdamp import norms, quadrature
 from logdamp.modes import InitialDataSpec
-from logdamp.quadrature import (EvaluationError, GaussTail, PowerTail,
-                                QuadratureSpec, TailBest, TailSum, integrate,
-                                truncation_point)
+from logdamp.quadrature import (Envelope, EvaluationError, QuadratureSpec,
+                                integrate, truncation_point)
 from oracles import mp_weight_tail
 
 # 40-digit panelled reference for sin(100 r)^2 (1+r^2)^(-100) on [0, 1]
 OSC_ORACLE = 0.044478383843326293227
+
+
+def weight(t, p, coeff=1.0):
+    """Envelope of coeff (1+r^2)^(-t) r^p."""
+    return Envelope((coeff, (t, p), None))
+
+
+def gauss(c, q, coeff=1.0):
+    """Envelope of coeff r^q exp(-c r^2), r >= 1."""
+    return Envelope((coeff, None, (c, q)))
 
 
 def test_arctan_closed_form():
@@ -55,7 +65,7 @@ def test_oscillation_safety_gaussian_window(omega):
     assert res.value == pytest.approx(exact, rel=1e-9)
 
     # The same window on the half-line, through the two-phase route.
-    semi = norms._two_phase(f, GaussTail(1.0, 0.0), 2.0 * omega, 1e-11,
+    semi = norms._two_phase(f, gauss(1.0, 0.0), 2.0 * omega, 1e-11,
                             "window")
     assert semi == pytest.approx(exact, rel=1e-9)
 
@@ -121,6 +131,27 @@ def test_converged_flag_honest_on_panel_exhaustion():
     assert res.error_estimate > 0.0
 
 
+def test_over_budget_half_period_panelling_is_refused():
+    # 1000 half-periods of sin(200 r)^2 on [0, 5*pi] do not fit in 100
+    # panels; wider panels would void the error estimate, so the call
+    # reports failure without evaluating f.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(200.0 * x) ** 2
+
+    spec = QuadratureSpec(0.0, 5.0 * math.pi, oscillation_frequency=400.0,
+                          max_panels=100)
+    res = integrate(f, spec)
+    assert not res.converged
+    assert res.panels_used == 0 and res.error_estimate == math.inf
+    assert calls == []
+    fits = integrate(f, dataclasses.replace(spec, max_panels=2000))
+    assert fits.converged and calls
+    assert fits.value == pytest.approx(2.5 * math.pi, rel=1e-12)
+
+
 def test_converged_invariant():
     def f(x):
         return np.exp(-x) * np.cos(3.0 * x)
@@ -163,21 +194,21 @@ def test_semi_infinite_with_power_tail(monkeypatch):
 
     monkeypatch.setattr(norms, "integrate", recording_integrate)
     value = norms._two_phase(lambda x: (1.0 + x * x) ** -2,
-                             PowerTail(2.0, 0.0), 0.0, 1e-12, "power tail")
+                             weight(2.0, 0.0), 0.0, 1e-12, "power tail")
     assert value == pytest.approx(math.pi / 4.0, abs=1e-12)
     # Truncated at a finite radius beyond the bulk of the integrand.
     assert uppers and math.isfinite(uppers[-1]) and uppers[-1] > 1.0
 
 
 def test_truncation_point_tail_actually_small():
-    radius, bound = truncation_point(PowerTail(50.0, 0.0), 1e-16)
+    radius, bound = truncation_point(weight(50.0, 0.0), 1e-16)
     assert bound <= 1e-16
     tail = float(mp_weight_tail(50.0, 0.0, radius))
     assert tail < 1e-15
 
 
 def test_truncation_point_against_closed_form_tail():
-    radius, _ = truncation_point(PowerTail(2.0, 0.0), 1e-10)
+    radius, _ = truncation_point(weight(2.0, 0.0), 1e-10)
     # The incomplete beta at 40 digits: the double-precision closed form
     # pi/4 - R/(2(1+R^2)) - arctan(R)/2 cancels near R ~ 1500.
     tail = float(mp_weight_tail(2.0, 0.0, radius))
@@ -185,19 +216,19 @@ def test_truncation_point_against_closed_form_tail():
 
 
 def test_truncation_point_contract():
-    radius, bound = truncation_point(PowerTail(100.0, 3.0), 1e-8)
+    radius, bound = truncation_point(weight(100.0, 3.0), 1e-8)
     assert radius > 0.0 and bound <= 1e-8
     with pytest.raises(ValueError, match="positive"):
-        truncation_point(PowerTail(50.0, 0.0), 0.0)
+        truncation_point(weight(50.0, 0.0), 0.0)
     # (1+r^2)^(-1/2) r^2 is not integrable: no radius reaches the budget.
     with pytest.raises(ValueError, match="cannot reach"):
-        truncation_point(PowerTail(0.5, 2.0), 1e-8)
-    assert truncation_point(PowerTail(5.0, 0.0, 0.0), 1e-8) == (1e-9, 0.0)
+        truncation_point(weight(0.5, 2.0), 1e-8)
+    assert truncation_point(weight(5.0, 0.0, 0.0), 1e-8) == (1e-9, 0.0)
 
 
 def test_tail_model_bounds_are_upper_bounds():
     for t, p in ((5.0, 0.0), (12.0, 2.0), (4.0, -1.0)):
-        tail = PowerTail(t, p)
+        tail = weight(t, p)
         for radius in (1.0, 1.7, 3.0):
             true = float(mp_weight_tail(t, p, radius))
             assert true <= tail.bound(radius)
@@ -212,7 +243,7 @@ def test_power_tail_bound_is_valid_and_sharp():
         for p in (-2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0):
             if not 2.0 * t > p + 1.0:
                 continue
-            tail, s = PowerTail(t, p), t - (p + 1.0) / 2.0
+            tail, s = weight(t, p), t - (p + 1.0) / 2.0
             for radius in radii:
                 # Beyond e^(-750) the tail is below 1e-300 for every p
                 # here, and mpmath's beta series stalls at t = 1e8.
@@ -235,7 +266,7 @@ def test_power_tail_bound_is_valid_and_sharp():
 def test_gauss_tail_bound_is_upper_bound():
     import mpmath as mp
     for c, q in ((1.0, 0.0), (0.5, 2.0), (2.0, 3.0)):
-        tail = GaussTail(c, q)
+        tail = gauss(c, q)
         for radius in (2.0, 3.0, 5.0):
             if tail.bound(radius) == math.inf:
                 continue
@@ -245,14 +276,25 @@ def test_gauss_tail_bound_is_upper_bound():
 
 
 def test_tail_combinators():
-    p = PowerTail(5.0, 0.0, 1.0)
-    g = GaussTail(1.0, 0.0, 1.0)
-    assert TailSum((p, g)).bound(2.0) == p.bound(2.0) + g.bound(2.0)
-    assert TailBest((p, g)).bound(2.0) == min(p.bound(2.0), g.bound(2.0))
-    radius, bound = truncation_point(TailBest((p, g)), 1e-12)
+    # A term bounds by the smaller of its two tails, an envelope by the
+    # sum of its terms, and both meet the truncation_point contract.
+    p, g = weight(5.0, 0.0), gauss(1.0, 0.0)
+    both = Envelope((1.0, (5.0, 0.0), (1.0, 0.0)))
+    total = Envelope((1.0, (5.0, 0.0), None), (2.0, None, (1.0, 0.0)))
+    for radius in (0.5, 1.0, 2.0, 3.0):
+        assert both.bound(radius) == min(p.bound(radius), g.bound(radius))
+        assert total.bound(radius) == (p.bound(radius)
+                                       + gauss(1.0, 0.0, 2.0).bound(radius))
+    assert both.scale == 1.0 and total.scale == 3.0
+    assert Envelope((1.0, None, None)).bound(2.0) == math.inf
+    radius, bound = truncation_point(both, 1e-12)
     assert bound <= 1e-12
     assert radius <= min(truncation_point(p, 1e-12)[0],
                          truncation_point(g, 1e-12)[0]) * 1.01
+    radius, bound = truncation_point(total, 1e-12)
+    assert bound <= 1e-12 and total.bound(radius) == bound
+    assert radius * (1.0 + 1e-8) >= max(truncation_point(p, 1e-12)[0],
+                                        truncation_point(g, 1e-12)[0])
 
 
 def test_breakpoint_hints_catch_narrow_bumps():
