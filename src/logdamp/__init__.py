@@ -9,11 +9,9 @@ quadrature and exponent fitting.
 
 from .modes import InitialDataSpec
 from .quadrature import QuadratureSpec, QuadratureResult, integrate
-from .symbols import SymbolValues, eval_symbols
 
 __all__ = [
-    "InitialDataSpec", "QuadratureSpec", "QuadratureResult",
-    "integrate", "SymbolValues", "eval_symbols",
+    "InitialDataSpec", "QuadratureSpec", "QuadratureResult", "integrate",
 ]
 
 __version__ = "0.1.0"

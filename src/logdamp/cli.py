@@ -266,7 +266,7 @@ def _suite_lines(cfg: RunConfig):
     worst = float(np.max((symbols.b_minus_r(r) / b) ** 2))
     yield ("dispersion_shift_bound", r.size, 28.0 / 3.0 - worst,
            worst <= 28.0 / 3.0 + 1e-9)
-    worst = float(np.max(np.log1p(r * r) ** 2 / (2.0 * r * r)))
+    worst = float(np.max(2.0 * symbols.ratio_g(r)))
     yield ("log_symbol_bound", r.size, 1.0 - worst, worst <= 1.0 + 1e-12)
 
     ps = rng.uniform(2.0, 8.0, 50)

@@ -154,10 +154,8 @@ class Mode:
     The roots -a +/- ib of the mode equation fix a, e^{-at}, cos(bt) and
     sinc(bt) once per abscissa array; each method builds one field from
     them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
-    exact.  One log1p per abscissa: g comes from the held a through
-    ``symbols.ratio_g_from_a``.  Only these four full-size arrays are
-    held, to keep peak memory low; g and sqrt(1-g) are recomputed from
-    a on the K-term path.
+    exact.  One ``symbols.kernel`` call per abscissa array gives a and
+    g (one log1p per abscissa); g is held for the K-term path.
     """
 
     def __init__(self, t, r):
@@ -165,10 +163,9 @@ class Mode:
         if t < 0.0:
             raise ValueError("time must be >= 0")
         self.t = t
-        self.r = r = np.asarray(r, dtype=float)
-        self.a = symbols.damping_a(r)
+        self.r, self.a, self.g, _ = symbols.kernel(r)
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
-        bt = r * np.sqrt(1.0 - symbols.ratio_g_from_a(r, self.a)) * t
+        bt = self.r * np.sqrt(1.0 - self.g) * t
         self.env = np.exp(-self.a * t)
         self.cos_bt = np.cos(bt)
         self.sinc_bt = sinc(bt)
@@ -191,10 +188,9 @@ class Mode:
 
     def k_terms(self, u0_val, u1_val, p1: float):
         """The five remainder terms, for r > 0 (see ``k_terms``)."""
-        r, t, env = self.r, self.t, self.env
+        r, t, env, g = self.r, self.t, self.env, self.g
         if np.any(r <= 0.0):
             raise ValueError("remainder split requires r > 0")
-        g = symbols.ratio_g_from_a(r, self.a)
         sq = np.sqrt(1.0 - g)
         inv_diff = g / (r * sq * (1.0 + sq))
         bmr_over_b = -g / (sq * (1.0 + sq))

@@ -10,7 +10,10 @@ small gives the magnitude, a second pass (plus the closed-form tail
 bound) then meets the requested relative tolerance, or the call raises
 ArithmeticError naming its site and t.  Mode integrands oscillate like
 sin(b(r) t) with phase slope <= t in r, so their squares carry
-oscillation frequency 2t into the panelling.
+oscillation frequency 2t into the panelling.  The data pair is first
+scaled by a power of two to a unit transform sup, so every amplitude
+in the double range is computed alike; zero data have a zero envelope
+and give 0.0 without quadrature.
 
 The "varies like" statements about decaying quantities are made
 checkable two ways: scaled-band reports over a log grid, and least
@@ -20,7 +23,7 @@ squares slopes on (log t, log value) via fit_decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -112,6 +115,27 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
     return n
 
 
+def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec):
+    """(u0, u1, k): the pair scaled by 2^-k to a larger transform sup in
+    [1/2, 1).  u is linear in the data and the scaling is exact, so the
+    norms of the pair are 2^k (the energy 2^2k) times those of the
+    scaled pair, which stays clear of under- and overflow."""
+    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1]
+    return (*(replace(d, amplitude=math.ldexp(d.amplitude, -k))
+              for d in (u0, u1)), k)
+
+
+def _rescaled(value: float, k: int, site: str) -> float:
+    """value * 2^k, exactly, or ArithmeticError naming the site where a
+    nonzero value would leave the normal doubles (inf, 0.0 or a
+    subnormal)."""
+    e = math.frexp(value)[1] + k
+    if value and not -1021 <= e <= 1024:
+        raise ArithmeticError(f"{site}: the result "
+                              f"{'overflows' if e > 0 else 'underflows'}")
+    return math.ldexp(value, k)
+
+
 def _envelope(t: float, u0, u1, n: int, energy: bool = False,
               p1: float | None = None) -> Envelope:
     """Tail envelope of a mode integrand, from B_i = sup |data transform|
@@ -148,26 +172,25 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     Raises ArithmeticError if the quadrature cannot certify rel_tol.
     """
     n = _check_pair(u0, u1, n)
-    if u0.family == "zero" and u1.family == "zero":
-        return 0.0
     t = float(t)
+    u0, u1, k = _unit_pair(u0, u1)
 
     def f(r):
         u = modes.Mode(t, r).u(u0.fourier(r), u1.fourier(r))
         return u ** 2 * r ** (n - 1)
 
-    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol,
-                     f"l2_norm at t={t}")
-    return math.sqrt(plancherel_constant(n) * max(val, 0.0))
+    site = f"l2_norm at t={t}"
+    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site)
+    return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
+                     site)
 
 
 def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
            n: int | None = None, rel_tol: float = 1e-10) -> float:
     """E(t) = (||u_t||^2 + ||grad u||^2) / 2, computed spectrally."""
     n = _check_pair(u0, u1, n)
-    if u0.family == "zero" and u1.family == "zero":
-        return 0.0
     t = float(t)
+    u0, u1, k = _unit_pair(u0, u1)
 
     def f(r):
         mode = modes.Mode(t, r)
@@ -176,9 +199,11 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         u = mode.u(u0v, u1v)
         return (ut * ut + (r * u) ** 2) * r ** (n - 1)
 
+    site = f"energy at t={t}"
     val = _two_phase(f, _envelope(t, u0, u1, n, energy=True), 2.0 * t,
-                     rel_tol, f"energy at t={t}")
-    return 0.5 * plancherel_constant(n) * max(val, 0.0)
+                     rel_tol, site)
+    return _rescaled(0.5 * plancherel_constant(n) * max(val, 0.0), 2 * k,
+                     site)
 
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -206,9 +231,8 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     if method not in ("difference", "kterms"):
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
+    u0, u1, k = _unit_pair(u0, u1)
     p1 = modes.decompose_data(u1).P1
-    if u0.family == "zero" and u1.family == "zero":
-        return 0.0
     if p1 != 0.0 and 0.0 < 2.0 * t <= n - 2.0:
         raise ValueError(f"residual_norm at t={t}: the profile is not in L^2"
                          f" for n={n} (needs 2t > n - 2)")
@@ -231,7 +255,8 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     val = _two_phase(f, _envelope(t, u0, u1, n, p1=p1), 2.0 * max(t, 1.0),
                      1e-9, site, lower=lower, abs_floor=floor)
-    return math.sqrt(plancherel_constant(n) * max(val, 0.0))
+    return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
+                     site)
 
 
 # -- named decay integrals ---------------------------------------------------
@@ -328,7 +353,6 @@ class DecaySeries:
 
     t_grid: tuple[float, ...]
     values: tuple[float, ...]
-    label: str = ""
 
     def __post_init__(self):
         if len(self.t_grid) != len(self.values):
@@ -345,23 +369,14 @@ class DecayFitResult:
     slope: float
     intercept: float
     max_log_residual: float
-    window: tuple[float, float]
 
 
-def fit_decay(series: DecaySeries,
-              window: tuple[float, float] | None = None) -> DecayFitResult:
-    """Least-squares slope of log(value) against log(t) over a window."""
-    if window is None:
-        window = (series.t_grid[0], series.t_grid[-1])
-    lo, hi = float(window[0]), float(window[1])
-    ts = np.asarray(series.t_grid)
-    vs = np.asarray(series.values)
-    mask = (ts >= lo) & (ts <= hi)
-    if int(mask.sum()) < 5:
-        raise ValueError("window must contain at least 5 grid points")
-    x = np.log(ts[mask])
-    y = np.log(vs[mask])
+def fit_decay(series: DecaySeries) -> DecayFitResult:
+    """Least-squares slope of log(value) against log(t) over the series."""
+    if len(series.t_grid) < 5:
+        raise ValueError("a decay fit needs at least 5 grid points")
+    x = np.log(np.asarray(series.t_grid))
+    y = np.log(np.asarray(series.values))
     slope, intercept = np.polyfit(x, y, 1)
     resid = np.max(np.abs(slope * x + intercept - y))
-    return DecayFitResult(float(slope), float(intercept), float(resid),
-                          (lo, hi))
+    return DecayFitResult(float(slope), float(intercept), float(resid))

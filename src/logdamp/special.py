@@ -62,7 +62,7 @@ def I_p(t: float, p: float) -> float:
         0.0, 1.0, rel_tol=1e-12, breakpoints=hints), f"I_p({t}, {p})")
 
 
-def _tail_integral(t: float, p: float, rel_tol: float) -> float:
+def _tail_integral(t: float, p: float) -> float:
     """K = J_p(t) * 2^s with s = t - (p+1)/2, for every 2t > p + 1.
 
     With v = log(1+r^2) - log 2 the tail integral becomes
@@ -70,29 +70,29 @@ def _tail_integral(t: float, p: float, rel_tol: float) -> float:
     c(v) = 1 - e^(-v)/2.  On v >= 0 the factor c^((p-1)/2) tends to 1 and
     lies in [m, M] = ``weight_factor_range(p, 1)``, so K >= m/(2s), and
     past V the tail is e^(-sV)/(2s) to within M e^(-sV)/(2s).
-    V = log(4M/(m rel_tol))/s makes that bound at most rel_tol/4 of K;
-    the quadrature on [0, V] runs at rel_tol/2.
+    V = log(4M/(m eps))/s makes that bound at most eps/4 of K, eps =
+    1e-12; the quadrature on [0, V] runs at eps/2.
     """
     t, p = float(t), float(p)
     s = t - (p + 1.0) / 2.0
     if not (s > 0.0):
         raise ValueError("J_p requires 2t > p + 1")
     m, M = weight_factor_range(p, 1.0)
-    decay = m * rel_tol / (4.0 * M)        # e^(-sV)
+    decay = m * 1e-12 / (4.0 * M)          # e^(-sV)
 
     def f(v):
         return 0.5 * np.exp(-s * v) * (1.0 - 0.5 * np.exp(-v)) ** ((p - 1) / 2)
 
     # Panel ends at 2-16 e-folds of e^(-sv): one or two waves, not five.
-    spec = QuadratureSpec(0.0, -math.log(decay) / s, rel_tol=0.5 * rel_tol,
+    spec = QuadratureSpec(0.0, -math.log(decay) / s, rel_tol=0.5e-12,
                           breakpoints=tuple(k / s for k in (2, 4, 8, 16)))
     return _certified(f, spec, f"J_p({t}, {p})") + 0.5 * decay / s
 
 
-def J_p(t: float, p: float, rel_tol: float = 1e-12) -> float:
-    """integral_1^inf (1+r^2)^(-t) r^p dr = 2^(-s) K for 2t > p + 1 (see
-    ``_tail_integral``); 0.0 from t ~ 1075 on, where J_p_scaled is not."""
-    return _tail_integral(t, p, rel_tol) \
+def J_p(t: float, p: float) -> float:
+    """integral_1^inf (1+r^2)^(-t) r^p dr = 2^(-s) K to 1e-12 for 2t >
+    p + 1 (``_tail_integral``); 0.0 from t ~ 1075 on, unlike J_p_scaled."""
+    return _tail_integral(t, p) \
         * 2.0 ** -(float(t) - (float(p) + 1.0) / 2.0)
 
 
@@ -104,7 +104,7 @@ J_p_direct = J_p
 def J_p_scaled(t: float, p: float) -> float:
     """J_p(t) (t-1) 2^t = K (t-1) 2^((p+1)/2): finite at every t, exactly
     1 for p = 1, and bracketed by ``j_sandwich_bounds``."""
-    return _tail_integral(t, p, 1e-12) * (float(t) - 1.0) \
+    return _tail_integral(t, p) * (float(t) - 1.0) \
         * 2.0 ** ((float(p) + 1.0) / 2.0)
 
 
@@ -147,8 +147,8 @@ def gamma_ratio(t: float) -> float:
     return math.exp(s) / math.sqrt(t)
 
 
-def middle_band(eta: float, p: float, t: float, rel_tol: float = 1e-12) -> float:
-    """integral_eta^1 (1+r^2)^(-t) r^p dr for eta in (0, 1].
+def middle_band(eta: float, p: float, t: float) -> float:
+    """integral_eta^1 (1+r^2)^(-t) r^p dr for eta in (0, 1], to 1e-12.
 
     For p >= 0 the integrand is pointwise at most (1+eta^2)^(-t) on the
     interval, so the value is bounded by that with constant 1.
@@ -159,7 +159,7 @@ def middle_band(eta: float, p: float, t: float, rel_tol: float = 1e-12) -> float
     if eta == 1.0:
         return 0.0
     return _certified(_weight(float(t), float(p)),
-                      QuadratureSpec(eta, 1.0, rel_tol=rel_tol),
+                      QuadratureSpec(eta, 1.0, rel_tol=1e-12),
                       f"middle_band({eta}, {p}, {t})")
 
 

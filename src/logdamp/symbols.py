@@ -7,12 +7,12 @@ The mode at radius r = |xi| solves  v'' + 2*a(r)*v' + r^2*v = 0  with
     g(r) = log^2(1 + r^2) / (4 r^2)
 
 so the characteristic roots are lambda_pm = -a +/- i*b and a^2 + b^2 = r^2
-exactly.  Everything here is evaluated in forms that stay accurate near
-r = 0, where the naive 4r^2 - log^2(1+r^2) loses half the significand:
-g uses a Taylor series below r = 1e-4 and is a^2/r^2 above it (one
-route, ``ratio_g_from_a``, so a kernel that already holds a pays no
-second log1p), and the differences b - r and 1/b - 1/r are computed
-from g without subtraction of close quantities.
+exactly.  One ``kernel`` checks and squares each radius array once and
+owns the overflow policy; the named symbols are views of it.  It uses
+forms that stay accurate near r = 0, where the naive 4r^2 -
+log^2(1+r^2) loses half the significand: g is a Taylor series below
+r = 1e-4, and b - r and 1/b - 1/r come from g without subtraction of
+close quantities.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -20,7 +20,6 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,84 +28,61 @@ import numpy as np
 G_SERIES_CUT = 1e-4
 
 
-def _check_radius(r):
-    arr = np.asarray(r, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+def kernel(r):
+    """(r, a, g, big) as float arrays of r's shape, checking r once
+    (finite, >= 0) and squaring it once.  a = log1p(r^2)/2 and
+    g = a*a/(r*r), bit-identical to log^2(1+r^2)/(4r^2) as 1/2 and 4 are
+    powers of two.  ``big`` masks the radii whose square overflows
+    (r > 1.34e154; None when none does, found by numpy's overflow flag
+    without an extra pass): there a = log r, dropping log1p(r^-2)/2 <
+    1e-308, and g = (a/r)^2.  Below r = 1e-4, g is the series in x = r^2,
+    g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
+    """
+    r = np.asarray(r, dtype=float)
+    shape = r.shape
+    r = np.atleast_1d(r)
+    if not np.all(np.isfinite(r)) or np.any(r < 0.0):
         raise ValueError("radius must be finite and >= 0")
-    return arr
-
-
-@dataclass(frozen=True)
-class SymbolValues:
-    """All symbols and stable derived differences at one radius."""
-
-    r: float
-    a: float
-    b: float
-    g: float
-    b_minus_r: float
-    inv_b_minus_inv_r: float
-
-
-def _square(r):
-    """(r*r, the mask where it overflows or None); numpy's overflow flag
-    spares ordinary radii (r <= 1.34e154) an extra pass."""
     try:
         with np.errstate(over="raise"):
-            return r * r, None
+            rr, big = r * r, None
     except FloatingPointError:
         with np.errstate(over="ignore"):
             rr = r * r
-        return rr, np.isinf(rr)
+        big = np.isinf(rr)
+    a = 0.5 * np.log1p(rr)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = a * a / rr
+    if big is not None:
+        a[big] = np.log(r[big])
+        g[big] = (a[big] / r[big]) ** 2
+        big = big.reshape(shape)
+    small = r < G_SERIES_CUT
+    if small.any():
+        x = rr[small]
+        g[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
+                                                      - x * (5.0 / 6.0))))
+    return r.reshape(shape), a.reshape(shape), g.reshape(shape), big
+
+
+def _out(x):
+    return x if x.ndim else float(x)
 
 
 def damping_a(r):
     """a(r) = log(1 + r^2)/2, via log1p; log r where r*r overflows."""
-    r = _check_radius(r)
-    rr, big = _square(r)
-    out = 0.5 * np.log1p(rr)
-    if big is not None:   # log1p(r^-2)/2 < 1e-308 is dropped there
-        out = np.where(big, np.log(np.where(big, r, 1.0)), out)
-    return out if out.ndim else float(out)
+    return _out(kernel(r)[1])
 
 
 def ratio_g(r):
     """g(r) = log^2(1+r^2)/(4r^2); series below r = 1e-4, 0 at r = 0."""
-    r = _check_radius(r)
-    out = ratio_g_from_a(r, damping_a(r))
-    return out if out.ndim else float(out)
-
-
-def ratio_g_from_a(r, a):
-    """g(r) from a = damping_a(r) at the same (already checked) radii.
-
-    Above r = 1e-4, g = a*a/(r*r); wherever 4r^2 is finite this is
-    bit-identical to log^2(1+r^2)/(4r^2), because 1/2 and 4 are powers
-    of two.  Where r*r overflows, g = (a/r)^2.  Below r = 1e-4 the
-    entries are overwritten by the series, with x = r^2,
-    g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
-    Returns an array of r's shape (0-d for a scalar r).
-    """
-    r = np.asarray(r, dtype=float)
-    r1, a1 = np.atleast_1d(r, a)
-    rr, big = _square(r1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = a1 * a1 / rr
-    if big is not None:
-        out[big] = (a1[big] / r1[big]) ** 2
-    small = r1 < G_SERIES_CUT
-    if small.any():
-        x = r1[small] * r1[small]
-        out[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
-                                                        - x * (5.0 / 6.0))))
-    return out.reshape(r.shape)
+    return _out(kernel(r)[2])
 
 
 def oscillation_b(r):
     """b(r) = r * sqrt(1 - g(r)); real since g < 1 everywhere."""
-    r = _check_radius(r)
-    out = r * np.sqrt(1.0 - ratio_g(r))
-    return out if out.ndim else float(out)
+    r, _, g, _ = kernel(r)
+    return _out(r * np.sqrt(1.0 - g))
 
 
 def b_minus_r(r):
@@ -116,14 +92,11 @@ def b_minus_r(r):
     r, where both sides agree to leading order r^3/8.  Where r*r
     overflows, g underflows, so there it is -a (a/r)/2.
     """
-    r = _check_radius(r)
-    a = damping_a(r)
-    g = ratio_g_from_a(r, a)
+    r, a, g, big = kernel(r)
     out = -r * g / (1.0 + np.sqrt(1.0 - g))
-    _, big = _square(r)
     if big is not None:
         out = np.where(big, -0.5 * a * (a / np.maximum(r, 1.0)), out)
-    return out if out.ndim else float(out)
+    return _out(out)
 
 
 def inv_b_minus_inv_r(r):
@@ -133,37 +106,11 @@ def inv_b_minus_inv_r(r):
     there); callers multiply by factors that vanish fast enough, and 0
     where r*r overflows, as a^2/(2 r^3) underflows there.
     """
-    r = _check_radius(r)
-    g = ratio_g(r)
+    r, _, g, big = kernel(r)
     sq = np.sqrt(1.0 - g)
-    _, big = _square(r)
     zero = r == 0.0 if big is None else (r == 0.0) | big
     rd = np.where(zero, 1.0, r)
-    out = np.where(zero, 0.0, g / (rd * sq * (1.0 + sq)))
-    return out if out.ndim else float(out)
-
-
-def eval_symbols(r: float) -> SymbolValues:
-    """Evaluate every symbol at a single radius.
-
-    Raises ValueError for negative or non-finite input.
-    """
-    rf = float(r)
-    _check_radius(rf)
-    return SymbolValues(
-        r=rf,
-        a=damping_a(rf),
-        b=oscillation_b(rf),
-        g=ratio_g(rf),
-        b_minus_r=b_minus_r(rf),
-        inv_b_minus_inv_r=inv_b_minus_inv_r(rf),
-    )
-
-
-def lambda_pm(r: float) -> tuple[complex, complex]:
-    """Characteristic roots (-a + ib, -a - ib) of the mode equation."""
-    s = eval_symbols(r)
-    return complex(-s.a, s.b), complex(-s.a, -s.b)
+    return _out(np.where(zero, 0.0, g / (rd * sq * (1.0 + sq))))
 
 
 def phi(x):

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from logdamp import norms
 from logdamp.cli import main
 
 
@@ -131,11 +132,32 @@ def _zero_data_config(tmp_path):
     return str(cfg)
 
 
-def test_decay_with_underflowing_norms_is_not_certified(tmp_path, capsys):
+def test_decay_at_tiny_amplitude_fits_as_at_unit_amplitude(tmp_path,
+                                                           capsys):
+    # The norms are computed on data scaled to a unit transform sup, so
+    # they neither underflow nor lose the slope at amplitude 1e-200.
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("u1_amplitude = 1e-200\n")
     code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3",
                      "--t-points", "5")
+    assert code == 0
+    assert "error:" not in capsys.readouterr().err
+    _, unit = run(tmp_path, "decay", "--dim", "3", "--t-points", "5")
+
+    def slope(csv_text):
+        return [ln for ln in csv_text.splitlines() if "slope=" in ln]
+
+    assert slope(text) == slope(unit) and len(slope(text)) == 1
+    for row, ref in zip(parse_rows(text), parse_rows(unit)):
+        assert float(row["norm"]) == pytest.approx(1e-200 * float(ref["norm"]),
+                                                   rel=1e-9)
+
+
+def test_decay_with_underflowing_norms_is_not_certified(tmp_path, capsys,
+                                                        monkeypatch):
+    # A zero norm of nonzero data is still reported, naming the first t.
+    monkeypatch.setattr(norms, "l2_norm", lambda *args, **kwargs: 0.0)
+    code, text = run(tmp_path, "decay", "--dim", "3", "--t-points", "5")
     assert code == 1
     assert text == ""
     err = capsys.readouterr().err

@@ -139,16 +139,23 @@ def test_profile_values():
 
 
 def test_mode_kernel_matches_ratio_g_bit_for_bit():
-    # g from the held a, on both sides of the series cut and at r = 0.
-    r = np.concatenate([[0.0], np.geomspace(1e-200, 1e12, 20_001)])
+    # a and g from one kernel call, on both sides of the series cut, at
+    # r = 0 and where r*r overflows.
+    r = np.concatenate([[0.0], np.geomspace(1e-200, 1e12, 20_001),
+                        [2e154, 1e300]])
     assert (r < symbols.G_SERIES_CUT).sum() > 1000
     assert (r > symbols.G_SERIES_CUT).sum() > 1000
+    _, a, g, big = symbols.kernel(r)
+    assert g.tobytes() == symbols.ratio_g(r).tobytes()
+    assert a.tobytes() == symbols.damping_a(r).tobytes()
+    assert big.sum() == 2
     for t in (0.0, 0.5, 1e2, 1e8):
         mode = Mode(t, r)
         bt = r * np.sqrt(1.0 - symbols.ratio_g(r)) * t
         assert mode.cos_bt.tobytes() == np.cos(bt).tobytes()
         assert mode.sinc_bt.tobytes() == sinc(bt).tobytes()
-        assert mode.a.tobytes() == symbols.damping_a(r).tobytes()
+        assert mode.a.tobytes() == a.tobytes()
+        assert mode.g.tobytes() == g.tobytes()
 
 
 def test_negative_time_rejected():

@@ -14,56 +14,47 @@ RADII = np.exp(np.random.default_rng(7).uniform(
     math.log(1e-8), math.log(1e8), 10_000))
 
 
+VIEWS = (symbols.damping_a, symbols.ratio_g, symbols.oscillation_b,
+         symbols.b_minus_r, symbols.inv_b_minus_inv_r)
+
+
 def test_origin_values():
-    s = symbols.eval_symbols(0.0)
-    assert s.a == 0.0 and s.b == 0.0 and s.g == 0.0
-    assert s.b_minus_r == 0.0 and s.inv_b_minus_inv_r == 0.0
+    assert [view(0.0) for view in VIEWS] == [0.0] * 5
+    r, a, g, big = symbols.kernel(0.0)
+    assert r.shape == a.shape == g.shape == () and big is None
+    assert a == 0.0 and g == 0.0
 
 
 def test_values_at_unit_radius():
-    s = symbols.eval_symbols(1.0)
-    assert s.a == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
+    a, b = symbols.damping_a(1.0), symbols.oscillation_b(1.0)
+    assert a == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
     # b(1) = sqrt(4 - log(2)^2)/2
-    assert s.b == pytest.approx(math.sqrt(4.0 - math.log(2.0) ** 2) / 2.0,
-                                rel=1e-15)
-    assert s.b == pytest.approx(0.9380227857149578, rel=1e-14)
-    ratio = (s.a / s.b) ** 2
+    assert b == pytest.approx(math.sqrt(4.0 - math.log(2.0) ** 2) / 2.0,
+                              rel=1e-15)
+    assert b == pytest.approx(0.9380227857149578, rel=1e-14)
+    ratio = (a / b) ** 2
     assert ratio == pytest.approx(0.13651, abs=1e-5)
     assert ratio <= 1.0 / 3.0
+    assert all(type(view(1.0)) is float for view in VIEWS)
 
 
 def test_domain_errors():
     for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            symbols.eval_symbols(bad)
+        for fn in (symbols.kernel, *VIEWS):
+            with pytest.raises(ValueError):
+                fn(bad)
+            with pytest.raises(ValueError):
+                fn(np.array([1.0, bad]))
     with pytest.raises(ValueError):
         symbols.phi(-0.5)
-
-
-def test_lambda_pm_origin_and_conjugacy():
-    assert symbols.lambda_pm(0.0) == (0j, 0j)
-    lp, lm = symbols.lambda_pm(1.0)
-    assert lp == pytest.approx(complex(-0.34657359027997264,
-                                       0.9380227857149578), rel=1e-12)
-    assert lm == lp.conjugate()
-    assert lp.real <= 0.0
-
-
-@given(r=st.floats(min_value=1e-8, max_value=1e8))
-@settings(max_examples=200, deadline=None)
-def test_lambda_pm_vieta(r):
-    lp, lm = symbols.lambda_pm(r)
-    prod = lp * lm
-    assert prod.real == pytest.approx(r * r, rel=1e-12)
-    assert abs(prod.imag) <= 1e-12 * r * r
-    assert (lp + lm).real == pytest.approx(-math.log1p(r * r), rel=1e-12)
 
 
 @given(r=st.floats(min_value=0.0, max_value=1e8, allow_nan=False))
 @settings(max_examples=300, deadline=None)
 def test_pythagorean_identity(r):
-    s = symbols.eval_symbols(r)
-    assert s.a ** 2 + s.b ** 2 == pytest.approx(r * r, rel=8 * 2.3e-16)
+    # a^2 + b^2 = r^2 is the Vieta product of the roots -a +/- ib.
+    a, b = symbols.damping_a(r), symbols.oscillation_b(r)
+    assert a ** 2 + b ** 2 == pytest.approx(r * r, rel=8 * 2.3e-16)
 
 
 def test_ratio_bounds_on_sampled_radii():
@@ -94,8 +85,9 @@ def test_ratio_g_is_pinned_to_its_closed_form_and_series():
         direct = np.log1p(x) ** 2 / (4.0 * x)
     expected = np.where(small, series, direct)
     assert symbols.ratio_g(r).tobytes() == expected.tobytes()
-    a = symbols.damping_a(r)
-    assert symbols.ratio_g_from_a(r, a).tobytes() == expected.tobytes()
+    _, a, g, big = symbols.kernel(r)
+    assert g.tobytes() == expected.tobytes() and big is None
+    assert a.tobytes() == (0.5 * np.log1p(x)).tobytes()
     assert symbols.ratio_g(0.0) == 0.0
     assert type(symbols.ratio_g(2.0)) is float
 
@@ -126,14 +118,15 @@ def test_differences_against_high_precision():
     rng = np.random.default_rng(11)
     for r in np.exp(rng.uniform(math.log(1e-7), math.log(1e3), 60)):
         a, b, g, bmr, invd = mp_symbols(r)
-        s = symbols.eval_symbols(float(r))
-        assert s.a == pytest.approx(float(a), rel=1e-14)
-        assert s.b == pytest.approx(float(b), rel=1e-14)
-        assert s.g == pytest.approx(float(g), rel=1e-13, abs=1e-300)
-        assert s.b_minus_r == pytest.approx(float(bmr), rel=1e-12,
-                                            abs=1e-300)
-        assert s.inv_b_minus_inv_r == pytest.approx(float(invd), rel=1e-12,
-                                                    abs=1e-300)
+        r = float(r)
+        assert symbols.damping_a(r) == pytest.approx(float(a), rel=1e-14)
+        assert symbols.oscillation_b(r) == pytest.approx(float(b), rel=1e-14)
+        assert symbols.ratio_g(r) == pytest.approx(float(g), rel=1e-13,
+                                                   abs=1e-300)
+        assert symbols.b_minus_r(r) == pytest.approx(float(bmr), rel=1e-12,
+                                                     abs=1e-300)
+        assert symbols.inv_b_minus_inv_r(r) == pytest.approx(
+            float(invd), rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("r", [2e154, 1e200, 1e300])
@@ -147,6 +140,9 @@ def test_symbols_where_r_squared_overflows(r):
     arr = symbols.damping_a(np.array([1.0, r]))
     assert arr[0] == symbols.damping_a(1.0)
     assert arr[1] == symbols.damping_a(r)
+    # The kernel masks the overflowing square; ordinary arrays get None.
+    assert symbols.kernel(np.array([1.0, r]))[3].tolist() == [False, True]
+    assert symbols.kernel(np.array([1.0, 1e154]))[3] is None
 
 
 @pytest.mark.parametrize("r", [1e200, 1e300, 1.7e308])
@@ -154,11 +150,13 @@ def test_stable_differences_where_r_squared_overflows(r):
     # b - r = -a (a/r)/2 there, and 1/b - 1/r ~ a^2/(2 r^3) underflows.
     # Resolving b - r against r takes ~2 log10(r) digits in mpmath.
     bmr, invd = (float(x) for x in mp_symbols(r, dps=700)[3:])
-    s = symbols.eval_symbols(r)
-    assert s.b_minus_r == pytest.approx(bmr, rel=1e-15, abs=0.0)
-    assert s.inv_b_minus_inv_r == invd == 0.0
+    assert symbols.b_minus_r(r) == pytest.approx(bmr, rel=1e-15, abs=0.0)
+    assert symbols.inv_b_minus_inv_r(r) == invd == 0.0
     arr = symbols.b_minus_r(np.array([0.0, 1.0, r]))
-    assert arr[1] == symbols.b_minus_r(1.0) and arr[2] == s.b_minus_r
+    assert arr[1] == symbols.b_minus_r(1.0) and arr[2] == symbols.b_minus_r(r)
+    arr = symbols.inv_b_minus_inv_r(np.array([0.0, 1.0, r]))
+    assert arr[0] == arr[2] == 0.0
+    assert arr[1] == symbols.inv_b_minus_inv_r(1.0)
 
 
 def test_extended_precision_mode_digits():
