@@ -11,9 +11,9 @@ parameters that appear in the textbook derivation are replaced by the
 exact differences 1/b - 1/r and sin(bt) - sin(rt), both evaluated in
 cancellation-free forms, so the split is an identity to roundoff.
 
-Initial data are radial Gaussians (or zero), whose transforms, masses
-and weighted L^1 norms are closed-form; everything else in the package
-is then quadrature over these exact mode values.
+Initial data are radial Gaussians (zero data have amplitude 0), whose
+transforms, masses and weighted L^1 norms are closed-form; everything
+else in the package is then quadrature over these exact mode values.
 """
 
 from __future__ import annotations
@@ -45,9 +45,10 @@ def sphere_area(n: int) -> float:
 
 @dataclass(frozen=True)
 class InitialDataSpec:
-    """A radial datum amplitude * exp(-|x|^2 / (2 width^2)), or zero.
+    """A radial datum amplitude * exp(-|x|^2 / (2 width^2)).
 
-    The Fourier convention is f_hat(xi) = integral e^{-i x.xi} f(x) dx,
+    The zero family is this datum at amplitude 0 and width 1.  The
+    Fourier convention is f_hat(xi) = integral e^{-i x.xi} f(x) dx,
     under which the Gaussian transform is
     amplitude * (2 pi)^{n/2} width^n * exp(-width^2 r^2 / 2).
     """
@@ -66,14 +67,14 @@ class InitialDataSpec:
             raise ValueError("dimension must be >= 1")
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
+        if self.family == "zero":  # a unit width keeps w^n finite
+            object.__setattr__(self, "amplitude", 0.0)
+            object.__setattr__(self, "width", 1.0)
 
     # -- transform side ----------------------------------------------------
 
     def fourier(self, r):
         """Transform value at radius r (real, radial)."""
-        if self.family == "zero":
-            out = np.zeros_like(np.asarray(r, dtype=float))
-            return out if out.ndim else 0.0
         w, n = self.width, self.dimension
         amp = self.amplitude * (2.0 * math.pi) ** (n / 2.0) * w ** n
         r = np.asarray(r, dtype=float)
@@ -82,8 +83,6 @@ class InitialDataSpec:
 
     def mass(self) -> float:
         """integral of the datum = transform at r = 0."""
-        if self.family == "zero":
-            return 0.0
         n = self.dimension
         return self.amplitude * (2.0 * math.pi * self.width ** 2) ** (n / 2.0)
 
@@ -97,27 +96,15 @@ class InitialDataSpec:
         return abs(self.mass())
 
     def l2_norm(self) -> float:
-        if self.family == "zero":
-            return 0.0
         n = self.dimension
         return abs(self.amplitude) * (math.pi * self.width ** 2) ** (n / 4.0)
 
     def weighted_l1_norm(self) -> float:
         """integral (1 + |x|) |datum| dx."""
-        if self.family == "zero":
-            return 0.0
         w, n = self.width, self.dimension
         moment = (sphere_area(n) * math.gamma((n + 1.0) / 2.0)
                   * (2.0 * w * w) ** ((n + 1.0) / 2.0) / 2.0)
         return self.l1_norm() + abs(self.amplitude) * moment
-
-    def grad_l2_norm_sq(self) -> float:
-        """squared L^2 norm of the gradient."""
-        if self.family == "zero":
-            return 0.0
-        w, n = self.width, self.dimension
-        return (self.amplitude ** 2 * n / (2.0 * w * w)
-                * (math.pi * w * w) ** (n / 2.0))
 
 
 @dataclass(frozen=True)

