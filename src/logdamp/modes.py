@@ -70,19 +70,50 @@ class InitialDataSpec:
         if self.family == "zero":  # a unit width keeps w^n finite
             object.__setattr__(self, "amplitude", 0.0)
             object.__setattr__(self, "width", 1.0)
+        try:
+            finite = (math.isfinite(self.mass())
+                      and math.isfinite(self._prefactor()))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError(
+                f"width {self.width!r} in dimension {self.dimension}: the "
+                f"transform at r = 0, amplitude * (2 pi)^(n/2) * width^n, "
+                f"overflows")
+
+    def _plain(self) -> bool:
+        """True when width^n, (2 pi width^2)^(n/2) and their factors are
+        normal doubles, so the plain products round only once more."""
+        return self.dimension * (abs(math.frexp(self.width)[1]) + 2) < 1000
+
+    def _prefactor(self) -> float:
+        """amplitude * (2 pi)^(n/2) * width^n, the transform at r = 0.
+
+        Outside ``_plain`` widths width^n is m^n 2^(kn) with width = m 2^k,
+        m in [1/2, 1), so a tiny amplitude offsets a huge width^n and only
+        a result outside the doubles overflows (OverflowError).
+        """
+        w, n = self.width, self.dimension
+        amp = self.amplitude * (2.0 * math.pi) ** (n / 2.0)
+        if self._plain():
+            return amp * w ** n
+        m, k = math.frexp(w)
+        return math.ldexp(amp * m ** n, k * n)
 
     # -- transform side ----------------------------------------------------
 
     def fourier(self, r):
-        """Transform value at radius r (real, radial)."""
-        w, n = self.width, self.dimension
-        amp = self.amplitude * (2.0 * math.pi) ** (n / 2.0) * w ** n
-        r = np.asarray(r, dtype=float)
-        out = amp * np.exp(-0.5 * (w * r) ** 2)
-        return out if out.ndim else float(out)
+        """Transform value at radius r, real or complex (it is entire)."""
+        r = np.asarray(r)
+        if not np.iscomplexobj(r):
+            r = r.astype(float, copy=False)
+        out = self._prefactor() * np.exp(-0.5 * (self.width * r) ** 2)
+        return out if out.ndim else out.item()
 
     def mass(self) -> float:
         """integral of the datum = transform at r = 0."""
+        if not self._plain():
+            return self._prefactor()
         n = self.dimension
         return self.amplitude * (2.0 * math.pi * self.width ** 2) ** (n / 2.0)
 
@@ -142,7 +173,8 @@ class Mode:
     sinc(bt) once per abscissa array; each method builds one field from
     them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
     exact.  One ``symbols.kernel`` call per abscissa array gives a and
-    g (one log1p per abscissa); g is held for the K-term path.
+    g (one log1p per abscissa); g is held for the K-term path.  Real
+    radii serve every field; complex radii serve ``phasor`` only.
     """
 
     def __init__(self, t, r):
@@ -152,10 +184,25 @@ class Mode:
         self.t = t
         self.r, self.a, self.g, _ = symbols.kernel(r)
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
-        bt = self.r * np.sqrt(1.0 - self.g) * t
-        self.env = np.exp(-self.a * t)
-        self.cos_bt = np.cos(bt)
-        self.sinc_bt = sinc(bt)
+        self.b = self.r * np.sqrt(1.0 - self.g)
+        if not np.iscomplexobj(self.r):  # the real-radius fields
+            bt = self.b * t
+            self.env = np.exp(-self.a * t)
+            self.cos_bt = np.cos(bt)
+            self.sinc_bt = sinc(bt)
+
+    def phasor(self, u0_val, u1_val):
+        """P = Z e^{lambda t}, lambda = -a + ib, Z = u0 - i(u1 + a u0)/b.
+
+        On real radii u = Re P and u_t = Re(lambda P) = Re dP/dt (Z is
+        fixed by Re Z = u0 and Re(lambda Z) = u1), so
+        u^2 = |P|^2/2 + Re(P^2)/2 splits into a mean part and a part
+        that oscillates like e^{2ibt}.  P continues analytically to
+        complex radii where |g| < 1 and r != 0 (see ``norms._contour``).
+        """
+        a, b = self.a, self.b
+        return (np.exp(self.t * (1j * b - a))
+                * (u0_val - 1j * (u1_val + a * u0_val) / b))
 
     def u(self, u0_val, u1_val):
         """Mode solution from raw transform values u0_val, u1_val."""

@@ -10,7 +10,12 @@ small gives the magnitude, a second pass (plus the closed-form tail
 bound) then meets the requested relative tolerance, or the call raises
 ArithmeticError naming its site and t.  Mode integrands oscillate like
 sin(b(r) t) with phase slope <= t in r, so their squares carry
-oscillation frequency 2t into the panelling.  The data pair is first
+oscillation frequency 2t, and half-period panels cost ~sqrt(t) per
+call.  l2_norm and energy keep them only on the first 128 half-periods:
+past that a squared mode is a mean part, integrated directly, plus the
+real part of an analytic function, whose integral Cauchy's theorem
+moves onto a contour where it decays like e^{-2ty} (``_contour``), so
+their cost does not grow with t.  The data pair is first
 scaled by a power of two to a unit transform sup, so every amplitude
 in the double range is computed alike; zero data have a zero envelope
 and give 0.0 without quadrature.
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,7 +60,8 @@ BAND_SPLIT = 1.0
 # -- two-phase semi-infinite quadrature -------------------------------------
 
 def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
-               lower: float = 0.0, abs_floor: float = 0.0) -> float:
+               lower: float = 0.0, abs_floor: float = 0.0,
+               split: _Split | None = None) -> float:
     """Integral of f over [lower, inf): the one half-line route.
 
     Phase 1 integrates to a provisional truncation radius of the
@@ -64,8 +71,11 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     the envelope is already small there) is charged to the error.
     ``abs_floor`` certifies results whose error is negligible on the
     caller's absolute scale (bands that have decayed to nothing cannot
-    be certified relative to themselves).  Returns the value, or raises
-    ArithmeticError("<site> did not converge").
+    be certified relative to themselves).  With a ``split`` (a squared
+    mode, see ``_squared_mode``) each phase takes half-period panels
+    only up to split.delta and the contour route of ``_contour`` past
+    it.  Returns the value, or raises ArithmeticError("<site> did not
+    converge").
     """
     scale = tail.scale
     if scale == 0.0:
@@ -79,23 +89,32 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     if r1 < lower:
         r1, bound = lower, tail.bound(lower)
 
-    def spec(lo, hi, abs_tol):
-        return QuadratureSpec(lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
-                              oscillation_frequency=omega,
-                              max_panels=200_000)
+    def direct(lo, hi, abs_tol):
+        res = integrate(f, QuadratureSpec(
+            lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
+            oscillation_frequency=omega, max_panels=200_000))
+        return res.value, res.error_estimate
+
+    def piece(lo, hi, abs_tol):
+        cut = hi if split is None else min(hi, max(lo, split.delta))
+        value, err = direct(lo, cut, abs_tol) if cut > lo else (0.0, 0.0)
+        if hi > cut:
+            v, e = (_contour(split, cut, hi, 0.5 * rel_tol, abs_tol)
+                    or direct(cut, hi, abs_tol))
+            value, err = value + v, err + e
+        return value, err
 
     value = err = 0.0
     if r1 > lower:
-        res = integrate(f, spec(lower, r1, 1e-300))
-        value, err = res.value, res.error_estimate
+        value, err = piece(lower, r1, 1e-300)
 
     tau2 = 0.25 * rel_tol * abs(value)
     if bound > tau2 > 0.0:
         r2, bound2 = truncation_point(tail, tau2)
         if r2 > r1:
-            res2 = integrate(f, spec(r1, r2, max(tau2, 1e-300)))
-            value += res2.value
-            err += res2.error_estimate
+            v, e = piece(r1, r2, max(tau2, 1e-300))
+            value += v
+            err += e
             bound = bound2
     err += bound
 
@@ -103,6 +122,116 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
                       1e-280 * max(scale, 1.0)):
         raise ArithmeticError(f"{site} did not converge")
     return value
+
+
+# -- the squared mode: mean part and contour -------------------------------
+
+# Half-periods of cos(2bt) on the direct route: [0, delta] with
+# delta = _K pi / (2t).  Every l2_norm and energy call of ``logdamp
+# lemmas`` needs at most 70, so those keep their half-period panels.
+_K = 128
+# t Y for the contour height Y: |e^{2 lambda t}| <= e^{-1.5 t y} on the
+# strip 0 <= y <= 1/2, so it is at most e^{-36} on the top side.
+_TY = 24.0
+
+
+class _Split(NamedTuple):
+    """The squared mode on [delta, inf) as mean(x) + Re h(x) (x real),
+    h analytic on the rectangles [delta, R] x [0, height]."""
+
+    mean: Callable
+    h: Callable
+    delta: float
+    height: float
+
+
+def _squared_mode(t: float, u0, u1, n: int, energy: bool):
+    """(f, split): the integrand of l2_norm (u^2 r^(n-1)) or of energy
+    ((u_t^2 + r^2 u^2) r^(n-1)), and its split past delta (None at t = 0).
+
+    With P = Mode.phasor, u = Re P and u_t = Re(lambda P) on real radii,
+    and (Re X)^2 = |X|^2/2 + Re(X^2)/2.  So u^2 has the mean |P|^2/2 and
+    h = P^2/2; for the energy, |lambda|^2 = r^2 on real radii and
+    lambda^2 + r^2 = -2 a lambda (the mode equation) give the mean
+    r^2 |P|^2 and h = -a lambda P^2.  The mean carries no e^{2ibt} and
+    h is analytic, so neither needs half-period panels past delta.
+    The height min(1/2, _TY/t, 1/w), w the widest datum, keeps tY <= 24
+    and the data factor |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.
+    """
+    def f(r):
+        mode = modes.Mode(t, r)
+        u0v, u1v = u0.fourier(r), u1.fourier(r)
+        u = mode.u(u0v, u1v)
+        if energy:
+            ut = mode.u_t(u0v, u1v)
+            return (ut * ut + (r * u) ** 2) * r ** (n - 1)
+        return u ** 2 * r ** (n - 1)
+
+    def mean(x):
+        p = modes.Mode(t, x).phasor(u0.fourier(x), u1.fourier(x))
+        return ((x * x if energy else 0.5) * (p.real ** 2 + p.imag ** 2)
+                * x ** (n - 1))
+
+    def h(r):
+        mode = modes.Mode(t, r)
+        p = mode.phasor(u0.fourier(r), u1.fourier(r))
+        w = mode.a * (mode.a - 1j * mode.b) if energy else 0.5
+        return w * p * p * r ** (n - 1)
+
+    if t == 0.0:
+        return f, None
+    widths = [d.width for d in (u0, u1) if d.amplitude != 0.0] or [1.0]
+    height = min(0.5, _TY / t, 1.0 / max(widths))
+    return f, _Split(mean, h, _K * math.pi / (2.0 * t), height)
+
+
+def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
+             abs_tol: float):
+    """(value, error) of the integral of f = mean + Re h over [lo, hi],
+    lo > 0, or None when the contour's error exceeds
+    max(abs_tol, rel_tol |value|).
+
+    The mean runs on geometric breakpoints lo 2^(k/2), the y sides on
+    eight equal panels (both take fewer refinement waves than halving
+    from one panel).  On the rectangle [lo, hi] x [0, Y] Cauchy's
+    theorem gives
+
+        int_lo^hi h dx = i int_0^Y h(lo + iy) dy + int_lo^hi h(x + iY) dx
+                         - i int_0^Y h(hi + iy) dy.
+
+    The left side decays like e^{-2ty} and is integrated; the top and
+    right sides are bounded by the integrals of |h| (plus their
+    quadrature errors) and charged to the error, as the envelope tail
+    is.  h is analytic there: 1 + r^2 has real part >= 3/4 for
+    y <= 1/2, so a = log1p(r^2)/2 is, and so is g = a^2/r^2 for
+    r != 0.  |g| <= 0.17 on the boundary of [lo, hi] x [0, 1/2] (0.169
+    at r = 1.71 + 0.5i; tests/test_symbols.py samples the strip), so by
+    the maximum-modulus principle also inside it, which holds every
+    rectangle of height Y <= 1/2.  Hence Re(1 - g) > 0, sqrt(1 - g)
+    and b = r sqrt(1 - g) are analytic, and b != 0, so 1/b is too; the
+    data transforms and r^(n-1) are entire.
+    """
+    mean, h, _, height = split
+    steps = np.arange(1, math.ceil(2.0 * math.log2(hi / lo)))
+    xs = integrate(lambda x: np.stack([mean(x),
+                                       np.abs(h(x + 1j * height))]),
+                   QuadratureSpec(lo, hi, abs_tol=0.25 * abs_tol,
+                                  rel_tol=0.25 * rel_tol,
+                                  breakpoints=tuple(lo * 2.0 ** (steps / 2))))
+    if not xs.panels_used:  # refused: more panels than max_panels
+        return None
+    floor = max(0.25 * abs_tol, 0.125 * rel_tol * abs(xs.value[0]))
+    ys = integrate(lambda y: np.stack([-h(lo + 1j * y).imag,
+                                       np.abs(h(hi + 1j * y))]),
+                   QuadratureSpec(0.0, height, abs_tol=floor,
+                                  rel_tol=0.25 * rel_tol, min_panels=8))
+    if not ys.panels_used:
+        return None
+    value = float(xs.value[0] + ys.value[0])
+    err = float(xs.error_estimate.sum() + ys.error_estimate.sum()
+                + xs.value[1] + ys.value[1])
+    return (value, err) if err <= max(abs_tol, rel_tol * abs(value)) \
+        else None
 
 
 def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
@@ -147,22 +276,25 @@ def _envelope(t: float, u0, u1, n: int, energy: bool = False,
     |sin(bt)/b| <= t), so the term is (1.58 B0 + t B1)^2 (1+r^2)^(-t)
     r^(n-1), q = n - 1; the B1 part vanishes at t = 0.
 
-    ``energy``: (u_t^2 + r^2 u^2) r^(n-1) <= 5.2 (B0 + B1)^2 (1+r^2)^(-t)
-    r^(n+1), q = n + 3.  ``p1`` (the residual against the mass-p1 profile
+    ``energy``: |u_t| <= e^{-at}(1.58 B1 + 1.1 r B0) and
+    r |u_hat| <= e^{-at}(1.58 r B0 + 1.1 B1), so
+    (u_t^2 + r^2 u^2) r^(n-1) <= 5.2 (B0 + B1)^2 (1+r^2)^(-t) r^(n+1) for
+    r >= 1 and with r^(n-1) for r < 1 (the weight (t, n + 1, n - 1)),
+    q = n + 3.  ``p1`` (the residual against the mass-p1 profile
     P): (u_hat - P)^2 <= 2 u_hat^2 + 2 P^2, a second term from
     P^2 r^(n-1) <= p1^2 (1+r^2)^(-t) r^(n-3).
     """
     b0, b1 = u0.fourier_sup(), u1.fourier_sup()
     if energy:
-        coeff, p, q = 5.2 * (b0 + b1) ** 2, n + 1.0, n + 3.0
+        coeff, weight, q = 5.2 * (b0 + b1) ** 2, (t, n + 1.0, n - 1.0), n + 3.0
     else:
-        coeff, p, q = (1.58 * b0 + t * b1) ** 2, n - 1.0, n - 1.0
+        coeff, weight, q = (1.58 * b0 + t * b1) ** 2, (t, n - 1.0), n - 1.0
     if p1 is not None:
         coeff *= 2.0
     widths = [d.width for d in (u0, u1) if d.amplitude != 0.0]
     data = (min(widths) ** 2, q) if widths else None
     profile = [(2.0 * p1 * p1, (t, n - 3.0), None)] if p1 and t > 0.0 else []
-    return Envelope((coeff, (t, p), data), *profile)
+    return Envelope((coeff, weight, data), *profile)
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -174,13 +306,10 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     n = _check_pair(u0, u1, n)
     t = float(t)
     u0, u1, k = _unit_pair(u0, u1)
-
-    def f(r):
-        u = modes.Mode(t, r).u(u0.fourier(r), u1.fourier(r))
-        return u ** 2 * r ** (n - 1)
-
+    f, split = _squared_mode(t, u0, u1, n, energy=False)
     site = f"l2_norm at t={t}"
-    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site)
+    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site,
+                     split=split)
     return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
                      site)
 
@@ -191,17 +320,10 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     n = _check_pair(u0, u1, n)
     t = float(t)
     u0, u1, k = _unit_pair(u0, u1)
-
-    def f(r):
-        mode = modes.Mode(t, r)
-        u0v, u1v = u0.fourier(r), u1.fourier(r)
-        ut = mode.u_t(u0v, u1v)
-        u = mode.u(u0v, u1v)
-        return (ut * ut + (r * u) ** 2) * r ** (n - 1)
-
+    f, split = _squared_mode(t, u0, u1, n, energy=True)
     site = f"energy at t={t}"
     val = _two_phase(f, _envelope(t, u0, u1, n, energy=True), 2.0 * t,
-                     rel_tol, site)
+                     rel_tol, site, split=split)
     return _rescaled(0.5 * plancherel_constant(n) * max(val, 0.0), 2 * k,
                      site)
 

@@ -88,10 +88,16 @@ def weight_factor_range(p: float, radius: float) -> tuple[float, float]:
     return min(1.0, f), max(1.0, f)
 
 
-def _weight_tail(coeff: float, t: float, p: float, radius: float) -> float:
+def _weight_tail(coeff: float, radius: float, t: float, p: float,
+                 p_low: float | None = None) -> float:
     """coeff M(R) (1+R^2)^(-s)/(2s), s = t - (p+1)/2, M from
     ``weight_factor_range``: at least the tail of coeff (1+r^2)^(-t) r^p
-    and at most M/m times it, for 2t > p + 1 and R > 0 (+inf elsewhere)."""
+    and at most M/m times it, for 2t > p + 1 and R > 0 (+inf elsewhere).
+    With ``p_low`` the weight is r^p_low below r = 1: from R < 1 the
+    bound is the r^p_low tail from R plus the r^p tail from 1."""
+    if p_low is not None and radius < 1.0:
+        return (_weight_tail(coeff, radius, t, p_low)
+                + _weight_tail(coeff, 1.0, t, p))
     s = t - (p + 1.0) / 2.0
     if not (s > 0.0 and radius > 0.0):
         return math.inf
@@ -115,9 +121,10 @@ def _data_tail(coeff: float, c: float, q: float, radius: float) -> float:
 
 class Envelope:
     """Tail envelope |f(r)| <= sum over terms (coeff, weight, data) of
-    coeff min((1+r^2)^(-t) r^p, r^q exp(-c r^2)), weight = (t, p), data =
-    (c, q) (for r >= 1 only); None drops a side.  ``bound(R)``, the sum of
-    each term's smaller closed-form tail, bounds the integral of |f| past R.
+    coeff min((1+r^2)^(-t) r^p, r^q exp(-c r^2)), weight = (t, p) or
+    (t, p, p_low) (r^p_low in place of r^p below r = 1), data = (c, q)
+    (for r >= 1 only); None drops a side.  ``bound(R)``, the sum of each
+    term's smaller closed-form tail, bounds the integral of |f| past R.
     """
 
     def __init__(self, *terms: tuple):
@@ -125,7 +132,7 @@ class Envelope:
         self.scale = sum(coeff for coeff, _, _ in terms)
 
     def bound(self, radius: float) -> float:
-        return sum(min(_weight_tail(c, *w, radius) if w else math.inf,
+        return sum(min(_weight_tail(c, radius, *w) if w else math.inf,
                        _data_tail(c, *d, radius) if d else math.inf)
                    for c, w, d in self.terms if c != 0.0)
 

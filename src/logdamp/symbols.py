@@ -29,40 +29,77 @@ G_SERIES_CUT = 1e-4
 
 
 def kernel(r):
-    """(r, a, g, big) as float arrays of r's shape, checking r once
-    (finite, >= 0) and squaring it once.  a = log1p(r^2)/2 and
-    g = a*a/(r*r), bit-identical to log^2(1+r^2)/(4r^2) as 1/2 and 4 are
-    powers of two.  ``big`` masks the radii whose square overflows
-    (r > 1.34e154; None when none does, found by numpy's overflow flag
-    without an extra pass): there a = log r, dropping log1p(r^-2)/2 <
-    1e-308, and g = (a/r)^2.  Below r = 1e-4, g is the series in x = r^2,
+    """(r, a, g, big) as arrays of r's shape, checking r once and squaring
+    it once.  a = log1p(r^2)/2 and g = a*a/(r*r), bit-identical to
+    log^2(1+r^2)/(4r^2) as 1/2 and 4 are powers of two.  ``big`` masks
+    the radii whose square overflows (|r| > 1.34e154; None when none
+    does, found by numpy's overflow flag without an extra pass): there
+    a = log r, dropping log1p(r^-2)/2 < 1e-308, and g = (a/r)^2.  Below
+    |r| = 1e-4, g is the series in x = r^2,
     g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
+
+    Real radii must be finite and >= 0.  Complex radii (the analytic
+    continuation, for contour integrals) must be finite with Re r >= 0
+    and off the cut r = iy, |y| >= 1, where 1 + r^2 <= 0; there
+    log1p(r^2) is the cancellation-free ``_log1p_complex``.
     """
-    r = np.asarray(r, dtype=float)
+    r = np.asarray(r)
+    cplx = np.iscomplexobj(r)
+    if not cplx:
+        r = r.astype(float, copy=False)
     shape = r.shape
     r = np.atleast_1d(r)
-    if not np.all(np.isfinite(r)) or np.any(r < 0.0):
+    if cplx:
+        if not np.all(np.isfinite(r)) or np.any(
+                (r.real < 0.0) | ((r.real == 0.0) & (np.abs(r.imag) >= 1.0))):
+            raise ValueError("complex radius must be finite with Re r >= 0, "
+                             "off the cut r = iy, |y| >= 1")
+    elif not np.all(np.isfinite(r)) or np.any(r < 0.0):
         raise ValueError("radius must be finite and >= 0")
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", invalid="raise"):
             rr, big = r * r, None
     except FloatingPointError:
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             rr = r * r
-        big = np.isinf(rr)
-    a = 0.5 * np.log1p(rr)
+        big = ~np.isfinite(rr)
+    if cplx:
+        with np.errstate(invalid="ignore"):
+            a = 0.5 * _log1p_complex(rr)
+    else:
+        a = 0.5 * np.log1p(rr)
     with np.errstate(invalid="ignore", divide="ignore"):
         g = a * a / rr
     if big is not None:
         a[big] = np.log(r[big])
         g[big] = (a[big] / r[big]) ** 2
         big = big.reshape(shape)
-    small = r < G_SERIES_CUT
+    small = (np.abs(r) if cplx else r) < G_SERIES_CUT
     if small.any():
         x = rr[small]
         g[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
                                                       - x * (5.0 / 6.0))))
     return r.reshape(shape), a.reshape(shape), g.reshape(shape), big
+
+
+def _log1p_complex(z):
+    """log(1 + z) for complex z, accurate relative to |log(1 + z)|.
+
+    numpy's complex log1p loses digits as |z| falls (6e-5 relative at
+    |z| = 1e-12, z = r^2 for r = (1 + 0.3i) 1e-6).
+    Below |z| = 1/2 this takes the real part as log1p(p(2 + p) + q^2)/2,
+    with |1 + z|^2 - 1 = p(2 + p) + q^2 formed from z = p + iq without
+    adding 1, and the imaginary part as atan2(q, 1 + p); the absolute
+    error of p(2 + p) + q^2 is a few ulps of |z|, and |log(1 + z)| >=
+    |z|/2 there.  Elsewhere log(1 + z) has no cancellation.
+    """
+    out = np.log(1.0 + z)
+    near = np.abs(z) < 0.5
+    if near.any():
+        p, q = z.real[near], z.imag[near]
+        out[near] = (0.5 * np.log1p(p * (2.0 + p) + q * q)
+                     + 1j * np.arctan2(q, 1.0 + p))
+    return out
 
 
 def _out(x):

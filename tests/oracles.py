@@ -43,9 +43,11 @@ def mp_weight_tail(t, p, lo, dps=40):
 
 
 def mp_symbols(r, dps=40):
-    """High-precision (a, b, g, b - r, 1/b - 1/r) from the raw formulas."""
+    """High-precision (a, b, g, b - r, 1/b - 1/r) from the raw formulas.
+
+    A complex r takes the principal branches of log and sqrt."""
     with mp.workdps(dps):
-        rm = mp.mpf(r)
+        rm = mp.mpmathify(r)
         lg = mp.log(1 + rm * rm)
         a = lg / 2
         g = lg * lg / (4 * rm * rm)
@@ -54,7 +56,18 @@ def mp_symbols(r, dps=40):
 
 
 def mp_energy(t, u0, u1, dps=30):
-    """Energy of the damped wave at time t for radial Gaussian/zero data.
+    """Energy of the damped wave at time t for radial Gaussian/zero data."""
+    return _mp_squared_mode(t, u0, u1, True, dps)
+
+
+def mp_l2_sq(t, u0, u1, dps=30):
+    """||u(t)||^2 for radial Gaussian/zero data, by the route of mp_energy."""
+    return _mp_squared_mode(t, u0, u1, False, dps)
+
+
+def _mp_squared_mode(t, u0, u1, energy, dps):
+    """(2 pi)^(-n) omega_n times the radial integral of u_hat^2 r^(n-1),
+    or of (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy.
 
     Each mode is built from the characteristic roots l_pm = -a +/- ib of
     v'' + 2a v' + r^2 v = 0 in complex arithmetic, so none of the
@@ -81,8 +94,10 @@ def mp_energy(t, u0, u1, dps=30):
             dl = lp - lm
             v0, v1 = transform(u0, r), transform(u1, r)
             u = ((lp * em - lm * ep) * v0 + (ep - em) * v1) / dl
+            if not energy:
+                return abs(u) ** 2 * r ** (n - 1)
             ut = (lp * lm * (em - ep) * v0 + (lp * ep - lm * em) * v1) / dl
-            return (abs(ut) ** 2 + r * r * abs(u) ** 2) * r ** (n - 1)
+            return (abs(ut) ** 2 + r * r * abs(u) ** 2) * r ** (n - 1) / 2
 
         wmin = min(d.width for d in (u0, u1) if d.family != "zero")
         cut = 0.5
@@ -90,4 +105,4 @@ def mp_energy(t, u0, u1, dps=30):
             cut *= 1.1
         val = mp_quad_panels(f, 0, cut, omega=2.0 * float(t), dps=dps)
         area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
-        return val * area / (2 * (2 * mp.pi) ** n)
+        return val * area / (2 * mp.pi) ** n

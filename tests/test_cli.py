@@ -152,6 +152,34 @@ def test_decay_at_tiny_amplitude_fits_as_at_unit_amplitude(tmp_path,
                                                    rel=1e-9)
 
 
+def test_decay_to_t_1e12_certifies_every_row(tmp_path, capsys):
+    # Half-period panels refused t above about 2e9 (the 200 000-panel
+    # cap); the mean part and contour take the same work at every t.
+    code, text = run(tmp_path, "decay", "--t-max", "1e12")
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 60 and all(float(r["norm"]) > 0.0 for r in rows)
+    # The n = 2 log band reads about 1.33 over [1e2, 1e12], past its 1.25
+    # limit: the band check, not the norms, fails there.
+    assert code == 1 and "# FAIL n=2 log-band ratio" in text
+    code, text = run(tmp_path, "decay", "--t-max", "1e12", "--dim", "1,3")
+    assert code == 0 and "# checks=PASS" in text
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_decay_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
+    # width^3 overflows at width 1e103, the transform at 0 (1.6e10) does
+    # not: the prefactor is formed scale-safely.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u0_family = gaussian\nu0_amplitude = 1e-300\n"
+                   "u0_width = 1e103\n")
+    code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3",
+                     "--t-points", "5")
+    assert "error:" not in capsys.readouterr().err
+    assert code == 0 and "# checks=PASS" in text
+    assert len(parse_rows(text)) == 5
+
+
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):
     code, text = run(tmp_path, "lemmas", "--config",
                      _zero_data_config(tmp_path), "--samples", "20")

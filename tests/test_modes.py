@@ -73,6 +73,51 @@ def test_zero_family():
     assert np.all(dec.A1(np.linspace(0, 5, 9)) == 0.0)
 
 
+def test_transform_prefactor_is_scale_safe():
+    # width^3 overflows at width 1e103, but with amplitude 1e-300 the
+    # transform sup, 1e-300 (2 pi)^(3/2) 1e309, is an ordinary double.
+    wide = InitialDataSpec("gaussian", 1e-300, 1e103, 3)
+    expect = 1e-300 * (2.0 * math.pi) ** 1.5 * 1e103 * 1e103 * 1e103
+    assert wide.mass() == pytest.approx(expect, rel=1e-14)
+    assert wide.fourier(0.0) == pytest.approx(expect, rel=1e-14)
+    assert wide.fourier(1e-103) == pytest.approx(expect * math.exp(-0.5),
+                                                 rel=1e-14)
+    tiny = InitialDataSpec("gaussian", 1e300, 1e-110, 3)
+    assert tiny.mass() == pytest.approx(
+        1e300 * (2.0 * math.pi) ** 1.5 * 1e-330, rel=1e-14)
+    # Where the result itself leaves the doubles, the datum is refused
+    # by its width and dimension.
+    with pytest.raises(ValueError, match=r"width 1e\+103 in dimension 3"):
+        InitialDataSpec("gaussian", 1.0, 1e103, 3)
+    # A transform sup near the top of the doubles is still one.
+    assert InitialDataSpec("gaussian", 1e308 / 16, 1.0, 3).mass() > 9e307
+    # Ordinary widths keep the plain products, bit for bit.
+    for w in (0.5, 0.8, 1.0, 1.3, 2.0):
+        d = InitialDataSpec("gaussian", 1.7, w, 3)
+        assert d.mass() == 1.7 * (2.0 * math.pi * w ** 2) ** 1.5
+        assert d.fourier(0.0) == 1.7 * (2.0 * math.pi) ** 1.5 * w ** 3
+
+
+def test_transform_and_phasor_take_complex_radii():
+    # The transform is entire; the phasor P = Z e^{lambda t} gives the
+    # mode as Re P and its time derivative as Re(lambda P) on real radii.
+    g0 = InitialDataSpec("gaussian", 2.0, 0.7, 3)
+    g1 = InitialDataSpec("gaussian", 1.0, 1.3, 3)
+    z = np.array([0.3 + 0.2j, 2.0 + 0.5j])
+    expect = 2.0 * (2.0 * math.pi) ** 1.5 * 0.7 ** 3 * np.exp(-0.245 * z * z)
+    assert np.allclose(g0.fourier(z), expect, rtol=1e-14, atol=0.0)
+    r = np.geomspace(1e-6, 30.0, 200)
+    for t in (0.0, 3.0, 1e3):
+        mode = Mode(t, r)
+        u0v, u1v = g0.fourier(r), g1.fourier(r)
+        p = mode.phasor(u0v, u1v)
+        lam = 1j * mode.b - mode.a
+        scale = np.abs(u0v) + np.abs(u1v) * max(t, 1.0)
+        assert np.all(np.abs(p.real - mode.u(u0v, u1v)) <= 1e-14 * scale)
+        assert np.all(np.abs((lam * p).real - mode.u_t(u0v, u1v))
+                      <= 1e-13 * scale * (1.0 + r))
+
+
 def test_velocity_split_is_exact_and_real():
     dec = decompose_data(GAUSS1)
     xi = np.linspace(0.0, 8.0, 50)

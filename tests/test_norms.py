@@ -11,7 +11,7 @@ import pytest
 from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
-from oracles import mp_energy, mp_quad_panels, mp_weight_tail
+from oracles import mp_energy, mp_l2_sq, mp_quad_panels, mp_weight_tail
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -106,6 +106,101 @@ def test_three_dimensional_rate_between_decades():
     u0, u1 = zero(3), gaussian(3)
     r = norms.l2_norm(1e4, u0, u1, 3) / norms.l2_norm(1e3, u0, u1, 3)
     assert r == pytest.approx(10.0 ** -0.25, rel=0.1)
+
+
+# -- the mean part and contour past 128 half-periods --------------------------
+
+def _contours(monkeypatch):
+    """Record what each norms._contour call returned."""
+    seen, contour = [], norms._contour
+
+    def recorded(*args):
+        seen.append(contour(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(norms, "_contour", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("u0", ["zero", "gaussian"])
+def test_split_route_matches_mpmath(monkeypatch, n, u0):
+    # At t = 1e3 the contour covers [0.2, R], R about 1; mpmath integrates
+    # the mode from its characteristic roots on half-period panels at 30
+    # digits.
+    t, u1 = 1e3, gaussian(n, 1.0, 1.3)
+    u0 = zero(n) if u0 == "zero" else gaussian(n, 0.5, 0.8)
+    seen = _contours(monkeypatch)
+    got = norms.l2_norm(t, u0, u1, n) ** 2
+    assert got == pytest.approx(float(mp_l2_sq(t, u0, u1)), rel=1e-10)
+    if u0.amplitude:
+        got = norms.energy(t, u0, u1, n)
+        assert got == pytest.approx(float(mp_energy(t, u0, u1)), rel=1e-10)
+    assert seen and all(part is not None for part in seen)
+
+
+@pytest.mark.parametrize("t", [1e10, 1e12])
+@pytest.mark.parametrize("n", [2, 3])
+def test_leading_constants_at_large_t(n, t):
+    # Zero u0, u1 of mass P1: ||u||^2 ~ (P1^2/8 pi)(log t + gamma + 2 log 2)
+    # for n = 2, with an O(1/t) error, and ~ P1^2 (2 pi)^-3 4 pi
+    # Gamma(1/2) t^(-1/2) / 4 for n = 3, with an O(1/t) relative error.
+    u1 = gaussian(n)
+    p1 = u1.mass()
+    if n == 2:
+        lead = p1 ** 2 / (8.0 * math.pi) * (math.log(t) + np.euler_gamma
+                                            + 2.0 * math.log(2.0))
+    else:
+        lead = (p1 ** 2 * (2.0 * math.pi) ** -3 * 4.0 * math.pi
+                * math.sqrt(math.pi) / (4.0 * math.sqrt(t)))
+    assert norms.l2_norm(t, zero(n), u1, n) ** 2 == pytest.approx(lead,
+                                                                  rel=1e-10)
+
+
+@pytest.mark.parametrize("t", [1e16, 1e19])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_energy_leading_term_at_very_large_t(n, t):
+    # Zero u0, unit Gaussian u1 (P1^2 = (2 pi)^n): the mean part gives
+    # E ~ pi^(n/2) / (2 t^(n/2)).  Truncation radii are ~1/sqrt(t) here,
+    # where u_t^2 is not O(r^2): an envelope that took (u_t^2 + r^2 u^2)
+    # <= C r^2 below r = 1 stopped too early, 2.4e-10 off at t = 1e16
+    # and 3e-7 at 1e19 for n = 1, and still certified 1e-10.
+    lead = math.pi ** (n / 2.0) / (2.0 * t ** (n / 2.0))
+    assert norms.energy(t, zero(n), gaussian(n), n) == pytest.approx(
+        lead, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
+    # Half-period panels to the truncation radius took 40 520 to 45 980
+    # (l2_norm) and 39 476 (energy) panels here; the direct route now
+    # stops at 128 half-periods, and a call takes 153 to 162.
+    panels, integrate_ = [], norms.integrate
+
+    def counted(f, spec):
+        res = integrate_(f, spec)
+        panels.append(res.panels_used)
+        return res
+
+    monkeypatch.setattr(norms, "integrate", counted)
+    u0, u1 = gaussian(n, 2.0, 0.7), gaussian(n)
+    for fn in (norms.l2_norm, norms.energy):
+        panels.clear()
+        assert fn(1e8, u0, u1, n) > 0.0
+        assert 0 < sum(panels) <= 1000
+
+
+def test_contour_falls_back_where_its_bound_does_not_fit(monkeypatch):
+    # At t = 2 the contour height is 1/2 and its top side is not small
+    # against the mean part of data this narrow (width 0.01), so [delta, R]
+    # keeps half-period panels; the value is the all-direct one.
+    t, n = 2.0, 3
+    u0, u1 = gaussian(n, 1.0, 0.01), gaussian(n, 1.0, 0.01)
+    seen = _contours(monkeypatch)
+    got = norms.energy(t, u0, u1, n)
+    assert None in seen
+    monkeypatch.setattr(norms, "_K", math.inf)
+    assert got == pytest.approx(norms.energy(t, u0, u1, n), rel=1e-12)
 
 
 # -- energy -------------------------------------------------------------------
@@ -227,14 +322,22 @@ def test_residual_argument_validation():
 
 # -- one symbol pass per abscissa --------------------------------------------
 
-@pytest.mark.parametrize("call", [
-    lambda u0, u1: norms.l2_norm(50.0, u0, u1, 2),
-    lambda u0, u1: norms.energy(50.0, u0, u1, 2),
-    lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2),
-    lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2, method="kterms"),
-], ids=["l2_norm", "energy", "residual_difference", "residual_kterms"])
-def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call):
-    seen = {"symbol": 0, "integrand": 0}
+@pytest.mark.parametrize("call, split", [
+    (lambda u0, u1: norms.l2_norm(50.0, u0, u1, 2), False),
+    (lambda u0, u1: norms.energy(50.0, u0, u1, 2), False),
+    (lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2), False),
+    (lambda u0, u1: norms.residual_norm(50.0, u0, u1, 2, method="kterms"),
+     False),
+    (lambda u0, u1: norms.l2_norm(1e6, u0, u1, 2), True),
+    (lambda u0, u1: norms.energy(1e6, u0, u1, 2), True),
+], ids=["l2_norm", "energy", "residual_difference", "residual_kterms",
+        "l2_norm_split", "energy_split"])
+def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
+                                                     split):
+    # A half-period panel abscissa is one radius; an abscissa of the
+    # contour route (no oscillation frequency) is two: the mean part and
+    # the top side, or the left and right sides.
+    seen = {"symbol": 0, "radii": 0, "contour": 0}
     kernel, integrate_ = symbols.kernel, norms.integrate
 
     def counted_kernel(r):
@@ -242,38 +345,47 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call):
         return kernel(r)
 
     def counted_integrate(f, spec):
+        radii = 1 if spec.oscillation_frequency else 2
+        seen["contour"] += radii == 2
+
         def g(x):
-            seen["integrand"] += np.size(x)
+            seen["radii"] += radii * np.size(x)
             return f(x)
         return integrate_(g, spec)
 
     monkeypatch.setattr(symbols, "kernel", counted_kernel)
     monkeypatch.setattr(norms, "integrate", counted_integrate)
     call(gaussian(2, 2.0, 0.7), gaussian(2))
-    assert seen["integrand"] > 0
-    assert seen["symbol"] == seen["integrand"]
+    assert seen["radii"] > 0
+    assert seen["symbol"] == seen["radii"]
+    assert (seen["contour"] > 0) == split
 
 
 # -- one certify path ---------------------------------------------------------
 
-@pytest.mark.parametrize("site, call", [
-    ("l2_norm", lambda t: norms.l2_norm(t, zero(3), gaussian(3), 3)),
-    ("energy", lambda t: norms.energy(t, gaussian(3, 2.0, 0.7), gaussian(3),
-                                      3)),
-    ("residual_norm",
+@pytest.mark.parametrize("site, t, call", [
+    ("l2_norm", 5.0, lambda t: norms.l2_norm(t, zero(3), gaussian(3), 3)),
+    ("energy", 5.0, lambda t: norms.energy(t, gaussian(3, 2.0, 0.7),
+                                           gaussian(3), 3)),
+    ("residual_norm", 5.0,
      lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3)),
-    ("residual_norm high band",
+    ("residual_norm high band", 5.0,
      lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3, band="high")),
-    ("M_integral(sin)", lambda t: norms.M_integral(t, 3, "sin")),
-    ("M_integral(cos)", lambda t: norms.M_integral(t, 3, "cos")),
-    ("M_integral(sin)", lambda t: norms.M_integral(t, 1, "sin")),
-    ("M_integral(sin)", lambda t: norms.M_integral(t, 2, "sin")),
+    ("M_integral(sin)", 5.0, lambda t: norms.M_integral(t, 3, "sin")),
+    ("M_integral(cos)", 5.0, lambda t: norms.M_integral(t, 3, "cos")),
+    ("M_integral(sin)", 5.0, lambda t: norms.M_integral(t, 1, "sin")),
+    ("M_integral(sin)", 5.0, lambda t: norms.M_integral(t, 2, "sin")),
+    ("l2_norm", 1e6, lambda t: norms.l2_norm(t, zero(3), gaussian(3), 3)),
+    ("energy", 1e6, lambda t: norms.energy(t, gaussian(3, 2.0, 0.7),
+                                           gaussian(3), 3)),
 ], ids=["l2_norm", "energy", "residual_both", "residual_high", "M_sin",
-        "M_cos", "M_sin_n1", "M_sin_n2"])
-def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, call):
+        "M_cos", "M_sin_n1", "M_sin_n2", "l2_norm_split", "energy_split"])
+def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, t,
+                                                     call):
     # At t = 5 every band carries weight, so no absolute floor certifies
     # a truncated panelling; with 2 panels none can meet its tolerance.
-    t = 5.0
+    # At t = 1e6 the mean part and contour run past 128 half-periods, and
+    # neither they nor the half-period panels fit in 2 panels.
     assert math.isfinite(call(t))
     integrate_ = norms.integrate
     monkeypatch.setattr(norms, "integrate", lambda f, spec: integrate_(

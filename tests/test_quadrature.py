@@ -275,6 +275,22 @@ def test_gauss_tail_bound_is_upper_bound():
             assert true <= tail.bound(radius)
 
 
+def test_weight_with_a_lower_power_below_one():
+    # (t, p, p_low) is r^p_low below r = 1 and r^p above, as for the
+    # energy, whose integrand does not vanish at r = 0: the same bound as
+    # (t, p) from r = 1 on, a true bound below, where (t, p) is not.
+    import mpmath as mp
+    t, p, p_low = 50.0, 2.0, 0.0  # the energy at n = 1
+    split, high = Envelope((1.0, (t, p, p_low), None)), weight(t, p)
+    for radius in (1.0, 1.5, 3.0):
+        assert split.bound(radius) == high.bound(radius)
+    for radius in (0.01, 0.05, 0.3):
+        true = float(mp.quad(lambda r: (1 + r * r) ** -t * r ** p_low,
+                             [radius, 1]) + mp_weight_tail(t, p, 1.0))
+        assert true <= split.bound(radius)
+        assert high.bound(radius) < true
+
+
 def test_tail_combinators():
     # A term bounds by the smaller of its two tails, an envelope by the
     # sum of its terms, and both meet the truncation_point contract.
@@ -339,10 +355,11 @@ def test_converged_initial_panelling_takes_one_rule_pass(monkeypatch):
 
 
 def test_rule_calls_stay_within_the_chunk_at_t_1e8(monkeypatch):
+    # M_integral keeps half-period panels to its truncation radius: some
+    # 43 000 at t = 1e8 (l2_norm takes about 160 since its mean part and
+    # contour replace them past 128 half-periods).
     sizes = _count_rule_calls(monkeypatch)
-    u0 = InitialDataSpec("zero", dimension=3)
-    u1 = InitialDataSpec("gaussian", 1.0, 1.0, 3)
-    assert norms.l2_norm(1e8, u0, u1, 3) > 0.0
+    assert norms.M_integral(1e8, 3, "sin") > 0.0
     assert max(sizes) <= quadrature._CHUNK
     assert sum(sizes) > 10 * quadrature._CHUNK
 

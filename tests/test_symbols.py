@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,6 +158,59 @@ def test_stable_differences_where_r_squared_overflows(r):
     arr = symbols.inv_b_minus_inv_r(np.array([0.0, 1.0, r]))
     assert arr[0] == arr[2] == 0.0
     assert arr[1] == symbols.inv_b_minus_inv_r(1.0)
+
+
+# Radii on the sides of the contour rectangles [delta, R] x [0, Y] of
+# norms._contour: delta = 128 pi / (2t) for t = 1e3 ... 1e12, with
+# |r| below the series cut (1e-4), and between it and |r^2| = 1/2,
+# where log1p takes the cancellation-free complex form.
+_SIDES = np.concatenate([
+    d + 1j * np.geomspace(1e-14, 0.5, 40)
+    for d in (2.0e-10, 2.0e-6, 2.0e-4, 0.2)] + [
+    np.geomspace(2e-10, 50.0, 60) + 1j * y for y in (2.4e-11, 2.4e-5, 0.5)])
+
+
+def test_complex_symbols_against_high_precision():
+    r, a, g, big = symbols.kernel(_SIDES)
+    assert big is None and (np.abs(r) < symbols.G_SERIES_CUT).sum() > 20
+    for z, ai, gi in zip(_SIDES, a, g):
+        ma, mb, mg = (complex(x) for x in mp_symbols(z)[:3])
+        assert abs(ai - ma) <= 4e-16 * abs(ma)
+        assert abs(gi - mg) <= 1e-15 * abs(mg)
+        b = z * np.sqrt(1.0 - gi)
+        assert abs(b - mb) <= 4e-16 * abs(mb)
+    # numpy's complex log1p loses 9e-7 relative here.
+    z = (1e-5 + 3e-6j) ** 2
+    ref = complex(mp.log1p(mp.mpc(z)))
+    assert abs(symbols._log1p_complex(np.array([z]))[0] - ref) \
+        <= 2e-16 * abs(ref)
+    # Real radii keep the real path: the same bits as before.
+    real = np.geomspace(1e-8, 1e3, 50)
+    assert symbols.kernel(real)[1].dtype == float
+
+
+def test_g_stays_inside_the_unit_disc_on_the_contour_strip():
+    # norms._contour needs |g| < 1 on each rectangle's boundary, so that
+    # (maximum modulus) sqrt(1 - g) and 1/b are analytic inside.  Every
+    # rectangle has height Y <= 1/2 and left side x = delta > 0; sample
+    # the strip 0 < x <= 1e8, 0 <= y <= 1/2 on a log grid in x.  Past
+    # it |g| <= |a|^2/|r|^2 keeps falling.  There also
+    # Re lambda = -Re a - Im b <= -0.75 y, the decay of the left side.
+    x = np.geomspace(1e-12, 1e8, 4001)
+    y = np.concatenate([[0.0], np.geomspace(1e-12, 0.5, 200)])
+    z = (x[None, :] + 1j * y[:, None]).ravel()
+    _, a, g, _ = symbols.kernel(z)
+    assert np.abs(g).max() < 0.17
+    lam = -a + 1j * z * np.sqrt(1.0 - g)
+    assert np.all(lam.real <= -0.75 * z.imag)
+
+
+def test_complex_domain_errors():
+    for bad in (-1.0 + 0.5j, 1.5j, -1.5j, complex(math.nan, 0.0),
+                complex(1.0, math.inf)):
+        with pytest.raises(ValueError, match="complex radius"):
+            symbols.kernel(np.array([1.0 + 0.1j, bad]))
+    assert symbols.kernel(0.5j)[1] == pytest.approx(0.5 * math.log(0.75))
 
 
 def test_extended_precision_mode_digits():
