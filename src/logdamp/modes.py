@@ -10,6 +10,8 @@ the two splits exactly into five remainder terms K1..K5; the mean-value
 parameters that appear in the textbook derivation are replaced by the
 exact differences 1/b - 1/r and sin(bt) - sin(rt), both evaluated in
 cancellation-free forms, so the split is an identity to roundoff.
+The same gap is also Re X for one analytic residual phasor X
+(``Mode.residual_phasor``), the form that continues to complex radii.
 
 Initial data are radial Gaussians (zero data have amplitude 0), whose
 transforms, masses and weighted L^1 norms are closed-form; everything
@@ -25,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from . import symbols
-from .stable import sinc
+from .stable import expm1_i, sinc
 
 __all__ = [
     "InitialDataSpec", "DataDecomposition", "ModeDecomposition", "Mode",
@@ -102,12 +104,23 @@ class InitialDataSpec:
 
     # -- transform side ----------------------------------------------------
 
-    def fourier(self, r):
-        """Transform value at radius r, real or complex (it is entire)."""
+    def _exponent(self, r):
+        """-width^2 r^2 / 2 at radius r, real or complex."""
         r = np.asarray(r)
         if not np.iscomplexobj(r):
             r = r.astype(float, copy=False)
-        out = self._prefactor() * np.exp(-0.5 * (self.width * r) ** 2)
+        return -0.5 * (self.width * r) ** 2
+
+    def fourier(self, r):
+        """Transform value at radius r, real or complex (it is entire)."""
+        out = self._prefactor() * np.exp(self._exponent(r))
+        return out if out.ndim else out.item()
+
+    def fourier_minus_mass(self, r):
+        """Transform minus mass, mass * expm1(-width^2 r^2 / 2), at radius
+        r, real or complex: no cancellation as r -> 0, where it is
+        -mass width^2 r^2 / 2."""
+        out = self.mass() * np.expm1(self._exponent(r))
         return out if out.ndim else out.item()
 
     def mass(self) -> float:
@@ -131,11 +144,22 @@ class InitialDataSpec:
         return abs(self.amplitude) * (math.pi * self.width ** 2) ** (n / 4.0)
 
     def weighted_l1_norm(self) -> float:
-        """integral (1 + |x|) |datum| dx."""
+        """integral (1 + |x|) |datum| dx.
+
+        The first moment is omega_n Gamma((n+1)/2) (2 width^2)^((n+1)/2)
+        / 2 per unit amplitude; outside ``_plain`` widths width^(n+1) is
+        m^(n+1) 2^(k(n+1)) as in ``_prefactor``, so a tiny amplitude
+        offsets a huge width and only a result outside the doubles
+        overflows.
+        """
         w, n = self.width, self.dimension
-        moment = (sphere_area(n) * math.gamma((n + 1.0) / 2.0)
-                  * (2.0 * w * w) ** ((n + 1.0) / 2.0) / 2.0)
-        return self.l1_norm() + abs(self.amplitude) * moment
+        c = sphere_area(n) * math.gamma((n + 1.0) / 2.0)
+        if self._plain():
+            moment = c * (2.0 * w * w) ** ((n + 1.0) / 2.0) / 2.0
+            return self.l1_norm() + abs(self.amplitude) * moment
+        m, k = math.frexp(w)
+        moment = abs(self.amplitude) * c * 2.0 ** ((n - 1.0) / 2.0)
+        return self.l1_norm() + math.ldexp(moment * m ** (n + 1), k * (n + 1))
 
 
 @dataclass(frozen=True)
@@ -143,7 +167,8 @@ class DataDecomposition:
     """Mass/oscillation split of a velocity transform.
 
     u1_hat(r) = A1(r) + P1 with A1 := u1_hat - P1 real (the sine moment
-    of real radial data integrates to zero by symmetry).
+    of real radial data integrates to zero by symmetry), formed without
+    cancellation by ``InitialDataSpec.fourier_minus_mass``.
     |A1(r)| <= |r| * weighted_l1 since |1 - cos(s)| <= |s|.
     """
 
@@ -152,12 +177,7 @@ class DataDecomposition:
 
 
 def decompose_data(u1: InitialDataSpec) -> DataDecomposition:
-    p1 = u1.mass()
-
-    def a1(r):
-        return u1.fourier(r) - p1
-
-    return DataDecomposition(P1=p1, A1=a1)
+    return DataDecomposition(P1=u1.mass(), A1=u1.fourier_minus_mass)
 
 
 # -- mode evaluation --------------------------------------------------------
@@ -173,8 +193,9 @@ class Mode:
     sinc(bt) once per abscissa array; each method builds one field from
     them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
     exact.  One ``symbols.kernel`` call per abscissa array gives a and
-    g (one log1p per abscissa); g is held for the K-term path.  Real
-    radii serve every field; complex radii serve ``phasor`` only.
+    g (one log1p per abscissa); g and sqrt(1 - g) are held for the
+    K-term path and ``residual_phasor``.  Real radii serve every field;
+    complex radii serve ``phasor`` and ``residual_phasor`` only.
     """
 
     def __init__(self, t, r):
@@ -184,7 +205,8 @@ class Mode:
         self.t = t
         self.r, self.a, self.g, _ = symbols.kernel(r)
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
-        self.b = self.r * np.sqrt(1.0 - self.g)
+        self.sq = np.sqrt(1.0 - self.g)
+        self.b = self.r * self.sq
         if not np.iscomplexobj(self.r):  # the real-radius fields
             bt = self.b * t
             self.env = np.exp(-self.a * t)
@@ -204,6 +226,25 @@ class Mode:
         return (np.exp(self.t * (1j * b - a))
                 * (u0_val - 1j * (u1_val + a * u0_val) / b))
 
+    def residual_phasor(self, u0_val, a1_val, p1: float):
+        """X = e^{(ir - a)t} W with u - profile = Re X on real radii, where
+
+            W = Z expm1(i(b - r)t) + u0 - i(A1/b + a u0/b + P1 (1/b - 1/r)),
+
+        Z as in ``phasor`` and a1_val = A1 = u1 - P1 (see
+        ``InitialDataSpec.fourier_minus_mass``).  So X carries the one
+        oscillation e^{irt}, and sin(bt) - sin(rt) is never formed.  Every piece
+        is cancellation-free on real and complex radii r != 0:
+        d = (b - r)t = -g r t / (1 + sqrt(1 - g)), expm1(id) is
+        ``stable.expm1_i`` and 1/b - 1/r = g / (b (1 + sqrt(1 - g))).
+        """
+        r, a, b, g, sq, t = self.r, self.a, self.b, self.g, self.sq, self.t
+        d = -g * r * t / (1.0 + sq)
+        z = u0_val - 1j * (a1_val + p1 + a * u0_val) / b
+        w = (z * expm1_i(d) + u0_val
+             - 1j * ((a1_val + a * u0_val) / b + p1 * g / (b * (1.0 + sq))))
+        return np.exp(t * (1j * r - a)) * w
+
     def u(self, u0_val, u1_val):
         """Mode solution from raw transform values u0_val, u1_val."""
         return self.env * (u0_val * self.cos_bt + (u1_val + self.a * u0_val)
@@ -222,10 +263,9 @@ class Mode:
 
     def k_terms(self, u0_val, u1_val, p1: float):
         """The five remainder terms, for r > 0 (see ``k_terms``)."""
-        r, t, env, g = self.r, self.t, self.env, self.g
+        r, t, env, g, sq = self.r, self.t, self.env, self.g, self.sq
         if np.any(r <= 0.0):
             raise ValueError("remainder split requires r > 0")
-        sq = np.sqrt(1.0 - g)
         inv_diff = g / (r * sq * (1.0 + sq))
         bmr_over_b = -g / (sq * (1.0 + sq))
         rt = r * t

@@ -11,11 +11,15 @@ bound) then meets the requested relative tolerance, or the call raises
 ArithmeticError naming its site and t.  Mode integrands oscillate like
 sin(b(r) t) with phase slope <= t in r, so their squares carry
 oscillation frequency 2t, and half-period panels cost ~sqrt(t) per
-call.  l2_norm and energy keep them only on the first 128 half-periods:
-past that a squared mode is a mean part, integrated directly, plus the
-real part of an analytic function, whose integral Cauchy's theorem
-moves onto a contour where it decays like e^{-2ty} (``_contour``), so
-their cost does not grow with t.  The data pair is first
+call.  l2_norm, energy, residual_norm and M_integral keep them only on
+the first 128 half-periods: past that each integrand is (Re X)^2
+r^(n-1) for an analytic X (the mode's phasor, the residual phasor
+of ``Mode.residual_phasor``, or the weight's e^{(ir - a)t}), so a mean
+part, integrated directly, plus the real part of an analytic function,
+whose integral Cauchy's theorem moves onto a contour where it decays
+like e^{-2ty} (``_contour``).  So their cost does not grow with t;
+residual_norm(method="kterms") keeps half-period panels throughout as
+the cross-check route.  The data pair is first
 scaled by a power of two to a unit transform sup, so every amplitude
 in the double range is computed alike; zero data have a zero envelope
 and give 0.0 without quadrature.
@@ -64,18 +68,26 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
                split: _Split | None = None) -> float:
     """Integral of f over [lower, inf): the one half-line route.
 
-    Phase 1 integrates to a provisional truncation radius of the
-    analytic tail envelope to learn the magnitude; phase 2 extends the
+    Phase 1 picks a provisional truncation radius r1 of the analytic
+    tail envelope and learns the magnitude there; phase 2 extends the
     radius until the envelope bound is below rel_tol * |value| / 4.  The
     bound at the radius where integration stops (``lower`` itself when
     the envelope is already small there) is charged to the error.
     ``abs_floor`` certifies results whose error is negligible on the
     caller's absolute scale (bands that have decayed to nothing cannot
-    be certified relative to themselves).  With a ``split`` (a squared
-    mode, see ``_squared_mode``) each phase takes half-period panels
-    only up to split.delta and the contour route of ``_contour`` past
-    it.  Returns the value, or raises ArithmeticError("<site> did not
-    converge").
+    be certified relative to themselves).
+
+    With a ``split`` (f = mean + Re h past split.delta, see ``_split``)
+    half-period panels stop at c = max(lower, split.delta), and one
+    contour (``_contour``) spans [c, r2].  When r1 lies past c, phase 1
+    integrates f directly only on [lower, c] and estimates the integral
+    m of the mean part over [c, r1]: a magnitude, since 0 <= f <= 2 mean
+    on the axis and the oscillating part integrates to little past c.
+    [lower, c] is certified against m too (absolute tolerance
+    rel_tol m / 4), not only against its own value, which may be a
+    cancelling remainder.  A contour whose bounds do not fit (None)
+    falls back to half-period panels.  Returns the value, or raises
+    ArithmeticError("<site> did not converge").
     """
     scale = tail.scale
     if scale == 0.0:
@@ -95,27 +107,27 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
             oscillation_frequency=omega, max_panels=200_000))
         return res.value, res.error_estimate
 
-    def piece(lo, hi, abs_tol):
-        cut = hi if split is None else min(hi, max(lo, split.delta))
-        value, err = direct(lo, cut, abs_tol) if cut > lo else (0.0, 0.0)
-        if hi > cut:
-            v, e = (_contour(split, cut, hi, 0.5 * rel_tol, abs_tol)
-                    or direct(cut, hi, abs_tol))
-            value, err = value + v, err + e
-        return value, err
-
+    cut = math.inf if split is None else max(lower, split.delta)
+    hi = min(r1, cut)
+    mean = _mean_estimate(split.mean, cut, r1) if r1 > cut else 0.0
     value = err = 0.0
-    if r1 > lower:
-        value, err = piece(lower, r1, 1e-300)
+    if hi > lower:
+        value, err = direct(lower, hi, max(0.25 * rel_tol * mean, 1e-300))
 
-    tau2 = 0.25 * rel_tol * abs(value)
+    r2, tau2 = r1, 0.25 * rel_tol * (abs(value) + mean)
     if bound > tau2 > 0.0:
-        r2, bound2 = truncation_point(tail, tau2)
-        if r2 > r1:
-            v, e = piece(r1, r2, max(tau2, 1e-300))
-            value += v
-            err += e
-            bound = bound2
+        radius, bound2 = truncation_point(tail, tau2)
+        if radius > r1:
+            r2, bound = radius, bound2
+    if r2 > hi:
+        abs_tol = max(tau2, 1e-300)
+        mid = min(r2, cut)
+        v, e = direct(hi, mid, abs_tol) if mid > hi else (0.0, 0.0)
+        if r2 > mid:
+            v2, e2 = (_contour(split, mid, r2, 0.5 * rel_tol, abs_tol)
+                      or direct(mid, r2, abs_tol))
+            v, e = v + v2, e + e2
+        value, err = value + v, err + e
     err += bound
 
     if not err <= max(rel_tol * abs(value), abs_floor,
@@ -124,11 +136,12 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     return value
 
 
-# -- the squared mode: mean part and contour -------------------------------
+# -- the split: mean part and contour ---------------------------------------
 
 # Half-periods of cos(2bt) on the direct route: [0, delta] with
-# delta = _K pi / (2t).  Every l2_norm and energy call of ``logdamp
-# lemmas`` needs at most 70, so those keep their half-period panels.
+# delta = _K pi / (2t).  Every l2_norm, energy and residual_norm call of
+# ``logdamp lemmas`` needs at most 70, so those keep their half-period
+# panels (its M_integral calls at t = 1e3 and 1e4 take the split).
 _K = 128
 # t Y for the contour height Y: |e^{2 lambda t}| <= e^{-1.5 t y} on the
 # strip 0 <= y <= 1/2, so it is at most e^{-36} on the top side.
@@ -136,7 +149,7 @@ _TY = 24.0
 
 
 class _Split(NamedTuple):
-    """The squared mode on [delta, inf) as mean(x) + Re h(x) (x real),
+    """The integrand on [delta, inf) as mean(x) + Re h(x) (x real),
     h analytic on the rectangles [delta, R] x [0, height]."""
 
     mean: Callable
@@ -145,18 +158,41 @@ class _Split(NamedTuple):
     height: float
 
 
+def _split(t: float, n: int, phasor, data=(), energy: bool = False):
+    """The split of (Re X)^2 r^(n-1) for X = phasor(mode, r), analytic
+    where ``_contour`` needs it, e.g. a mode X = Mode.phasor.
+
+    On real radii (Re X)^2 = |X|^2/2 + Re(X^2)/2, so the mean is
+    |X|^2/2 r^(n-1) and h = X^2/2 r^(n-1).  ``energy`` splits
+    ((Re lambda X)^2 + r^2 (Re X)^2) r^(n-1), the energy integrand of a
+    mode X: |lambda|^2 = r^2 on real radii and lambda^2 + r^2 =
+    -2 a lambda (the mode equation) give the mean r^2 |X|^2 r^(n-1) and
+    h = -a lambda X^2 r^(n-1).  The mean carries no e^{2ibt} and h is
+    analytic, so neither needs half-period panels past delta.  The
+    height min(1/2, _TY/t, 1/w), w the widest nonzero datum of ``data``,
+    keeps tY <= 24 and the data factor |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2}
+    <= e^{1/2}.
+    """
+    def mean(x):
+        p = phasor(modes.Mode(t, x), x)
+        return ((x * x if energy else 0.5) * (p.real ** 2 + p.imag ** 2)
+                * x ** (n - 1))
+
+    def h(r):
+        mode = modes.Mode(t, r)
+        p = phasor(mode, r)
+        w = mode.a * (mode.a - 1j * mode.b) if energy else 0.5
+        return w * p * p * r ** (n - 1)
+
+    widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
+    height = min(0.5, _TY / t, 1.0 / max(widths))
+    return _Split(mean, h, _K * math.pi / (2.0 * t), height)
+
+
 def _squared_mode(t: float, u0, u1, n: int, energy: bool):
     """(f, split): the integrand of l2_norm (u^2 r^(n-1)) or of energy
-    ((u_t^2 + r^2 u^2) r^(n-1)), and its split past delta (None at t = 0).
-
-    With P = Mode.phasor, u = Re P and u_t = Re(lambda P) on real radii,
-    and (Re X)^2 = |X|^2/2 + Re(X^2)/2.  So u^2 has the mean |P|^2/2 and
-    h = P^2/2; for the energy, |lambda|^2 = r^2 on real radii and
-    lambda^2 + r^2 = -2 a lambda (the mode equation) give the mean
-    r^2 |P|^2 and h = -a lambda P^2.  The mean carries no e^{2ibt} and
-    h is analytic, so neither needs half-period panels past delta.
-    The height min(1/2, _TY/t, 1/w), w the widest datum, keeps tY <= 24
-    and the data factor |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.
+    ((u_t^2 + r^2 u^2) r^(n-1)), and its ``_split`` past delta with
+    X = Mode.phasor, u = Re X and u_t = Re(lambda X) (None at t = 0).
     """
     def f(r):
         mode = modes.Mode(t, r)
@@ -167,22 +203,26 @@ def _squared_mode(t: float, u0, u1, n: int, energy: bool):
             return (ut * ut + (r * u) ** 2) * r ** (n - 1)
         return u ** 2 * r ** (n - 1)
 
-    def mean(x):
-        p = modes.Mode(t, x).phasor(u0.fourier(x), u1.fourier(x))
-        return ((x * x if energy else 0.5) * (p.real ** 2 + p.imag ** 2)
-                * x ** (n - 1))
-
-    def h(r):
-        mode = modes.Mode(t, r)
-        p = mode.phasor(u0.fourier(r), u1.fourier(r))
-        w = mode.a * (mode.a - 1j * mode.b) if energy else 0.5
-        return w * p * p * r ** (n - 1)
-
     if t == 0.0:
         return f, None
-    widths = [d.width for d in (u0, u1) if d.amplitude != 0.0] or [1.0]
-    height = min(0.5, _TY / t, 1.0 / max(widths))
-    return f, _Split(mean, h, _K * math.pi / (2.0 * t), height)
+    return f, _split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
+                                                       u1.fourier(r)),
+                     (u0, u1), energy)
+
+
+def _geometric(lo: float, hi: float) -> tuple:
+    """Breakpoints lo 2^(k/2) inside (lo, hi), where a mean part runs."""
+    steps = np.arange(1, math.ceil(2.0 * math.log2(hi / lo)))
+    return tuple(lo * 2.0 ** (steps / 2))
+
+
+def _mean_estimate(mean, lo: float, hi: float) -> float:
+    """The integral of a mean part over [lo, hi] by the trapezoid rule in
+    log x on lo, its ``_geometric`` breakpoints and hi: an estimate that
+    only sizes the truncation (within 1e-4 on the benchmark's calls)."""
+    x = np.array((lo, *_geometric(lo, hi), hi))
+    y = mean(x) * x
+    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(np.log(x))))
 
 
 def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
@@ -209,15 +249,15 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     the maximum-modulus principle also inside it, which holds every
     rectangle of height Y <= 1/2.  Hence Re(1 - g) > 0, sqrt(1 - g)
     and b = r sqrt(1 - g) are analytic, and b != 0, so 1/b is too; the
-    data transforms and r^(n-1) are entire.
+    data transforms are entire, and the powers r^k (k < 0 too) are
+    analytic where Re r >= lo > 0.
     """
     mean, h, _, height = split
-    steps = np.arange(1, math.ceil(2.0 * math.log2(hi / lo)))
     xs = integrate(lambda x: np.stack([mean(x),
                                        np.abs(h(x + 1j * height))]),
                    QuadratureSpec(lo, hi, abs_tol=0.25 * abs_tol,
                                   rel_tol=0.25 * rel_tol,
-                                  breakpoints=tuple(lo * 2.0 ** (steps / 2))))
+                                  breakpoints=_geometric(lo, hi)))
     if not xs.panels_used:  # refused: more panels than max_panels
         return None
     floor = max(0.25 * abs_tol, 0.125 * rel_tol * abs(xs.value[0]))
@@ -334,9 +374,12 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     """L^2 distance between u_hat(t) and the mass profile, to 1e-9.
 
     ``band`` is "both" ([0, inf)) or "high" ([BAND_SPLIT, inf)).
-    ``method`` evaluates the integrand either as the direct difference
-    or as the sum of the five remainder terms; the two agree to roundoff
-    by the closure identity and both are kept as a cross-check route.
+    ``method`` "difference" evaluates the integrand as the direct
+    difference on the first 128 half-periods and splits the residual
+    phasor of ``Mode.residual_phasor`` past them (see ``_split``);
+    "kterms" sums the five remainder terms on half-period panels
+    throughout, the independent cross-check route.  The two integrands
+    agree to roundoff by the closure identity.
     For n >= 3 and P1 != 0 the profile is in L^2 only when 2t > n - 2;
     below that the call raises ValueError naming t and n, before any
     quadrature.
@@ -359,11 +402,16 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         raise ValueError(f"residual_norm at t={t}: the profile is not in L^2"
                          f" for n={n} (needs 2t > n - 2)")
 
+    split = None
     if method == "difference":
         def f(r):
             mode = modes.Mode(t, r)
             d = mode.u(u0.fourier(r), u1.fourier(r)) - mode.profile(p1)
             return d * d * r ** (n - 1)
+
+        if t > 0.0:
+            split = _split(t, n, lambda mode, r: mode.residual_phasor(
+                u0.fourier(r), u1.fourier_minus_mass(r), p1), (u0, u1))
     else:
         def f(r):
             mode = modes.Mode(t, r)
@@ -376,7 +424,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         lower, site = 0.0, f"residual_norm at t={t}"
     floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     val = _two_phase(f, _envelope(t, u0, u1, n, p1=p1), 2.0 * max(t, 1.0),
-                     1e-9, site, lower=lower, abs_floor=floor)
+                     1e-9, site, lower=lower, abs_floor=floor, split=split)
     return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
                      site)
 
@@ -408,8 +456,14 @@ def M_integral(t: float, n: int, kind: str) -> float:
             return (np.exp(-t * np.log1p(r * r))
                     * np.cos(r * t) ** 2 * r ** (n - 1))
         tail = Envelope((1.0, (t, n - 1.0), None))
+
+    def phasor(mode, r):  # (1+r^2)^(-t) w = (Re X)^2 on real radii
+        x = np.exp(t * (1j * r - mode.a))
+        return -1j * x / r if kind == "sin" else x
+
     site = f"M_integral({kind}) at t={t}"
-    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site)
+    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site,
+                                       split=_split(t, n, phasor))
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

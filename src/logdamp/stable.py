@@ -26,3 +26,12 @@ def sinc(x):
         x2 = x1[small] * x1[small]
         out[small] = 1.0 - x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0))
     return out.reshape(x.shape) if x.ndim else float(out[0])
+
+
+def expm1_i(d):
+    """e^{id} - 1 for real or complex d, as 2i sin(d/2) e^{id/2}.
+
+    Accurate relative to |e^{id} - 1| where |d| is small, where the
+    direct difference loses the digits of d (all of them below 1e-16).
+    """
+    return 2j * np.sin(0.5 * d) * np.exp(0.5j * d)

@@ -65,15 +65,23 @@ def mp_l2_sq(t, u0, u1, dps=30):
     return _mp_squared_mode(t, u0, u1, False, dps)
 
 
-def _mp_squared_mode(t, u0, u1, energy, dps):
+def mp_residual_sq(t, u0, u1, dps=30):
+    """||u(t) - P1 phi(t)||^2, the mode of mp_l2_sq minus the profile
+    P1 e^{-at} sin(rt)/r (P1 the mass of u1), on the same panels."""
+    return _mp_squared_mode(t, u0, u1, False, dps, profile=True)
+
+
+def _mp_squared_mode(t, u0, u1, energy, dps, profile=False):
     """(2 pi)^(-n) omega_n times the radial integral of u_hat^2 r^(n-1),
-    or of (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy.
+    of (u_hat - P1 phi)^2 r^(n-1) with the ``profile``, or of
+    (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy.
 
     Each mode is built from the characteristic roots l_pm = -a +/- ib of
     v'' + 2a v' + r^2 v = 0 in complex arithmetic, so none of the
     package's real-form rewrites enter.  The radial integral stops where
-    the Gaussian and damping factors are below e^-80 and is panelled at
-    half-periods of the 2t oscillation.
+    the Gaussian (not with the profile, which has none) and damping
+    factors are below e^-80 and is panelled at half-periods of the 2t
+    oscillation.
     """
     n = u0.dimension
     with mp.workdps(dps):
@@ -94,13 +102,16 @@ def _mp_squared_mode(t, u0, u1, energy, dps):
             dl = lp - lm
             v0, v1 = transform(u0, r), transform(u1, r)
             u = ((lp * em - lm * ep) * v0 + (ep - em) * v1) / dl
+            if profile:
+                u -= transform(u1, 0) * mp.exp(-a * tm) * mp.sin(r * tm) / r
             if not energy:
                 return abs(u) ** 2 * r ** (n - 1)
             ut = (lp * lm * (em - ep) * v0 + (lp * ep - lm * em) * v1) / dl
             return (abs(ut) ** 2 + r * r * abs(u) ** 2) * r ** (n - 1) / 2
 
-        wmin = min(d.width for d in (u0, u1) if d.family != "zero")
-        cut = 0.5
+        wmin = 0 if profile else min(d.width for d in (u0, u1)
+                                     if d.family != "zero")
+        cut = 1e-3
         while (wmin * cut) ** 2 + tm * mp.log(1 + cut * cut) < 80:
             cut *= 1.1
         val = mp_quad_panels(f, 0, cut, omega=2.0 * float(t), dps=dps)

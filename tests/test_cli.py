@@ -5,7 +5,9 @@ import math
 
 import pytest
 
+from logdamp import norms
 from logdamp.cli import main
+from logdamp.modes import InitialDataSpec
 
 
 def run(tmp_path, *argv):
@@ -178,6 +180,44 @@ def test_decay_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
     assert code == 0 and "# checks=PASS" in text
     assert len(parse_rows(text)) == 5
+
+
+def test_profile_to_t_1e12_certifies_every_row(tmp_path, capsys):
+    # The difference integrand hit the 200 000-panel cap from t = 1e7 on
+    # (error: residual_norm at t=10000000.0 did not converge); the mean
+    # part and contour take the same work at every t.
+    code, text = run(tmp_path, "profile", "--t-max", "1e12")
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 27 and all(float(r["residual"]) > 0.0 for r in rows)
+    assert code == 0 and "# checks=PASS" in text
+
+
+def test_profile_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
+    # width^4 overflowed in I0's first moment at width 1e103, and the run
+    # stopped on an error line that named no site.  The transform has
+    # left u1_hat ~ 0 for r >> 1e-103, so the residual is the profile
+    # norm P1 (2 pi)^(-3/2) sqrt(M_sin(t)), and the scaled residual grows
+    # like sqrt(t).  So the band check fails, as it should: u nears the
+    # profile only once t >> width^2 = 1e206.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e103\n")
+    code, text = run(tmp_path, "profile", "--config", str(cfg), "--dim", "3")
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 9
+    u1 = InitialDataSpec("gaussian", 1e-300, 1e103, 3)
+    for row in rows:
+        # I0 is the first moment omega_3 Gamma(2) (2 w^2)^2 / 2 = 8 pi w^4
+        # times the amplitude, up to terms 1e-100 smaller.
+        assert float(row["I0"]) == pytest.approx(8.0 * math.pi * 1e112,
+                                                 rel=1e-12)
+        t = float(row["t"])
+        profile = u1.mass() * math.sqrt((2.0 * math.pi) ** -3
+                                        * norms.M_integral(t, 3, "sin"))
+        assert float(row["residual"]) == pytest.approx(profile, rel=1e-9)
+    fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
+    assert code == 1 and fails == ["# FAIL n=3 scaled residual ratio 9.9814"]
 
 
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):

@@ -299,3 +299,61 @@ def test_mode_magnitude_envelope():
         u0v, u1v = np.abs(g0.fourier(r)), np.abs(GAUSS1.fourier(r))
         env = np.exp(-a * t) * (u0v + u0v * a / b + u1v * np.minimum(t, 1 / b))
         assert np.all(np.abs(u_hat(t, r, g0, GAUSS1)) <= env * (1 + 1e-12))
+
+
+# -- the residual phasor ------------------------------------------------------
+
+_SMALL_AND_COMPLEX = np.array([s * m for s in np.geomspace(1e-7, 2.0, 25)
+                               for m in (1.0, 1.0 + 0.3j, 0.5 + 1.0j)])
+
+
+def test_transform_minus_mass_matches_mpmath_on_complex_radii():
+    # A1 = u1_hat - P1 = P1 expm1(-w^2 r^2/2); the plain difference
+    # keeps no digit of it below |r| = 1e-8.
+    import mpmath as mp
+    g1 = InitialDataSpec("gaussian", 1.0, 1.3, 3)
+    got = g1.fourier_minus_mass(_SMALL_AND_COMPLEX)
+    with mp.workdps(40):
+        p1 = mp.mpf(g1.mass())
+        ref = [complex(p1 * mp.expm1(-(mp.mpf(1.3) * mp.mpc(r)) ** 2 / 2))
+               for r in _SMALL_AND_COMPLEX]
+    assert np.all(np.abs(got - ref) <= 4e-16 * np.abs(ref))
+    assert np.isrealobj(g1.fourier_minus_mass(np.array([0.0, 1e-5, 3.0])))
+    assert InitialDataSpec("zero", dimension=3).fourier_minus_mass(0.2j) == 0
+
+
+@pytest.mark.parametrize("t, top", [(10.0, 2.0), (1e3, 2.0), (2e7, 5e-4)])
+def test_residual_phasor_matches_mpmath(t, top):
+    # X = e^{(ir - a)t} (Z e^{i(b - r)t} + i P1/r), formed in mpmath from
+    # the raw symbols at 60 digits, where the cancellation of Z e^{i(b-r)t}
+    # against i P1/r near r = 0 costs nothing; |r| <= top keeps the
+    # phase rt at most 1e4, as the double rt carries an error of ulp(rt).
+    import mpmath as mp
+    from oracles import mp_symbols
+    g0 = InitialDataSpec("gaussian", 0.5, 0.8, 2)
+    g1 = InitialDataSpec("gaussian", 1.0, 1.3, 2)
+    r = _SMALL_AND_COMPLEX[np.abs(_SMALL_AND_COMPLEX) <= top]
+    got = Mode(t, r).residual_phasor(g0.fourier(r), g1.fourier_minus_mass(r),
+                                     g1.mass())
+    with mp.workdps(60):
+        tm, p1 = mp.mpf(t), mp.mpf(g1.mass())
+        ref = []
+        for x in r:
+            a, b, _, _, _ = mp_symbols(x, dps=60)
+            xm = mp.mpc(x)
+            u0 = mp.mpf(g0.mass()) * mp.exp(-(mp.mpf(0.8) * xm) ** 2 / 2)
+            u1 = p1 * mp.exp(-(mp.mpf(1.3) * xm) ** 2 / 2)
+            z = u0 - 1j * (u1 + a * u0) / b
+            w = z * mp.exp(1j * (b - xm) * tm) + 1j * p1 / xm
+            ref.append(complex(mp.exp(tm * (1j * xm - a)) * w))
+    ref = np.array(ref)
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+    # On real radii Re X is the mode minus the profile, whose plain
+    # difference carries the roundoff of each, up to eps P1 t near r = 0.
+    x = np.geomspace(1e-7, top, 50)
+    mode = Mode(t, x)
+    diff = mode.u(g0.fourier(x), g1.fourier(x)) - mode.profile(g1.mass())
+    X = mode.residual_phasor(g0.fourier(x), g1.fourier_minus_mass(x),
+                             g1.mass())
+    assert np.all(np.abs(X.real - diff) <= 1e-12 * np.abs(X)
+                  + 1e-15 * g1.mass() * t)

@@ -11,7 +11,8 @@ import pytest
 from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
-from oracles import mp_energy, mp_l2_sq, mp_quad_panels, mp_weight_tail
+from oracles import (mp_energy, mp_l2_sq, mp_quad_panels, mp_residual_sq,
+                     mp_weight_tail)
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -127,7 +128,7 @@ def _contours(monkeypatch):
 def test_split_route_matches_mpmath(monkeypatch, n, u0):
     # At t = 1e3 the contour covers [0.2, R], R about 1; mpmath integrates
     # the mode from its characteristic roots on half-period panels at 30
-    # digits.
+    # digits, and the residual as that mode minus the profile.
     t, u1 = 1e3, gaussian(n, 1.0, 1.3)
     u0 = zero(n) if u0 == "zero" else gaussian(n, 0.5, 0.8)
     seen = _contours(monkeypatch)
@@ -136,7 +137,22 @@ def test_split_route_matches_mpmath(monkeypatch, n, u0):
     if u0.amplitude:
         got = norms.energy(t, u0, u1, n)
         assert got == pytest.approx(float(mp_energy(t, u0, u1)), rel=1e-10)
+    count = len(seen)
+    got = norms.residual_norm(t, u0, u1, n) ** 2
+    assert got == pytest.approx(float(mp_residual_sq(t, u0, u1)), rel=1e-9)
+    assert len(seen) > count
     assert seen and all(part is not None for part in seen)
+
+
+@pytest.mark.parametrize("u0", ["zero", "gaussian"])
+def test_residual_certifies_where_the_difference_hit_the_panel_cap(u0):
+    # At t = 2e7 and n = 1 the difference integrand ran to the 200 000-panel
+    # cap and raised; the contour route and the K-term route agree.
+    t, n = 2e7, 1
+    u0, u1 = (zero(n) if u0 == "zero" else gaussian(n, 2.0, 0.7)), gaussian(n)
+    got = norms.residual_norm(t, u0, u1, n)
+    ref = norms.residual_norm(t, u0, u1, n, method="kterms")
+    assert (got / ref) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("t", [1e10, 1e12])
@@ -170,11 +186,8 @@ def test_energy_leading_term_at_very_large_t(n, t):
         lead, rel=1e-10)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
-    # Half-period panels to the truncation radius took 40 520 to 45 980
-    # (l2_norm) and 39 476 (energy) panels here; the direct route now
-    # stops at 128 half-periods, and a call takes 153 to 162.
+def _panels(monkeypatch):
+    """Record the panel count of each norms.integrate call."""
     panels, integrate_ = [], norms.integrate
 
     def counted(f, spec):
@@ -183,11 +196,53 @@ def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
         return res
 
     monkeypatch.setattr(norms, "integrate", counted)
+    return panels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
+    # Half-period panels to the truncation radius took 40 520 to 45 980
+    # (l2_norm) and 39 476 (energy) panels here; the direct route now
+    # stops at 128 half-periods, and a call takes about 155.
+    panels = _panels(monkeypatch)
     u0, u1 = gaussian(n, 2.0, 0.7), gaussian(n)
     for fn in (norms.l2_norm, norms.energy):
         panels.clear()
         assert fn(1e8, u0, u1, n) > 0.0
         assert 0 < sum(panels) <= 1000
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_residual_and_M_work_does_not_grow_with_t(monkeypatch, n):
+    # Half-period panels took over 200 000 (residual_norm, at the panel
+    # cap) and 39 476 to 49 289 (M_integral) panels here; now a call
+    # takes about 155, as l2_norm and energy do.
+    panels = _panels(monkeypatch)
+    u1 = gaussian(n)
+    for call in (lambda: norms.residual_norm(1e8, gaussian(n, 2.0, 0.7), u1,
+                                             n),
+                 lambda: norms.residual_norm(1e8, zero(n), u1, n),
+                 lambda: norms.M_integral(1e8, n, "sin"),
+                 lambda: norms.M_integral(1e8, n, "cos")):
+        panels.clear()
+        assert call() > 0.0
+        assert 0 < sum(panels) <= 1000
+
+
+@pytest.mark.parametrize("call", [
+    lambda: norms.l2_norm(1e6, zero(3), gaussian(3), 3),
+    lambda: norms.energy(1e6, gaussian(3, 37.9, 1.55), gaussian(3, 0.035, 1.3),
+                         3),
+    lambda: norms.residual_norm(1e5, zero(3), gaussian(3), 3),
+    lambda: norms.residual_norm(1e7, zero(3), gaussian(3), 3),
+], ids=["l2_norm", "energy", "residual_1e5", "residual_1e7"])
+def test_one_rectangle_per_split_call(monkeypatch, call):
+    # Where phase 2 extended a split call, a second rectangle started at
+    # r1, its left side cancelling the first one's right side: these took
+    # two.  The mean part now sizes the truncation before the contour.
+    seen = _contours(monkeypatch)
+    assert call() > 0.0
+    assert len(seen) == 1 and seen[0] is not None
 
 
 def test_contour_falls_back_where_its_bound_does_not_fit(monkeypatch):
@@ -330,15 +385,21 @@ def test_residual_argument_validation():
      False),
     (lambda u0, u1: norms.l2_norm(1e6, u0, u1, 2), True),
     (lambda u0, u1: norms.energy(1e6, u0, u1, 2), True),
+    (lambda u0, u1: norms.residual_norm(1e6, u0, u1, 2), True),
+    (lambda u0, u1: norms.residual_norm(1e6, u0, u1, 2, method="kterms"),
+     False),
 ], ids=["l2_norm", "energy", "residual_difference", "residual_kterms",
-        "l2_norm_split", "energy_split"])
+        "l2_norm_split", "energy_split", "residual_split",
+        "residual_kterms_1e6"])
 def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
                                                      split):
     # A half-period panel abscissa is one radius; an abscissa of the
     # contour route (no oscillation frequency) is two: the mean part and
-    # the top side, or the left and right sides.
+    # the top side, or the left and right sides.  The mean part's
+    # magnitude estimate takes one radius per node.
     seen = {"symbol": 0, "radii": 0, "contour": 0}
     kernel, integrate_ = symbols.kernel, norms.integrate
+    estimate = norms._mean_estimate
 
     def counted_kernel(r):
         seen["symbol"] += np.size(r)
@@ -353,8 +414,13 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
             return f(x)
         return integrate_(g, spec)
 
+    def counted_estimate(mean, lo, hi):
+        seen["radii"] += len(norms._geometric(lo, hi)) + 2
+        return estimate(mean, lo, hi)
+
     monkeypatch.setattr(symbols, "kernel", counted_kernel)
     monkeypatch.setattr(norms, "integrate", counted_integrate)
+    monkeypatch.setattr(norms, "_mean_estimate", counted_estimate)
     call(gaussian(2, 2.0, 0.7), gaussian(2))
     assert seen["radii"] > 0
     assert seen["symbol"] == seen["radii"]
@@ -378,8 +444,12 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
     ("l2_norm", 1e6, lambda t: norms.l2_norm(t, zero(3), gaussian(3), 3)),
     ("energy", 1e6, lambda t: norms.energy(t, gaussian(3, 2.0, 0.7),
                                            gaussian(3), 3)),
+    ("residual_norm", 1e6,
+     lambda t: norms.residual_norm(t, zero(3), gaussian(3), 3)),
+    ("M_integral(sin)", 1e6, lambda t: norms.M_integral(t, 1, "sin")),
 ], ids=["l2_norm", "energy", "residual_both", "residual_high", "M_sin",
-        "M_cos", "M_sin_n1", "M_sin_n2", "l2_norm_split", "energy_split"])
+        "M_cos", "M_sin_n1", "M_sin_n2", "l2_norm_split", "energy_split",
+        "residual_split", "M_sin_split"])
 def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, t,
                                                      call):
     # At t = 5 every band carries weight, so no absolute floor certifies

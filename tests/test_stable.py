@@ -1,11 +1,13 @@
-"""sinc: pinned bit for bit to sin(x)/x above the cut, the series below."""
+"""sinc: pinned bit for bit to sin(x)/x above the cut, the series below;
+expm1_i against mpmath."""
 
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from logdamp.stable import sinc
+from logdamp.stable import expm1_i, sinc
 
 CUT = 1e-3
 
@@ -63,3 +65,15 @@ def test_sinc_of_a_view_keeps_its_shape_and_bits():
         assert out.shape == view.shape
         assert _bits(out) == _bits(_expected(view))
         assert _bits(out) == _bits(sinc(np.ascontiguousarray(view)))
+
+
+def test_expm1_i_matches_mpmath_on_complex_arguments():
+    # d = (b - r)t of a contour radius: tiny near r = 0, complex off the
+    # axis.  e^{id} - 1 formed directly is off by 1e-16/|d| relative.
+    ds = [s * m for s in np.geomspace(1e-300, 30.0, 61)
+          for m in (1.0, -1.0, 0.6 + 0.8j, 0.3 - 2.0j, 1j)]
+    got = expm1_i(np.array(ds, dtype=complex))
+    for d, value in zip(ds, got):
+        with mp.workdps(40):
+            ref = mp.expm1(1j * mp.mpc(d))
+        assert abs(value - complex(ref)) <= 4e-16 * abs(complex(ref)), d
