@@ -9,10 +9,12 @@ spill it, and an unrefined l2_norm/energy pass to t = 1e8 took 1.5x
 as long (2-core Xeon VM, 2 MB L2).  Chunking changes no value,
 because the rule works panel by panel.  An
 initial panelling that meets the tolerance is returned at once;
-otherwise each wave bisects the smallest worst-first prefix of the
-splittable panels whose errors cover the excess (error minus target).
-A panel is unsplittable once its width is a few ulps of its own
-|endpoints|; it is skipped, not a reason to stop.  Integrands return
+otherwise each wave quarters the smallest worst-first prefix of the
+splittable panels whose errors cover the excess (error minus target):
+two bisection levels in one rule pass, as a wave's fixed numpy-call
+cost outweighs a small call's extra panels.  A panel is unsplittable
+once its width is a few ulps of its own |endpoints|; it is skipped,
+not a reason to stop.  Integrands return
 shape (N,), or (k, N) for k integrals on one panelling, each held to its
 own max(abs_tol, rel_tol * |value_k|).  When the integrand contains
 sin(w*r) or cos(w*r), initial panels are no wider than pi/w, so no panel
@@ -31,6 +33,7 @@ for a fixed panel set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,27 +141,26 @@ class Envelope:
 
 
 def truncation_point(tail, tol: float) -> tuple[float, float]:
-    """Smallest radius (up to bisection slack) with tail.bound <= tol."""
+    """Smallest radius (to 0.1 %) with tail.bound <= tol."""
     if tol <= 0.0:
         raise ValueError("tail tolerance must be positive")
     if tail.scale == 0.0:
         return 1e-9, 0.0
-    hi = 1.0
+    lo, hi = 1e-9, 1.0
     for _ in range(4000):
         if tail.bound(hi) <= tol:
             break
-        hi *= 1.5
+        lo, hi = hi, hi * 1.5   # lo is the last radius that failed
     else:
         raise ValueError("tail bound cannot reach the requested tolerance")
-    lo = 1e-9
     for _ in range(200):
+        if hi / lo < 1.0 + 1e-3:
+            break
         mid = math.sqrt(lo * hi)
         if tail.bound(mid) <= tol:
             hi = mid
         else:
             lo = mid
-        if hi / lo < 1.0 + 1e-9:
-            break
     return hi, tail.bound(hi)
 
 
@@ -210,43 +212,46 @@ class QuadratureResult:
 # --- the adaptive engine ---------------------------------------------------
 
 _CHUNK = 512  # panels per _panel_rule call: 15 abscissae each
-# A panel is unsplittable once its width is 16 ulps of its |endpoints|.
+# A panel is unsplittable once its width is 16 ulps of its |endpoints|,
+# so the quarters of a splittable one are distinct and non-empty.
 _FLOOR = 16.0 * np.finfo(float).eps
 
 
 def _panel_rule(f, a: np.ndarray, b: np.ndarray):
-    """Vectorized K15/G7 on a batch of m panels; returns (values, errors),
-    each of shape (m,) for a scalar integrand and (k, m) for a vector one.
-    """
+    """Vectorized K15/G7 on a batch of m panels: (values, errors) as
+    (k, m) arrays, k = 1 for a scalar integrand, and the integrand's
+    leading shape, () for a scalar integrand and (k,) for a vector one."""
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     x = mid[:, None] + hw[:, None] * _XGK
     fx = np.asarray(f(x.ravel()), dtype=float)
-    fx = fx.reshape(fx.shape[:-1] + x.shape)
-    if not np.isfinite(fx).all():
-        bad = tuple(np.argwhere(~np.isfinite(fx))[0][-2:])
-        raise EvaluationError(
-            f"integrand returned a non-finite value at r={x[bad]!r}")
+    shape = fx.shape[:-1]
+    fx = fx.reshape((-1,) + x.shape)
     k15 = hw * (fx @ _WGK)
+    # Kronrod weights are positive: a non-finite value leaves its sum so.
+    if not np.isfinite(k15).all():
+        bad = np.argwhere(~np.isfinite(fx))
+        if bad.size:
+            raise EvaluationError("integrand returned a non-finite value "
+                                  f"at r={float(x[tuple(bad[0][1:])])!r}")
     g7 = hw * (fx[..., 1::2] @ _WG)
-    return k15, np.abs(k15 - g7)
+    return k15, np.abs(k15 - g7), shape
 
 
 def _rule(f, a: np.ndarray, b: np.ndarray):
     """``_panel_rule`` in chunks of at most _CHUNK panels: (values, errors)
-    as (k, m) arrays, k = 1 for a scalar integrand, and its shape.
+    as (k, m) arrays, and the integrand's leading shape.
 
     The outputs are filled in place: per-chunk results kept alive between
     the chunks' temporaries would fragment the heap and raise peak RSS.
     """
     for i in range(0, a.size, _CHUNK):
-        v, e = _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK])
+        v, e, shape = _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK])
         if i == 0:
-            shape = v.shape[:-1]
-            vals = np.empty((math.prod(shape), a.size))
+            vals = np.empty((v.shape[0], a.size))
             errs = np.empty_like(vals)
-        vals[:, i:i + _CHUNK] = v.reshape(vals.shape[0], -1)
-        errs[:, i:i + _CHUNK] = e.reshape(vals.shape[0], -1)
+        vals[:, i:i + _CHUNK] = v
+        errs[:, i:i + _CHUNK] = e
     return vals, errs, shape
 
 
@@ -256,41 +261,44 @@ def _initial_edges(spec: QuadratureSpec) -> np.ndarray | None:
     pts = sorted({spec.lower, spec.upper,
                   *(float(bp) for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
+    spans = len(pts) - 1
+    if spec.oscillation_frequency == 0.0 and spec.min_panels <= spans:
+        return np.array(pts)
     width_cap = math.inf
     if spec.oscillation_frequency > 0.0:
         width_cap = math.pi / spec.oscillation_frequency
-    spans = list(zip(pts, pts[1:]))
-    counts = [max(1, math.ceil((right - left) / width_cap),
-                  math.ceil(spec.min_panels / len(spans)))
-              for left, right in spans]
+    least = max(1, math.ceil(spec.min_panels / spans))
+    counts = [max(least, math.ceil((right - left) / width_cap))
+              for left, right in zip(pts, pts[1:])]
     if sum(counts) > spec.max_panels:
         return None
-    edges = [[pts[0]]]
-    for (left, right), n in zip(spans, counts):
-        edges.append(left + (right - left) / n * np.arange(1, n))
-        edges.append([right])
-    return np.concatenate(edges)
+    # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / counts[i].
+    ends = list(itertools.accumulate(counts, initial=0))
+    return np.interp(np.arange(ends[-1] + 1), ends, pts)
 
 
 def _wave(a, b, err, excess, target, room):
-    """Indices of the panels to bisect next, or None if refinement is stuck:
-    no splittable panel carries error, or the unsplittable ones alone
-    exceed a component's ``target``.  Panels are ranked by their largest
-    error relative to each component's excess."""
-    # a < b, so max(-a, b) is the larger |endpoint|.
-    split = b - a > _FLOOR * np.maximum(-a, b)
-    if not split.all() and (np.where(split, 0.0, err).sum(axis=1)
-                            > target).any():
-        return None
+    """Indices of the panels to quarter next, or None if refinement is
+    stuck: no splittable panel carries error, or the unsplittable ones
+    alone exceed a component's ``target``.  Panels are ranked by their
+    largest error relative to each component's excess."""
     # A component within its target weighs 0 and needs an empty prefix.
     score = (err / np.where(excess > 0.0, excess, np.inf)[:, None]).max(axis=0)
-    cand = np.flatnonzero(split & (score > 0.0))
-    if cand.size == 0:
+    # Worst first: the stable sort keeps ties in position order.
+    order = (-score).argsort(kind="stable")[:np.count_nonzero(score > 0.0)]
+    lo, hi = a[order], b[order]
+    # a < b, so max(-a, b) is the larger |endpoint|.
+    split = hi - lo > _FLOOR * np.maximum(-lo, hi)
+    if not split.all():
+        if (err[:, order[~split]].sum(axis=1) > target).any():
+            return None
+        order = order[split]
+    if order.size == 0:
         return None
-    order = cand[np.argsort(-score[cand], kind="stable")]
-    covered = err[:, order].cumsum(axis=1) >= excess[:, None]
-    need = np.where(covered.any(axis=1), covered.argmax(axis=1), order.size)
-    return order[:min(int(need.max()) + 1, room)]
+    # Running sums never fall: count where one is short of its excess.
+    short = (err.take(order, axis=1).cumsum(axis=1)
+             < excess[:, None]).any(axis=0)
+    return order[:min(np.count_nonzero(short) + 1, room)]
 
 
 def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
@@ -318,32 +326,31 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
     while True:
         total, error = val.sum(axis=1), err.sum(axis=1)
         target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
-        excess = error - target
-        room = spec.max_panels - a.size
-        if (excess <= 0.0).all() or room <= 0:
+        room = (spec.max_panels - a.size) // 3  # a pick adds 3 panels
+        if (error <= target).all() or room <= 0:
             break
-        pick = _wave(a, b, err, excess, target, room)
+        pick = _wave(a, b, err, error - target, target, room)
         if pick is None:
             break
-        lo, hi = a[pick], b[pick]
+        n, lo, hi = pick.size, a[pick], b[pick]
         mid = 0.5 * (lo + hi)
-        halves_val, halves_err, _ = _rule(f, np.concatenate([lo, mid]),
-                                          np.concatenate([mid, hi]))
-        # Left halves take their parents' slots; right halves go last.
-        n = pick.size
-        b[pick] = mid
-        val[:, pick], err[:, pick] = halves_val[:, :n], halves_err[:, :n]
-        a, b = np.concatenate([a, mid]), np.concatenate([b, hi])
-        val = np.concatenate([val, halves_val[:, n:]], axis=1)
-        err = np.concatenate([err, halves_err[:, n:]], axis=1)
+        left = np.concatenate([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi)])
+        right = np.concatenate([left[n:], hi])
+        qval, qerr, _ = _rule(f, left, right)
+        # First quarters take their parents' slots; the others go last.
+        b[pick] = right[:n]
+        val[:, pick], err[:, pick] = qval[:, :n], qerr[:, :n]
+        a, b = np.concatenate([a, left[n:]]), np.concatenate([b, right[n:]])
+        val = np.concatenate([val, qval[:, n:]], axis=1)
+        err = np.concatenate([err, qerr[:, n:]], axis=1)
 
     if a.size > initial:
         # Sum in position order, so a panel set always gives the same bits.
-        order = np.argsort(a, kind="stable")
-        total = val[:, order].sum(axis=1)
-        error = err[:, order].sum(axis=1)
-    converged = bool((
-        error <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))).all())
+        order = a.argsort(kind="stable")
+        total = val.take(order, axis=1).sum(axis=1)
+        error = err.take(order, axis=1).sum(axis=1)
+        target = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))
+    converged = bool((error <= target).all())
     value, error = total.reshape(shape), error.reshape(shape)
     if not shape:
         value, error = float(value), float(error)

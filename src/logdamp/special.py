@@ -47,7 +47,9 @@ def I_p(t: float, p: float) -> float:
 
     Converges for every finite t when p >= 0.  For large t the mass sits
     in a peak of width ~ t^(-1/2) near the origin, so peak-scale
-    breakpoints are passed as hints.
+    breakpoints are passed as hints, and 4^-k (k = 1..15) toward the r^p
+    singularity at 0 for non-integer p.  Values below 1e-300 are
+    certified only absolutely (see ``middle_band``).
     """
     t, p = float(t), float(p)
     if p < 0.0:
@@ -58,6 +60,8 @@ def I_p(t: float, p: float) -> float:
     if t > 4.0 * (p + 2.0):
         scale = math.sqrt((p + 1.0) / t)
         hints = tuple(x for x in (scale, 8.0 * scale) if x < 1.0)
+    if not p.is_integer():
+        hints += tuple(4.0 ** -k for k in range(1, 16))
     return _certified(_weight(t, p), QuadratureSpec(
         0.0, 1.0, rel_tol=1e-12, breakpoints=hints), f"I_p({t}, {p})")
 
@@ -91,7 +95,8 @@ def _tail_integral(t: float, p: float) -> float:
 
 def J_p(t: float, p: float) -> float:
     """integral_1^inf (1+r^2)^(-t) r^p dr = 2^(-s) K to 1e-12 for 2t >
-    p + 1 (``_tail_integral``); 0.0 from t ~ 1075 on, unlike J_p_scaled."""
+    p + 1 (``_tail_integral``); 0.0 from t ~ 1075 on, unlike J_p_scaled.
+    Values below 1e-300 (t > ~1000) are certified only absolutely."""
     return _tail_integral(t, p) \
         * 2.0 ** -(float(t) - (float(p) + 1.0) / 2.0)
 
@@ -151,16 +156,21 @@ def middle_band(eta: float, p: float, t: float) -> float:
     """integral_eta^1 (1+r^2)^(-t) r^p dr for eta in (0, 1], to 1e-12.
 
     For p >= 0 the integrand is pointwise at most (1+eta^2)^(-t) on the
-    interval, so the value is bounded by that with constant 1.
+    interval, so the value is bounded by that with constant 1.  Below the
+    1e-300 absolute floor a value is certified only absolutely: 1.38e-310
+    = middle_band(0.5, 0, 3162.28) read 9.0e-312 on a coarser panelling.
     """
     eta = float(eta)
     if not (0.0 < eta <= 1.0):
         raise ValueError("middle_band requires eta in (0, 1]")
     if eta == 1.0:
         return 0.0
-    return _certified(_weight(float(t), float(p)),
-                      QuadratureSpec(eta, 1.0, rel_tol=1e-12),
-                      f"middle_band({eta}, {p}, {t})")
+    # Panel ends 2-32 e-folds (1+eta^2)/(2 eta t) of the weight past eta.
+    fold = (1.0 + eta * eta) / (2.0 * eta) / t if t > 0.0 else math.inf
+    hints = tuple(eta + k * fold for k in range(2, 33, 2))
+    return _certified(_weight(float(t), float(p)), QuadratureSpec(
+        eta, 1.0, rel_tol=1e-12, breakpoints=hints),
+        f"middle_band({eta}, {p}, {t})")
 
 
 def j_sandwich_bounds(t: float, p: float) -> tuple[float, float]:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from logdamp import norms, quadrature
+from logdamp import norms, quadrature, special
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import (Envelope, EvaluationError, QuadratureSpec,
                                 integrate, truncation_point)
@@ -170,6 +170,23 @@ def test_nan_integrand_reports_abscissa():
 
     with pytest.raises(EvaluationError, match="r="):
         integrate(f, QuadratureSpec(0.0, 1.0))
+
+
+@pytest.mark.parametrize("f, breakpoints, lo, hi", [
+    # nan in one component of a vector integrand
+    (lambda x: np.stack([x, np.where(x > 0.5, np.nan, x)]), (), 0.5, 1.0),
+    # +inf and -inf in two panels: each sum is infinite, their total nan
+    (lambda x: np.where(abs(x - 0.2) < 0.1, np.inf,
+                        np.where(abs(x - 0.8) < 0.1, -np.inf, x)),
+     (0.5,), 0.1, 0.3),
+    # every initial node lies above 1e-3, so only a quarter panel of the
+    # refined sqrt cusp meets the nan below it
+    (lambda x: np.sqrt(x) + np.where(x < 1e-3, np.nan, 0.0), (), 0.0, 1e-3),
+], ids=["one-component", "opposite-infinities", "quarter-panel"])
+def test_non_finite_value_names_its_abscissa(f, breakpoints, lo, hi):
+    with pytest.raises(EvaluationError, match="r=") as excinfo:
+        integrate(f, QuadratureSpec(0.0, 1.0, breakpoints=breakpoints))
+    assert lo < float(str(excinfo.value).rsplit("r=", 1)[1]) < hi
 
 
 def test_spec_validation():
@@ -371,6 +388,11 @@ def test_rule_calls_stay_within_the_chunk_at_t_1e8(monkeypatch):
     assert sum(sizes) > 10 * quadrature._CHUNK
 
 
+def _bump(r):
+    """A spectral profile: one Gaussian bump of width 0.1 at r = 0.5."""
+    return np.exp(-0.5 * ((r - 0.5) / 0.1) ** 2)
+
+
 @pytest.mark.parametrize("t", [1e2, 1e6])
 def test_chunk_size_changes_no_bit(monkeypatch, t):
     calls = (
@@ -379,11 +401,16 @@ def test_chunk_size_changes_no_bit(monkeypatch, t):
         lambda: norms.residual_norm(t, _ZERO3, _GAUSS3, 3),
         lambda: norms.residual_norm(t, _ZERO3, _GAUSS3, 3, method="kterms"),
         lambda: norms.M_integral(t, 3, "sin"),
+        # A vector integrand on 300 initial panels, and a refined call.
+        lambda: norms.log_operator_norms(
+            _bump, 3, 30.0, breakpoints=np.arange(0.1, 30.0, 0.1)),
+        lambda: special.I_p(50.0, 0.5),
     )
     seen = []
     for chunk in (64, quadrature._CHUNK, 2048):
         monkeypatch.setattr(quadrature, "_CHUNK", chunk)
-        seen.append([float(call()).hex() for call in calls])
+        seen.append([[float(v).hex() for v in np.atleast_1d(call())]
+                     for call in calls])
     assert seen[0] == seen[1] == seen[2]
 
 
@@ -431,3 +458,88 @@ def test_unsplittable_panel_over_budget_ends_refinement():
                                       breakpoints=(1.0, float(right))))
     assert not res.converged
     assert res.panels_used < 100
+
+
+# Rule passes (the initial panelling, then one per wave) of small calls
+# that used to take many waves: at one bisection level a wave and without
+# the weight integrals' breakpoints they took 21-23, 7 and 6 passes.
+_SMALL_CALLS = {
+    "I_p(1, 0.5)": (lambda: special.I_p(1.0, 0.5), 2),
+    "I_p(10, 0.5)": (lambda: special.I_p(10.0, 0.5), 2),
+    "I_p(1e3, 0.5)": (lambda: special.I_p(1e3, 0.5), 3),
+    **{f"middle_band(0.1, {p:g}, 1e3)":
+       (lambda p=p: special.middle_band(0.1, p, 1e3), 1)
+       for p in (0.0, 0.5, 1.0, 2.0, 3.0)},
+    "log_operator_norms(bump)": (lambda: norms.log_operator_norms(
+        _bump, 3, 30.0, breakpoints=(0.5,)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(_SMALL_CALLS))
+def test_small_calls_take_few_rule_passes(monkeypatch, name):
+    call, passes = _SMALL_CALLS[name]
+    sizes = _count_rule_calls(monkeypatch)
+    call()
+    assert len(sizes) == passes
+
+
+def test_each_pick_is_quartered(monkeypatch):
+    # One panel [0, 1] on sqrt(x): the first wave picks it and rules on
+    # its four quarters in one pass.
+    edges = []
+    panel_rule = quadrature._panel_rule
+
+    def recording_rule(f, a, b):
+        edges.append((a.tolist(), b.tolist()))
+        return panel_rule(f, a, b)
+
+    monkeypatch.setattr(quadrature, "_panel_rule", recording_rule)
+    res = integrate(np.sqrt, QuadratureSpec(0.0, 1.0, rel_tol=1e-10))
+    assert res.converged
+    assert res.value == pytest.approx(2.0 / 3.0, rel=1e-10)
+    assert edges[1] == ([0.0, 0.25, 0.5, 0.75], [0.25, 0.5, 0.75, 1.0])
+    assert res.panels_used == 1 + 3 * (sum(len(a) for a, _ in edges[1:]) // 4)
+
+
+def test_quarters_of_the_narrowest_splittable_panel_are_distinct():
+    # The narrowest panel the floor lets split still has four non-empty
+    # quarters with distinct edges.
+    for lo in (1.0, -3.0, 1e-300, 7e300, -2.0 ** -1000):
+        hi = lo
+        while not hi - lo > quadrature._FLOOR * max(-lo, hi):
+            hi = float(np.nextafter(hi, math.inf))
+        mid = 0.5 * (lo + hi)
+        edges = [lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi), hi]
+        assert all(l < r for l, r in zip(edges, edges[1:])), edges
+
+
+def _loop_edges(spec):
+    """The per-span loop ``_initial_edges`` replaces: each span split into
+    equal steps, no wider than pi/w, at least ``min_panels`` in all."""
+    pts = sorted({spec.lower, spec.upper,
+                  *(bp for bp in spec.breakpoints
+                    if spec.lower < bp < spec.upper)})
+    cap = math.pi / spec.oscillation_frequency \
+        if spec.oscillation_frequency > 0.0 else math.inf
+    edges = [pts[0]]
+    for left, right in zip(pts, pts[1:]):
+        n = max(1, math.ceil((right - left) / cap),
+                math.ceil(spec.min_panels / (len(pts) - 1)))
+        edges.extend(left + (right - left) / n * np.arange(1, n))
+        edges.append(right)
+    return np.array(edges)
+
+
+def test_initial_edges_match_the_per_span_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        lower = rng.uniform(-50.0, 50.0) * 10.0 ** rng.integers(-4, 5)
+        upper = lower + rng.uniform(1e-3, 100.0) * 10.0 ** rng.integers(-4, 2)
+        spec = QuadratureSpec(
+            lower, upper,
+            breakpoints=tuple(rng.uniform(lower, upper,
+                                          rng.integers(0, 6)).tolist()),
+            oscillation_frequency=float(rng.choice([0.0, 3.7, 250.0])),
+            min_panels=int(rng.choice([1, 3, 32])), max_panels=10 ** 6)
+        edges = quadrature._initial_edges(spec)
+        assert edges.tobytes() == _loop_edges(spec).tobytes(), spec

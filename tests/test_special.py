@@ -258,3 +258,25 @@ def test_peak_integral_two_sided_witness():
             lower = (math.exp(-p / 8.0) / 2.0 ** (p + 2.0)
                      * (p / (2.0 * t - p)) ** ((p + 1.0) / 2.0))
             assert special.I_p(t, p) >= lower
+
+
+def _mp_weight_band(t, p, lo, hi):
+    """integral_lo^hi (1+r^2)^(-t) r^p dr at 40 digits: with x = 1/(1+r^2)
+    it is half the incomplete beta integral of x^(a-1) (1-x)^(b-1),
+    a = t - (p+1)/2, b = (p+1)/2, from 1/(1+hi^2) to 1/(1+lo^2)."""
+    with mpmath.workdps(40):
+        b = (mpmath.mpf(p) + 1) / 2
+        x_lo, x_hi = (1 / (1 + mpmath.mpf(r) ** 2) for r in (hi, lo))
+        return mpmath.betainc(mpmath.mpf(t) - b, b, x_lo, x_hi) / 2
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("p", [0.0, 0.5, 3.0])
+@pytest.mark.parametrize("t", [1.0, 10.0, 50.0, 1e3, 1e5])
+def test_weight_bands_against_mpmath(eta, p, t):
+    # I_p (eta = 0) has breakpoints toward the r^0.5 singularity at 0, and
+    # middle_band at e-folds of the weight past eta.  Below the 1e-300
+    # floor the values are certified only absolutely.
+    band = special.I_p(t, p) if eta == 0.0 else special.middle_band(eta, p, t)
+    assert band == pytest.approx(float(_mp_weight_band(t, p, eta, 1.0)),
+                                 rel=1e-12, abs=1e-300)
