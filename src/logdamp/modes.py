@@ -73,34 +73,22 @@ class InitialDataSpec:
             object.__setattr__(self, "amplitude", 0.0)
             object.__setattr__(self, "width", 1.0)
         try:
-            finite = (math.isfinite(self.mass())
-                      and math.isfinite(self._prefactor()))
+            finite = (math.isfinite(self.width ** 2)
+                      and math.isfinite(self.mass()))
         except OverflowError:
             finite = False
         if not finite:
             raise ValueError(
-                f"width {self.width!r} in dimension {self.dimension}: the "
-                f"transform at r = 0, amplitude * (2 pi)^(n/2) * width^n, "
-                f"overflows")
+                f"width {self.width!r} in dimension {self.dimension}: "
+                f"width^2 or the transform at r = 0, amplitude * "
+                f"(2 pi)^(n/2) * width^n, overflows")
 
-    def _plain(self) -> bool:
-        """True when width^n, (2 pi width^2)^(n/2) and their factors are
-        normal doubles, so the plain products round only once more."""
-        return self.dimension * (abs(math.frexp(self.width)[1]) + 2) < 1000
-
-    def _prefactor(self) -> float:
-        """amplitude * (2 pi)^(n/2) * width^n, the transform at r = 0.
-
-        Outside ``_plain`` widths width^n is m^n 2^(kn) with width = m 2^k,
-        m in [1/2, 1), so a tiny amplitude offsets a huge width^n and only
-        a result outside the doubles overflows (OverflowError).
-        """
-        w, n = self.width, self.dimension
-        amp = self.amplitude * (2.0 * math.pi) ** (n / 2.0)
-        if self._plain():
-            return amp * w ** n
-        m, k = math.frexp(w)
-        return math.ldexp(amp * m ** n, k * n)
+    def _times_width_to(self, c: float, p: int) -> float:
+        """c * width^p, formed as m^p 2^(kp) with width = m 2^k, m in
+        [1/2, 1): a tiny c offsets a huge width^p, and only a result
+        outside the doubles overflows (OverflowError)."""
+        m, k = math.frexp(self.width)
+        return math.ldexp(c * m ** p, k * p)
 
     # -- transform side ----------------------------------------------------
 
@@ -113,7 +101,7 @@ class InitialDataSpec:
 
     def fourier(self, r):
         """Transform value at radius r, real or complex (it is entire)."""
-        out = self._prefactor() * np.exp(self._exponent(r))
+        out = self.mass() * np.exp(self._exponent(r))
         return out if out.ndim else out.item()
 
     def fourier_minus_mass(self, r):
@@ -125,10 +113,9 @@ class InitialDataSpec:
 
     def mass(self) -> float:
         """integral of the datum = transform at r = 0."""
-        if not self._plain():
-            return self._prefactor()
         n = self.dimension
-        return self.amplitude * (2.0 * math.pi * self.width ** 2) ** (n / 2.0)
+        return self._times_width_to(
+            self.amplitude * (2.0 * math.pi) ** (n / 2.0), n)
 
     def fourier_sup(self) -> float:
         """sup over r of |transform| (attained at r = 0)."""
@@ -140,26 +127,25 @@ class InitialDataSpec:
         return abs(self.mass())
 
     def l2_norm(self) -> float:
+        """|amplitude| (pi width^2)^(n/4), width^(n/2) as
+        width^(n//2) sqrt(width)^(n % 2)."""
         n = self.dimension
-        return abs(self.amplitude) * (math.pi * self.width ** 2) ** (n / 4.0)
+        c = abs(self.amplitude) * math.pi ** (n / 4.0)
+        if n % 2:
+            c *= math.sqrt(self.width)
+        return self._times_width_to(c, n // 2)
 
     def weighted_l1_norm(self) -> float:
         """integral (1 + |x|) |datum| dx.
 
         The first moment is omega_n Gamma((n+1)/2) (2 width^2)^((n+1)/2)
-        / 2 per unit amplitude; outside ``_plain`` widths width^(n+1) is
-        m^(n+1) 2^(k(n+1)) as in ``_prefactor``, so a tiny amplitude
-        offsets a huge width and only a result outside the doubles
-        overflows.
+        / 2 = omega_n Gamma((n+1)/2) 2^((n-1)/2) width^(n+1) per unit
+        amplitude.
         """
-        w, n = self.width, self.dimension
-        c = sphere_area(n) * math.gamma((n + 1.0) / 2.0)
-        if self._plain():
-            moment = c * (2.0 * w * w) ** ((n + 1.0) / 2.0) / 2.0
-            return self.l1_norm() + abs(self.amplitude) * moment
-        m, k = math.frexp(w)
-        moment = abs(self.amplitude) * c * 2.0 ** ((n - 1.0) / 2.0)
-        return self.l1_norm() + math.ldexp(moment * m ** (n + 1), k * (n + 1))
+        n = self.dimension
+        c = (abs(self.amplitude) * sphere_area(n) * math.gamma((n + 1.0) / 2.0)
+             * 2.0 ** ((n - 1.0) / 2.0))
+        return self.l1_norm() + self._times_width_to(c, n + 1)
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,12 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         r1, bound = lower, tail.bound(lower)
 
     def direct(lo, hi, abs_tol):
+        # Panels no wider than a half-period pi/omega, so a symmetric
+        # cancellation cannot fool the embedded error estimate.
+        halves = math.ceil((hi - lo) / (math.pi / omega)) if omega else 1
         res = integrate(f, QuadratureSpec(
             lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
-            oscillation_frequency=omega, max_panels=200_000))
+            min_panels=halves, max_panels=200_000))
         return res.value, res.error_estimate
 
     cut = math.inf if split is None else max(lower, split.delta)
@@ -253,7 +256,7 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     analytic where Re r >= lo > 0.
     """
     mean, h, _, height = split
-    xs = integrate(lambda x: np.stack([mean(x),
+    xs = integrate(lambda x: np.array([mean(x),
                                        np.abs(h(x + 1j * height))]),
                    QuadratureSpec(lo, hi, abs_tol=0.25 * abs_tol,
                                   rel_tol=0.25 * rel_tol,
@@ -261,7 +264,7 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     if not xs.panels_used:  # refused: more panels than max_panels
         return None
     floor = max(0.25 * abs_tol, 0.125 * rel_tol * abs(xs.value[0]))
-    ys = integrate(lambda y: np.stack([-h(lo + 1j * y).imag,
+    ys = integrate(lambda y: np.array([-h(lo + 1j * y).imag,
                                        np.abs(h(hi + 1j * y))]),
                    QuadratureSpec(0.0, height, abs_tol=floor,
                                   rel_tol=0.25 * rel_tol, min_panels=8))
@@ -481,7 +484,7 @@ def log_operator_norms(vhat, n: int, radius: float, breakpoints=(),
     def f(r):
         v = vhat(r)
         w = v * v * r ** (n - 1)
-        return np.stack([w, r ** 4 * w, np.log1p(r * r) ** 2 * w])
+        return np.array([w, r ** 4 * w, np.log1p(r * r) ** 2 * w])
 
     spec = QuadratureSpec(0.0, float(radius), rel_tol=rel_tol,
                           breakpoints=tuple(breakpoints), min_panels=32)

@@ -16,11 +16,8 @@ cost outweighs a small call's extra panels.  A panel is unsplittable
 once its width is a few ulps of its own |endpoints|; it is skipped,
 not a reason to stop.  Integrands return
 shape (N,), or (k, N) for k integrals on one panelling, each held to its
-own max(abs_tol, rel_tol * |value_k|).  When the integrand contains
-sin(w*r) or cos(w*r), initial panels are no wider than pi/w, so no panel
-spans more than a half-period and the embedded error estimate cannot be
-fooled by symmetric cancellation; an interval that needs more such
-panels than max_panels is not integrated at all (converged=False).
+own max(abs_tol, rel_tol * |value_k|).  An initial panelling of more
+than max_panels panels is not integrated at all (converged=False).
 
 The tail ``Envelope`` and ``truncation_point`` serve the half-line
 route in ``norms._two_phase``, which truncates there and charges the
@@ -33,7 +30,6 @@ for a fixed panel set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -168,19 +164,17 @@ def truncation_point(tail, tol: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """How to integrate: finite interval, tolerances, oscillation.
+    """How to integrate: finite interval, tolerances, initial panels.
 
-    Both limits must be finite; half-line integrals are truncated by
-    ``norms._two_phase``.  ``oscillation_frequency`` is the w of the
-    fastest sin(w r)/cos(w r) factor; 0 means smooth.  ``breakpoints``
-    are optional interior split hints (peak locations).
+    Both limits must be finite (``norms._two_phase`` truncates half-line
+    integrals).  Refinement starts from at least ``min_panels`` equal
+    panels over the spans between optional interior ``breakpoints``.
     """
 
     lower: float
     upper: float
     abs_tol: float = 1e-300
     rel_tol: float = 1e-12
-    oscillation_frequency: float = 0.0
     max_panels: int = 50_000
     breakpoints: tuple[float, ...] = ()
     min_panels: int = 1
@@ -192,8 +186,6 @@ class QuadratureSpec:
             raise ValueError("lower must be < upper")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.oscillation_frequency < 0.0:
-            raise ValueError("oscillation_frequency must be >= 0")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
 
@@ -256,25 +248,21 @@ def _rule(f, a: np.ndarray, b: np.ndarray):
 
 
 def _initial_edges(spec: QuadratureSpec) -> np.ndarray | None:
-    """Edges of the initial panels: none wider than a half-period pi/w,
-    at least ``min_panels``; None when that takes more than max_panels."""
+    """Edges of the initial panels: the spans between the limits and
+    breakpoints, each cut into equal panels, at least ``min_panels`` in
+    all; None when that takes more than max_panels."""
     pts = sorted({spec.lower, spec.upper,
                   *(float(bp) for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
     spans = len(pts) - 1
-    if spec.oscillation_frequency == 0.0 and spec.min_panels <= spans:
+    if spec.min_panels <= spans:
         return np.array(pts)
-    width_cap = math.inf
-    if spec.oscillation_frequency > 0.0:
-        width_cap = math.pi / spec.oscillation_frequency
-    least = max(1, math.ceil(spec.min_panels / spans))
-    counts = [max(least, math.ceil((right - left) / width_cap))
-              for left, right in zip(pts, pts[1:])]
-    if sum(counts) > spec.max_panels:
+    least = math.ceil(spec.min_panels / spans)
+    if least * spans > spec.max_panels:
         return None
-    # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / counts[i].
-    ends = list(itertools.accumulate(counts, initial=0))
-    return np.interp(np.arange(ends[-1] + 1), ends, pts)
+    # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / least.
+    return np.interp(np.arange(least * spans + 1),
+                     np.arange(spans + 1) * least, pts)
 
 
 def _wave(a, b, err, excess, target, room):
@@ -312,9 +300,9 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
     Never returns a silently wrong answer: if the tolerance cannot be
     met within ``max_panels`` the result carries converged=False, and a
     non-finite integrand value raises EvaluationError naming the
-    abscissa.  If the half-period panelling alone needs more than
-    ``max_panels``, ``f`` is not called: the result is value 0, error
-    +inf, ``panels_used`` 0 and converged=False.
+    abscissa.  If the initial panelling takes more than ``max_panels``,
+    ``f`` is not called: the result is value 0, error +inf,
+    ``panels_used`` 0 and converged=False.
     """
     spec.validate()
     edges = _initial_edges(spec)

@@ -220,6 +220,42 @@ def test_profile_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
     assert code == 1 and fails == ["# FAIL n=3 scaled residual ratio 9.9814"]
 
 
+@pytest.mark.parametrize("dim, amplitude, width", [
+    ("2", "1e-300", "1e120"), ("3", "1e-250", "1e80")])
+def test_profile_of_wide_data_prints_every_row(tmp_path, capsys, dim,
+                                               amplitude, width):
+    # I0's first moment is a tiny amplitude times width^(n+1), which
+    # overflowed as a plain power, (2 width^2)^((n+1)/2), and ended the
+    # run on error: (34, 'Numerical result out of range').
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(f"u1_amplitude = {amplitude}\nu1_width = {width}\n")
+    code, text = run(tmp_path, "profile", "--config", str(cfg), "--dim", dim)
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 9
+    assert all(math.isfinite(float(r["I0"])) and float(r["residual"]) > 0.0
+               for r in rows)
+    # As for width 1e103 above, u is far from the profile until
+    # t >> width^2, so only the band check may fail.
+    fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
+    assert code == len(fails) == 1
+    assert fails[0].startswith(f"# FAIL n={dim} scaled residual ratio")
+
+
+@pytest.mark.parametrize("command", ["decay", "profile", "lemmas"])
+def test_width_whose_square_overflows_is_a_config_error(tmp_path, capsys,
+                                                        command):
+    # The transform at 0 is an ordinary double, but width^2 = 1e320 is
+    # not: the datum is refused by name before any norm squares it.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e160\n")
+    code, _ = run(tmp_path, command, "--config", str(cfg), "--dim", "2")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(err) == 1 and err[0].startswith(
+        "error: invalid config: width 1e+160 in dimension 2: ")
+
+
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):
     code, text = run(tmp_path, "lemmas", "--config",
                      _zero_data_config(tmp_path), "--samples", "20")

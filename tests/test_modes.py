@@ -91,11 +91,86 @@ def test_transform_prefactor_is_scale_safe():
         InitialDataSpec("gaussian", 1.0, 1e103, 3)
     # A transform sup near the top of the doubles is still one.
     assert InitialDataSpec("gaussian", 1e308 / 16, 1.0, 3).mass() > 9e307
-    # Ordinary widths keep the plain products, bit for bit.
+    # Ordinary widths keep the plain transform, and the mass is that
+    # transform at 0, bit for bit.
     for w in (0.5, 0.8, 1.0, 1.3, 2.0):
         d = InitialDataSpec("gaussian", 1.7, w, 3)
-        assert d.mass() == 1.7 * (2.0 * math.pi * w ** 2) ** 1.5
         assert d.fourier(0.0) == 1.7 * (2.0 * math.pi) ** 1.5 * w ** 3
+        assert d.mass() == d.fourier(0.0)
+
+
+def _random_datum(rng, n, log10_hi=150.0, moment=False):
+    """A Gaussian of random width 10^[-150, log10_hi] whose mass (with
+    ``moment``, also its first moment) lies within 10^+-250 of 1, so it
+    and its norms are ordinary doubles."""
+    while True:
+        lw = rng.uniform(-150.0, log10_hi)
+        lo = max(-300.0, -n * lw - 200.0)
+        hi = min(300.0, -n * lw + 200.0,
+                 -(n + 1) * lw + 250.0 if moment else math.inf)
+        if lo < hi:
+            return InitialDataSpec("gaussian",
+                                   float(rng.choice([-1.0, 1.0]))
+                                   * 10.0 ** rng.uniform(lo, hi),
+                                   10.0 ** lw, n)
+
+
+def test_mass_is_the_transform_at_zero_bit_for_bit():
+    # One closed form for P1: fourier and fourier_minus_mass scale by
+    # mass(), so no width or amplitude lets the two disagree.  The pair
+    # (1.7, 0.8) in dimension 3 once differed by one ulp.
+    rng = np.random.default_rng(15)
+    data = [InitialDataSpec("gaussian", 1.7, 0.8, 3)]
+    data += [_random_datum(rng, n) for n in (1, 2, 3) for _ in range(300)]
+    for d in data:
+        assert d.mass().hex() == float(d.fourier(0.0)).hex(), d
+        assert d.fourier_minus_mass(0.0) == 0.0
+
+
+def test_closed_forms_match_log_space_references():
+    # mass, l2_norm and weighted_l1_norm against 30-digit closed forms
+    # built in log space, out to widths whose square is near the top of
+    # the doubles, where a plain width^2 or width^(n+1) overflows.
+    import mpmath as mp
+    mp.mp.dps = 30
+    rng = np.random.default_rng(154)
+    data = [InitialDataSpec("gaussian", a, w, n) for n in (1, 2, 3)
+            for a, w in ((1e-300, 1e150), (1e-300, 1e120), (1e-250, 1e80),
+                         (1e300, 1e-150), (2.5, 0.7))]
+    data += [InitialDataSpec("gaussian", 1e-300, 1e154, n) for n in (1, 2)]
+    data += [_random_datum(rng, n, 154.0, moment=True) for n in (1, 2, 3)
+             for _ in range(100)]
+    for d in data:
+        n, log_a, log_w = (d.dimension, mp.log(abs(mp.mpf(d.amplitude))),
+                           mp.log(mp.mpf(d.width)))
+        mass = mp.exp(log_a + n / mp.mpf(2) * mp.log(2 * mp.pi) + n * log_w)
+        l2 = mp.exp(log_a + n / mp.mpf(4) * mp.log(mp.pi)
+                    + n / mp.mpf(2) * log_w)
+        # omega_n Gamma((n+1)/2) (2 w^2)^((n+1)/2) / 2, omega_n =
+        # 2 pi^(n/2) / Gamma(n/2).
+        moment = mp.exp(log_a + mp.log(2) + n / mp.mpf(2) * mp.log(mp.pi)
+                        - mp.loggamma(mp.mpf(n) / 2)
+                        + mp.loggamma(mp.mpf(n + 1) / 2)
+                        + (n + 1) / mp.mpf(2) * mp.log(2)
+                        + (n + 1) * log_w - mp.log(2))
+        assert abs(d.mass()) == pytest.approx(float(mass), rel=1e-14), d
+        assert d.l2_norm() == pytest.approx(float(l2), rel=1e-14), d
+        assert d.weighted_l1_norm() == pytest.approx(float(mass + moment),
+                                                     rel=1e-14), d
+    # In dimension 3 the first moment at width 1e154 is 2.5e317 for the
+    # smallest normal amplitude: the datum is valid, its I0 is not a double.
+    with pytest.raises(OverflowError):
+        InitialDataSpec("gaussian", 1e-300, 1e154, 3).weighted_l1_norm()
+
+
+def test_width_whose_square_overflows_is_refused_by_name():
+    # The transform at 0, 1e-300 * 2 pi * 1e320, is an ordinary double,
+    # but width^2 is not: the envelope and l2_norm square the width.
+    for n in (1, 2):
+        with pytest.raises(ValueError,
+                           match=rf"width 1e\+160 in dimension {n}: width\^2"):
+            InitialDataSpec("gaussian", 1e-300, 1e160, n)
+    assert InitialDataSpec("gaussian", 1e-300, 1e154, 2).mass() > 0.0
 
 
 def test_transform_and_phasor_take_complex_radii():

@@ -394,8 +394,8 @@ def test_residual_argument_validation():
 def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
                                                      split):
     # A half-period panel abscissa is one radius; an abscissa of the
-    # contour route (no oscillation frequency) is two: the mean part and
-    # the top side, or the left and right sides.  The mean part's
+    # contour route (a two-row vector integrand) is two: the mean part
+    # and the top side, or the left and right sides.  The mean part's
     # magnitude estimate takes one radius per node.
     seen = {"symbol": 0, "radii": 0, "contour": 0}
     kernel, integrate_ = symbols.kernel, norms.integrate
@@ -406,13 +406,16 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
         return kernel(r)
 
     def counted_integrate(f, spec):
-        radii = 1 if spec.oscillation_frequency else 2
-        seen["contour"] += radii == 2
+        rows = set()
 
         def g(x):
-            seen["radii"] += radii * np.size(x)
-            return f(x)
-        return integrate_(g, spec)
+            y = f(x)
+            rows.add(np.ndim(y))
+            seen["radii"] += np.ndim(y) * np.size(x)
+            return y
+        res = integrate_(g, spec)
+        seen["contour"] += 2 in rows
+        return res
 
     def counted_estimate(mean, lo, hi):
         seen["radii"] += len(norms._geometric(lo, hi)) + 2

@@ -26,6 +26,12 @@ def gauss(c, q, coeff=1.0):
     return Envelope((coeff, None, (c, q)))
 
 
+def half_periods(lo, hi, w):
+    """Panels no wider than a half-period pi/w of sin(w r) on [lo, hi],
+    as ``norms._two_phase`` asks for them."""
+    return math.ceil((hi - lo) / (math.pi / w))
+
+
 def test_arctan_closed_form():
     res = integrate(lambda x: 1.0 / (1.0 + x * x), QuadratureSpec(0.0, 1.0))
     assert res.converged
@@ -44,7 +50,8 @@ def test_oscillatory_against_frozen_oracle():
         return np.sin(100.0 * x) ** 2 * np.exp(-100.0 * np.log1p(x * x))
 
     res = integrate(f, QuadratureSpec(0.0, 1.0, rel_tol=1e-12,
-                                      oscillation_frequency=100.0))
+                                      min_panels=half_periods(0.0, 1.0,
+                                                              100.0)))
     assert res.converged
     assert res.value == pytest.approx(OSC_ORACLE, rel=1e-9)
 
@@ -59,8 +66,9 @@ def test_oscillation_safety_gaussian_window(omega):
     def f(x):
         return np.sin(omega * x) ** 2 * np.exp(-x * x)
 
-    res = integrate(f, QuadratureSpec(0.0, 8.0, rel_tol=1e-11,
-                                      oscillation_frequency=2.0 * omega))
+    res = integrate(f, QuadratureSpec(
+        0.0, 8.0, rel_tol=1e-11, min_panels=half_periods(0.0, 8.0,
+                                                         2.0 * omega)))
     assert res.converged
     assert res.value == pytest.approx(exact, rel=1e-9)
 
@@ -115,7 +123,8 @@ def test_deterministic_bit_for_bit():
     def f(x):
         return np.sin(37.0 * x) ** 2 * np.exp(-x)
 
-    spec = QuadratureSpec(0.0, 8.0, rel_tol=1e-12, oscillation_frequency=74.0)
+    spec = QuadratureSpec(0.0, 8.0, rel_tol=1e-12,
+                          min_panels=half_periods(0.0, 8.0, 74.0))
     r1, r2 = integrate(f, spec), integrate(f, spec)
     assert r1.value.hex() == r2.value.hex()
     assert r1.panels_used == r2.panels_used
@@ -133,15 +142,16 @@ def test_converged_flag_honest_on_panel_exhaustion():
 
 def test_over_budget_half_period_panelling_is_refused():
     # 1000 half-periods of sin(200 r)^2 on [0, 5*pi] do not fit in 100
-    # panels; wider panels would void the error estimate, so the call
-    # reports failure without evaluating f.
+    # panels; wider panels would void the error estimate, so a call that
+    # asks for them reports failure without evaluating f.
     calls = []
 
     def f(x):
         calls.append(x.size)
         return np.sin(200.0 * x) ** 2
 
-    spec = QuadratureSpec(0.0, 5.0 * math.pi, oscillation_frequency=400.0,
+    spec = QuadratureSpec(0.0, 5.0 * math.pi,
+                          min_panels=half_periods(0.0, 5.0 * math.pi, 400.0),
                           max_panels=100)
     res = integrate(f, spec)
     assert not res.converged
@@ -196,9 +206,6 @@ def test_spec_validation():
         integrate(lambda x: x, QuadratureSpec(0.0, 1.0, rel_tol=0.0))
     with pytest.raises(ValueError, match="finite"):
         integrate(lambda x: x, QuadratureSpec(0.0, math.inf))
-    with pytest.raises(ValueError, match="oscillation"):
-        integrate(lambda x: x,
-                  QuadratureSpec(0.0, 1.0, oscillation_frequency=-1.0))
 
 
 def test_semi_infinite_with_power_tail(monkeypatch):
@@ -360,7 +367,8 @@ def test_converged_initial_panelling_takes_one_rule_pass(monkeypatch):
     sizes = _count_rule_calls(monkeypatch)
     res = integrate(lambda x: np.exp(-x) * np.cos(3.0 * x),
                     QuadratureSpec(0.0, 10.0, rel_tol=1e-10,
-                                   oscillation_frequency=300.0))
+                                   min_panels=half_periods(0.0, 10.0,
+                                                           300.0)))
     exact = (1.0 - math.exp(-10.0) * (math.cos(30.0) - 3.0 * math.sin(30.0))
              ) / 10.0
     assert res.converged
@@ -515,16 +523,13 @@ def test_quarters_of_the_narrowest_splittable_panel_are_distinct():
 
 def _loop_edges(spec):
     """The per-span loop ``_initial_edges`` replaces: each span split into
-    equal steps, no wider than pi/w, at least ``min_panels`` in all."""
+    equal steps, at least ``min_panels`` in all."""
     pts = sorted({spec.lower, spec.upper,
                   *(bp for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
-    cap = math.pi / spec.oscillation_frequency \
-        if spec.oscillation_frequency > 0.0 else math.inf
     edges = [pts[0]]
     for left, right in zip(pts, pts[1:]):
-        n = max(1, math.ceil((right - left) / cap),
-                math.ceil(spec.min_panels / (len(pts) - 1)))
+        n = max(1, math.ceil(spec.min_panels / (len(pts) - 1)))
         edges.extend(left + (right - left) / n * np.arange(1, n))
         edges.append(right)
     return np.array(edges)
@@ -539,7 +544,7 @@ def test_initial_edges_match_the_per_span_loop_bit_for_bit():
             lower, upper,
             breakpoints=tuple(rng.uniform(lower, upper,
                                           rng.integers(0, 6)).tolist()),
-            oscillation_frequency=float(rng.choice([0.0, 3.7, 250.0])),
-            min_panels=int(rng.choice([1, 3, 32])), max_panels=10 ** 6)
+            min_panels=int(rng.choice([1, 3, 32, 955, 5000])),
+            max_panels=10 ** 6)
         edges = quadrature._initial_edges(spec)
         assert edges.tobytes() == _loop_edges(spec).tobytes(), spec
