@@ -464,10 +464,12 @@ def cmd_profile(cfg: RunConfig) -> int:
             rep.comment(f"n={n} scaled-residual ratio={ratio:.4f} limit={cfg.tol:g}")
             if ratio > cfg.tol:
                 failures.append(f"n={n} scaled residual ratio {ratio:.4f}")
-            if i0 > 0.0 and max(positive) > cfg.i0_multiple * i0:
-                failures.append(
-                    f"n={n} scaled residual {max(positive):.4f} exceeds "
-                    f"{cfg.i0_multiple:g} * I0 = {cfg.i0_multiple * i0:.4f}")
+        if i0 == math.inf:  # a first moment outside the doubles
+            rep.comment(f"n={n} I0 check not applicable (I0 = inf)")
+        elif positive and i0 > 0.0 and max(positive) > cfg.i0_multiple * i0:
+            failures.append(
+                f"n={n} scaled residual {max(positive):.4f} exceeds "
+                f"{cfg.i0_multiple:g} * I0 = {cfg.i0_multiple * i0:.4f}")
     return rep.finish(failures)
 
 

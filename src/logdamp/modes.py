@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -72,12 +73,8 @@ class InitialDataSpec:
         if self.family == "zero":  # a unit width keeps w^n finite
             object.__setattr__(self, "amplitude", 0.0)
             object.__setattr__(self, "width", 1.0)
-        try:
-            finite = (math.isfinite(self.width ** 2)
-                      and math.isfinite(self.mass()))
-        except OverflowError:
-            finite = False
-        if not finite:
+        if not (math.isfinite(self.width * self.width)
+                and math.isfinite(self.mass())):
             raise ValueError(
                 f"width {self.width!r} in dimension {self.dimension}: "
                 f"width^2 or the transform at r = 0, amplitude * "
@@ -86,9 +83,12 @@ class InitialDataSpec:
     def _times_width_to(self, c: float, p: int) -> float:
         """c * width^p, formed as m^p 2^(kp) with width = m 2^k, m in
         [1/2, 1): a tiny c offsets a huge width^p, and only a result
-        outside the doubles overflows (OverflowError)."""
+        outside the doubles overflows (to +-inf)."""
         m, k = math.frexp(self.width)
-        return math.ldexp(c * m ** p, k * p)
+        try:
+            return math.ldexp(c * m ** p, k * p)
+        except OverflowError:
+            return math.copysign(math.inf, c)
 
     # -- transform side ----------------------------------------------------
 
@@ -136,7 +136,8 @@ class InitialDataSpec:
         return self._times_width_to(c, n // 2)
 
     def weighted_l1_norm(self) -> float:
-        """integral (1 + |x|) |datum| dx.
+        """integral (1 + |x|) |datum| dx, inf where the first moment
+        leaves the doubles (a width inside the domain can do that).
 
         The first moment is omega_n Gamma((n+1)/2) (2 width^2)^((n+1)/2)
         / 2 = omega_n Gamma((n+1)/2) 2^((n-1)/2) width^(n+1) per unit
@@ -175,13 +176,15 @@ def _out(x):
 class Mode:
     """The factors shared by every mode field at time t and radii r.
 
-    The roots -a +/- ib of the mode equation fix a, e^{-at}, cos(bt) and
-    sinc(bt) once per abscissa array; each method builds one field from
-    them.  sin(bt)/b is evaluated as t*sinc(bt), so the r = 0 limit is
-    exact.  One ``symbols.kernel`` call per abscissa array gives a and
-    g (one log1p per abscissa); g and sqrt(1 - g) are held for the
-    K-term path and ``residual_phasor``.  Real radii serve every field;
-    complex radii serve ``phasor`` and ``residual_phasor`` only.
+    The roots -a +/- ib of the mode equation fix a and b once per
+    abscissa array; each method builds one field from them.  One
+    ``symbols.kernel`` call per abscissa array gives a and g (one log1p
+    per abscissa); g and sqrt(1 - g) are held for the K-term path and
+    ``residual_phasor``.  The real-radius fields ``env`` = e^{-at},
+    ``cos_bt`` and ``sinc_bt`` form on first use (by ``u``, ``u_t``,
+    ``profile``, ``k_terms``), so phasor-only modes skip them.
+    sin(bt)/b is t*sinc(bt), so the r = 0 limit is exact.  Real radii
+    serve every field; complex radii only the two phasors.
     """
 
     def __init__(self, t, r):
@@ -193,11 +196,10 @@ class Mode:
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
         self.sq = np.sqrt(1.0 - self.g)
         self.b = self.r * self.sq
-        if not np.iscomplexobj(self.r):  # the real-radius fields
-            bt = self.b * t
-            self.env = np.exp(-self.a * t)
-            self.cos_bt = np.cos(bt)
-            self.sinc_bt = sinc(bt)
+
+    env = cached_property(lambda self: np.exp(-self.a * self.t))
+    cos_bt = cached_property(lambda self: np.cos(self.b * self.t))
+    sinc_bt = cached_property(lambda self: sinc(self.b * self.t))
 
     def phasor(self, u0_val, u1_val):
         """P = Z e^{lambda t}, lambda = -a + ib, Z = u0 - i(u1 + a u0)/b.

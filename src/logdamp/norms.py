@@ -17,7 +17,8 @@ r^(n-1) for an analytic X (the mode's phasor, the residual phasor
 of ``Mode.residual_phasor``, or the weight's e^{(ir - a)t}), so a mean
 part, integrated directly, plus the real part of an analytic function,
 whose integral Cauchy's theorem moves onto a contour where it decays
-like e^{-2ty} (``_contour``).  So their cost does not grow with t;
+like e^{-2ty} (``_contour``: one path parameter runs down the sides,
+then along the axis).  So their cost does not grow with t;
 residual_norm(method="kterms") keeps half-period panels throughout as
 the cross-check route.  The data pair is first
 scaled by a power of two to a unit transform sup, so every amplitude
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     caller's absolute scale (bands that have decayed to nothing cannot
     be certified relative to themselves).
 
-    With a ``split`` (f = mean + Re h past split.delta, see ``_split``)
+    With a ``split`` (f = mean + Re h past split.delta, see ``_Split``)
     half-period panels stop at c = max(lower, split.delta), and one
     contour (``_contour``) spans [c, r2].  When r1 lies past c, phase 1
     integrates f directly only on [lower, c] and estimates the integral
@@ -87,7 +87,8 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     rel_tol m / 4), not only against its own value, which may be a
     cancelling remainder.  A contour whose bounds do not fit (None)
     falls back to half-period panels.  Returns the value, or raises
-    ArithmeticError("<site> did not converge").
+    ArithmeticError("<site> did not converge"), also where a direct
+    piece does not converge: its estimate may not see the error then.
     """
     scale = tail.scale
     if scale == 0.0:
@@ -108,11 +109,13 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         res = integrate(f, QuadratureSpec(
             lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
             min_panels=halves, max_panels=200_000))
+        if not res.converged:
+            raise ArithmeticError(f"{site} did not converge")
         return res.value, res.error_estimate
 
     cut = math.inf if split is None else max(lower, split.delta)
     hi = min(r1, cut)
-    mean = _mean_estimate(split.mean, cut, r1) if r1 > cut else 0.0
+    mean = _mean_estimate(split, cut, r1) if r1 > cut else 0.0
     value = err = 0.0
     if hi > lower:
         value, err = direct(lower, hi, max(0.25 * rel_tol * mean, 1e-300))
@@ -151,19 +154,10 @@ _K = 128
 _TY = 24.0
 
 
-class _Split(NamedTuple):
-    """The integrand on [delta, inf) as mean(x) + Re h(x) (x real),
-    h analytic on the rectangles [delta, R] x [0, height]."""
-
-    mean: Callable
-    h: Callable
-    delta: float
-    height: float
-
-
-def _split(t: float, n: int, phasor, data=(), energy: bool = False):
-    """The split of (Re X)^2 r^(n-1) for X = phasor(mode, r), analytic
-    where ``_contour`` needs it, e.g. a mode X = Mode.phasor.
+class _Split:
+    """(Re X)^2 r^(n-1), X = phasor(mode, r) analytic where ``_contour``
+    needs it (e.g. X = Mode.phasor), on [delta, inf) as mean(x) + Re h(x)
+    (x real), h analytic on the rectangles [delta, R] x [0, height].
 
     On real radii (Re X)^2 = |X|^2/2 + Re(X^2)/2, so the mean is
     |X|^2/2 r^(n-1) and h = X^2/2 r^(n-1).  ``energy`` splits
@@ -171,30 +165,29 @@ def _split(t: float, n: int, phasor, data=(), energy: bool = False):
     mode X: |lambda|^2 = r^2 on real radii and lambda^2 + r^2 =
     -2 a lambda (the mode equation) give the mean r^2 |X|^2 r^(n-1) and
     h = -a lambda X^2 r^(n-1).  The mean carries no e^{2ibt} and h is
-    analytic, so neither needs half-period panels past delta.  The
-    height min(1/2, _TY/t, 1/w), w the widest nonzero datum of ``data``,
-    keeps tY <= 24 and the data factor |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2}
-    <= e^{1/2}.
+    analytic, so neither needs half-period panels past delta.  A call
+    on radii z builds one ``Mode``: the mean where Im z = 0, h elsewhere.
+    The height min(1/2, _TY/t, 1/w), w the widest nonzero datum of
+    ``data``, keeps tY <= 24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.
     """
-    def mean(x):
-        p = phasor(modes.Mode(t, x), x)
-        return ((x * x if energy else 0.5) * (p.real ** 2 + p.imag ** 2)
-                * x ** (n - 1))
 
-    def h(r):
-        mode = modes.Mode(t, r)
-        p = phasor(mode, r)
-        w = mode.a * (mode.a - 1j * mode.b) if energy else 0.5
-        return w * p * p * r ** (n - 1)
+    def __init__(self, t: float, n: int, phasor, data=(), energy=False):
+        self.t, self.n, self.phasor, self.energy = t, n, phasor, energy
+        widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
+        self.delta = _K * math.pi / (2.0 * t)
+        self.height = min(0.5, _TY / t, 1.0 / max(widths))
 
-    widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
-    height = min(0.5, _TY / t, 1.0 / max(widths))
-    return _Split(mean, h, _K * math.pi / (2.0 * t), height)
+    def __call__(self, z):
+        mode = modes.Mode(self.t, z)
+        p, real = self.phasor(mode, z), np.imag(z) == 0.0
+        w = (np.where(real, z * z, mode.a * (mode.a - 1j * mode.b))
+             if self.energy else 0.5)
+        return w * p * np.where(real, p.conj(), p) * z ** (self.n - 1)
 
 
 def _squared_mode(t: float, u0, u1, n: int, energy: bool):
     """(f, split): the integrand of l2_norm (u^2 r^(n-1)) or of energy
-    ((u_t^2 + r^2 u^2) r^(n-1)), and its ``_split`` past delta with
+    ((u_t^2 + r^2 u^2) r^(n-1)), and its ``_Split`` past delta with
     X = Mode.phasor, u = Re X and u_t = Re(lambda X) (None at t = 0).
     """
     def f(r):
@@ -208,7 +201,7 @@ def _squared_mode(t: float, u0, u1, n: int, energy: bool):
 
     if t == 0.0:
         return f, None
-    return f, _split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
+    return f, _Split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
                                                        u1.fourier(r)),
                      (u0, u1), energy)
 
@@ -219,12 +212,12 @@ def _geometric(lo: float, hi: float) -> tuple:
     return tuple(lo * 2.0 ** (steps / 2))
 
 
-def _mean_estimate(mean, lo: float, hi: float) -> float:
+def _mean_estimate(split: _Split, lo: float, hi: float) -> float:
     """The integral of a mean part over [lo, hi] by the trapezoid rule in
     log x on lo, its ``_geometric`` breakpoints and hi: an estimate that
     only sizes the truncation (within 1e-4 on the benchmark's calls)."""
     x = np.array((lo, *_geometric(lo, hi), hi))
-    y = mean(x) * x
+    y = split(x).real * x
     return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(np.log(x))))
 
 
@@ -234,10 +227,7 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     lo > 0, or None when the contour's error exceeds
     max(abs_tol, rel_tol |value|).
 
-    The mean runs on geometric breakpoints lo 2^(k/2), the y sides on
-    eight equal panels (both take fewer refinement waves than halving
-    from one panel).  On the rectangle [lo, hi] x [0, Y] Cauchy's
-    theorem gives
+    On the rectangle [lo, hi] x [0, Y] Cauchy's theorem gives
 
         int_lo^hi h dx = i int_0^Y h(lo + iy) dy + int_lo^hi h(x + iY) dx
                          - i int_0^Y h(hi + iy) dy.
@@ -245,7 +235,14 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     The left side decays like e^{-2ty} and is integrated; the top and
     right sides are bounded by the integrals of |h| (plus their
     quadrature errors) and charged to the error, as the envelope tail
-    is.  h is analytic there: 1 + r^2 has real part >= 3/4 for
+    is.  One ``integrate`` call runs a path parameter s over [lo - Y, hi]
+    with two rows, two radii per abscissa in one ``_Split`` call: for
+    s < lo down the sides, y = lo - s, -Im h(lo + iy) and |h(hi + iy)|;
+    from lo along the axis, mean(s) and |h(s + iY)|.  The sides start on
+    eight equal y panels, the axis on the geometric breakpoints
+    lo 2^(k/2) (both take fewer waves than halving from one panel).
+
+    h is analytic there: 1 + r^2 has real part >= 3/4 for
     y <= 1/2, so a = log1p(r^2)/2 is, and so is g = a^2/r^2 for
     r != 0.  |g| <= 0.17 on the boundary of [lo, hi] x [0, 1/2] (0.169
     at r = 1.71 + 0.5i; tests/test_symbols.py samples the strip), so by
@@ -255,24 +252,23 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     data transforms are entire, and the powers r^k (k < 0 too) are
     analytic where Re r >= lo > 0.
     """
-    mean, h, _, height = split
-    xs = integrate(lambda x: np.array([mean(x),
-                                       np.abs(h(x + 1j * height))]),
-                   QuadratureSpec(lo, hi, abs_tol=0.25 * abs_tol,
-                                  rel_tol=0.25 * rel_tol,
-                                  breakpoints=_geometric(lo, hi)))
-    if not xs.panels_used:  # refused: more panels than max_panels
+    def f(s):
+        side = s < lo
+        y = np.where(side, lo - s, split.height)
+        v = split(np.concatenate([np.where(side, lo + 1j * y, s),
+                                  np.where(side, hi, s) + 1j * y]))
+        first, second = v[:s.size], v[s.size:]
+        return np.array([np.where(side, -first.imag, first.real),
+                         np.abs(second)])
+
+    sides = lo - split.height * np.arange(8) / 8.0
+    res = integrate(f, QuadratureSpec(
+        lo - split.height, hi, abs_tol=0.25 * abs_tol,
+        rel_tol=0.25 * rel_tol, breakpoints=(*sides, *_geometric(lo, hi))))
+    if not res.panels_used:  # refused: more panels than max_panels
         return None
-    floor = max(0.25 * abs_tol, 0.125 * rel_tol * abs(xs.value[0]))
-    ys = integrate(lambda y: np.array([-h(lo + 1j * y).imag,
-                                       np.abs(h(hi + 1j * y))]),
-                   QuadratureSpec(0.0, height, abs_tol=floor,
-                                  rel_tol=0.25 * rel_tol, min_panels=8))
-    if not ys.panels_used:
-        return None
-    value = float(xs.value[0] + ys.value[0])
-    err = float(xs.error_estimate.sum() + ys.error_estimate.sum()
-                + xs.value[1] + ys.value[1])
+    value = float(res.value[0])
+    err = float(res.error_estimate.sum() + res.value[1])
     return (value, err) if err <= max(abs_tol, rel_tol * abs(value)) \
         else None
 
@@ -379,7 +375,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     ``band`` is "both" ([0, inf)) or "high" ([BAND_SPLIT, inf)).
     ``method`` "difference" evaluates the integrand as the direct
     difference on the first 128 half-periods and splits the residual
-    phasor of ``Mode.residual_phasor`` past them (see ``_split``);
+    phasor of ``Mode.residual_phasor`` past them (see ``_Split``);
     "kterms" sums the five remainder terms on half-period panels
     throughout, the independent cross-check route.  The two integrands
     agree to roundoff by the closure identity.
@@ -413,7 +409,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
             return d * d * r ** (n - 1)
 
         if t > 0.0:
-            split = _split(t, n, lambda mode, r: mode.residual_phasor(
+            split = _Split(t, n, lambda mode, r: mode.residual_phasor(
                 u0.fourier(r), u1.fourier_minus_mass(r), p1), (u0, u1))
     else:
         def f(r):
@@ -466,7 +462,7 @@ def M_integral(t: float, n: int, kind: str) -> float:
 
     site = f"M_integral({kind}) at t={t}"
     return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site,
-                                       split=_split(t, n, phasor))
+                                       split=_Split(t, n, phasor))
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

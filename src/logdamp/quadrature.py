@@ -136,28 +136,80 @@ class Envelope:
                    for c, w, d in self.terms if c != 0.0)
 
 
-def truncation_point(tail, tol: float) -> tuple[float, float]:
-    """Smallest radius (to 0.1 %) with tail.bound <= tol."""
+def _term_radius(coeff, weight, data, tol: float) -> float:
+    """Where one term's bound falls to tol, from its closed forms.  The
+    weight side has w = log1p(R^2) solve s w + k log(-expm1(-w)) = c,
+    c = log(coeff/(2 s tol)), k = max(0, (1-p)/2) (p_low if that gives
+    R < 1): increasing and concave, so Newton climbs from a point left
+    of the root.  The data side takes fixed-point steps on c R^2 =
+    log(coeff/(c tol)) + (q-1) log R from where that bound holds."""
+    radius = math.inf
+    for i, p in enumerate(weight[1:] if weight else ()):
+        s, k = weight[0] - (p + 1.0) / 2.0, max(0.0, (1.0 - p) / 2.0)
+        if not s > 0.0:
+            break
+        c = math.log(coeff) - math.log(2.0 * s) - math.log(tol)
+        w = c / s  # the root at k = 0
+        if k:  # from a point where s w + k log w <= c, left of the root
+            w = max(w, min(1.0 / s, math.exp(min(0.0, max(-700.0,
+                                                          (c - 1.0) / k)))))
+            for _ in range(8 if w < 700.0 else 0):
+                w -= (s * w + k * math.log(-math.expm1(-w)) - c) / (
+                    s + k / math.expm1(w))
+        radius = min(1.0 if i else math.inf, math.exp(0.5 * w) if w > 700.0
+                     else math.sqrt(max(math.expm1(w), 0.0)))
+        if radius >= 1.0:
+            break
+    if data:
+        c, q = data
+        x = start = max(1.0, max(1.0, q - 1.0) / c)
+        for _ in range(3):
+            x = max(start, (math.log(coeff) - math.log(c) - math.log(tol)
+                            + 0.5 * (q - 1.0) * math.log(x)) / c)
+        radius = min(radius, math.sqrt(x))
+    return radius
+
+
+_GRID, _LOWEST = 1024, -30615  # radii 2^(j/1024), j > _LOWEST (1e-9)
+
+
+def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
+    """Smallest grid radius R = 2^(j/1024) > 1e-9 with tail.bound(R) <=
+    tol, and that bound.  Bound calls check the bracket of the largest
+    ``_term_radius`` at tol and at tol / (number of terms), widening it
+    in doubling steps, and close it on the line through log bound
+    against log R.  R does not depend on the search path."""
     if tol <= 0.0:
         raise ValueError("tail tolerance must be positive")
-    if tail.scale == 0.0:
+    terms = [term for term in tail.terms if term[0] != 0.0]
+    if not terms:
         return 1e-9, 0.0
-    lo, hi = 1e-9, 1.0
-    for _ in range(4000):
-        if tail.bound(hi) <= tol:
-            break
-        lo, hi = hi, hi * 1.5   # lo is the last radius that failed
-    else:
-        raise ValueError("tail bound cannot reach the requested tolerance")
-    for _ in range(200):
-        if hi / lo < 1.0 + 1e-3:
-            break
-        mid = math.sqrt(lo * hi)
-        if tail.bound(mid) <= tol:
-            hi = mid
+    lo = max(_term_radius(*term, tol) for term in terms)
+    hi = (max(_term_radius(*term, tol / len(terms)) for term in terms)
+          if len(terms) > 1 else lo)
+    lo, hi = (math.floor(_GRID * math.log2(min(max(radius, 1e-9), 1e300)))
+              for radius in (lo, hi))
+    hi, low, step = max(hi, lo) + 1, math.inf, 1  # low: the bound at lo
+    while not (top := tail.bound(2.0 ** (hi / _GRID))) <= tol:
+        if hi > 1000 * _GRID:
+            raise ValueError("tail bound cannot reach the requested "
+                             "tolerance")
+        lo, low, hi, step = hi, top, hi + step, 2 * step
+    while (low == math.inf and lo > _LOWEST
+           and (low := tail.bound(2.0 ** (lo / _GRID))) <= tol):
+        lo, hi, top, low, step = (max(lo - step, _LOWEST), lo, low,
+                                  math.inf, 2 * step)
+    tries = 3
+    while hi - lo > 1:
+        j = (lo + hi) // 2
+        if tries and 0.0 < top and low < math.inf:  # the line's crossing
+            j = lo + (hi - lo) * math.log(low / tol) / math.log(low / top)
+            j, tries = min(max(math.ceil(j), lo + 1), hi - 1), tries - 1
+        if (b := tail.bound(2.0 ** (j / _GRID))) > tol:
+            lo, low = j, b
         else:
-            lo = mid
-    return hi, tail.bound(hi)
+            hi, top = j, b
+    return 2.0 ** (hi / _GRID), top
 
 
 # --- specs and results ----------------------------------------------------

@@ -242,6 +242,19 @@ def test_profile_of_wide_data_prints_every_row(tmp_path, capsys, dim,
     assert fails[0].startswith(f"# FAIL n={dim} scaled residual ratio")
 
 
+def test_profile_with_a_first_moment_outside_the_doubles(tmp_path, capsys):
+    # In 3-D the first moment of this datum is 2.5e317, so I0 is inf; the
+    # run ended on `error: math range error`, which names no site.  Now
+    # every row prints and the I0 check says it does not apply.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e154\n")
+    _, text = run(tmp_path, "profile", "--config", str(cfg), "--dim", "3")
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 9 and all(r["I0"] == "inf" for r in rows)
+    assert "# n=3 I0 check not applicable (I0 = inf)" in text.splitlines()
+
+
 @pytest.mark.parametrize("command", ["decay", "profile", "lemmas"])
 def test_width_whose_square_overflows_is_a_config_error(tmp_path, capsys,
                                                         command):

@@ -158,9 +158,11 @@ def test_closed_forms_match_log_space_references():
         assert d.weighted_l1_norm() == pytest.approx(float(mass + moment),
                                                      rel=1e-14), d
     # In dimension 3 the first moment at width 1e154 is 2.5e317 for the
-    # smallest normal amplitude: the datum is valid, its I0 is not a double.
-    with pytest.raises(OverflowError):
-        InitialDataSpec("gaussian", 1e-300, 1e154, 3).weighted_l1_norm()
+    # smallest normal amplitude: the datum is valid, its I0 is not a
+    # double, and weighted_l1_norm says so with inf (it raised a bare
+    # OverflowError, which ended `logdamp profile` naming no site).
+    assert InitialDataSpec("gaussian", 1e-300, 1e154,
+                           3).weighted_l1_norm() == math.inf
 
 
 def test_width_whose_square_overflows_is_refused_by_name():
@@ -171,6 +173,24 @@ def test_width_whose_square_overflows_is_refused_by_name():
                            match=rf"width 1e\+160 in dimension {n}: width\^2"):
             InitialDataSpec("gaussian", 1e-300, 1e160, n)
     assert InitialDataSpec("gaussian", 1e-300, 1e154, 2).mass() > 0.0
+
+
+def test_real_radius_fields_are_formed_on_first_use():
+    # The split integrands read only the phasor: e^{-at}, cos(bt) and
+    # sinc(bt) stay unformed until u, u_t, profile or k_terms asks, and
+    # then equal the eager formulas bit for bit.
+    t, r = 50.0, np.linspace(0.1, 3.0, 30)
+    mode = Mode(t, r)
+    mode.phasor(1.0, 0.5)
+    assert not {"env", "cos_bt", "sinc_bt"} & set(vars(mode))
+    u = mode.u(1.0, 0.5)
+    a, b = symbols.damping_a(r), r * np.sqrt(1.0 - symbols.ratio_g(r))
+    bt = b * t
+    assert np.array_equal(mode.env, np.exp(-a * t))
+    assert np.array_equal(mode.cos_bt, np.cos(bt))
+    assert np.array_equal(mode.sinc_bt, sinc(bt))
+    assert np.array_equal(u, mode.env * (mode.cos_bt + (0.5 + a) * t
+                                         * mode.sinc_bt))
 
 
 def test_transform_and_phasor_take_complex_radii():

@@ -127,8 +127,8 @@ def _contours(monkeypatch):
 @pytest.mark.parametrize("u0", ["zero", "gaussian"])
 def test_split_route_matches_mpmath(monkeypatch, n, u0):
     # At t = 1e3 the contour covers [0.2, R], R about 1; mpmath integrates
-    # the mode from its characteristic roots on half-period panels at 30
-    # digits, and the residual as that mode minus the profile.
+    # the mode from its characteristic roots on panels of 16 half-periods
+    # at 30 digits, and the residual as that mode minus the profile.
     t, u1 = 1e3, gaussian(n, 1.0, 1.3)
     u0 = zero(n) if u0 == "zero" else gaussian(n, 0.5, 0.8)
     seen = _contours(monkeypatch)
@@ -256,6 +256,70 @@ def test_contour_falls_back_where_its_bound_does_not_fit(monkeypatch):
     assert None in seen
     monkeypatch.setattr(norms, "_K", math.inf)
     assert got == pytest.approx(norms.energy(t, u0, u1, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("call", [
+    lambda n: norms.l2_norm(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
+    lambda n: norms.energy(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
+    lambda n: norms.residual_norm(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
+    lambda n: norms.residual_norm(1e6, zero(n), gaussian(n), n),
+    lambda n: norms.M_integral(1e6, n, "sin"),
+    lambda n: norms.M_integral(1e6, n, "cos"),
+], ids=["l2_norm", "energy", "residual", "residual_zero_u0", "M_sin",
+        "M_cos"])
+def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
+    # Half-period panels on [0, delta], then one contour call: its sides
+    # and the axis run on one path parameter (three calls before), and
+    # each rule pass of it makes one symbols.kernel call.
+    kernels, integrals, integrate_ = [], [], norms.integrate
+    kernel = symbols.kernel
+
+    def counted_kernel(r):
+        kernels.append(np.size(r))
+        return kernel(r)
+
+    def counted_integrate(f, spec):
+        def g(x):
+            before = len(kernels)
+            y = f(x)
+            if np.ndim(y) == 2:  # the contour: two radii per abscissa
+                assert kernels[before:] == [2 * np.size(x)]
+            return y
+        integrals.append(spec)
+        return integrate_(g, spec)
+
+    monkeypatch.setattr(symbols, "kernel", counted_kernel)
+    monkeypatch.setattr(norms, "integrate", counted_integrate)
+    assert call(n) > 0.0
+    assert len(integrals) == 2
+
+
+def test_residual_at_the_panel_cap_raises_by_site():
+    # At t = 1e10 the difference integrand on [0, delta] stopped at the
+    # 200 000-panel cap unconverged, and the call returned 0.0018469...,
+    # 4.6e-9 off on D against its certified 1e-9 (ROADMAP defect 11).
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("residual_norm at t=10000000000.0 "
+                                       "did not converge")):
+        norms.residual_norm(1e10, gaussian(1, 0.5, 0.8), gaussian(1), 1)
+
+
+def test_unconverged_direct_piece_raises(monkeypatch):
+    # An unconverged piece may carry an error estimate that looks small;
+    # the half-line route refuses it instead of certifying its value.
+    integrate_ = norms.integrate
+
+    def unconverged(f, spec):
+        res = integrate_(f, spec)
+        return (dataclasses.replace(res, converged=False)
+                if spec.lower == 0.0 else res)
+
+    monkeypatch.setattr(norms, "integrate", unconverged)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("l2_norm at t=1000000.0 did not "
+                                       "converge")):
+        norms.l2_norm(1e6, gaussian(2, 2.0, 0.7), gaussian(2), 2)
 
 
 # -- energy -------------------------------------------------------------------

@@ -250,6 +250,60 @@ def test_truncation_point_contract():
     assert truncation_point(weight(5.0, 0.0, 0.0), 1e-8) == (1e-9, 0.0)
 
 
+def _random_term(rng, side):
+    """A random envelope term with a weight side, a data side, or both."""
+    t = 10.0 ** rng.uniform(-0.3, 12.0)
+    p = rng.uniform(-2.0, min(4.0, 2.0 * t - 1.0 - 1e-3))
+    weight = None
+    if side in ("weight", "both"):
+        weight = (t, p) if rng.random() < 0.5 else (t, p, p - 2.0)
+    data = None
+    if side in ("data", "both"):
+        data = (10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 6.0))
+    return (10.0 ** rng.uniform(-5.0, 20.0), weight, data)
+
+
+def test_truncation_point_contract_on_random_envelopes():
+    # The closed-form start and the search keep the contract: the bound
+    # holds at R, and 0.1 % below R it fails (or R is at the 1e-9 clamp).
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        terms = [_random_term(rng, rng.choice(["weight", "data", "both"]))
+                 for _ in range(rng.integers(1, 3))]
+        tail = Envelope(*terms)
+        tol = tail.scale * 10.0 ** rng.uniform(-40.0, -1.0)
+        radius, bound = truncation_point(tail, tol)
+        assert bound == tail.bound(radius) <= tol, terms
+        assert radius < 1.001e-9 or tail.bound(radius / 1.001) > tol, terms
+
+
+def test_truncation_point_takes_few_bound_calls_on_the_norms_envelopes(
+        monkeypatch):
+    # Bisection from R = 1 took 12 to 31 bound calls here; each term's
+    # closed-form radius leaves 2 to 4.
+    calls, bound = [], Envelope.bound
+    monkeypatch.setattr(Envelope, "bound", lambda self, radius: (
+        calls.append(radius), bound(self, radius))[1])
+    truncate, worst = norms.truncation_point, []
+
+    def counted(tail, tol):
+        calls.clear()
+        out = truncate(tail, tol)
+        worst.append(len(calls))
+        return out
+
+    monkeypatch.setattr(norms, "truncation_point", counted)
+    for n in (1, 2, 3):
+        u0 = InitialDataSpec("gaussian", 2.0, 0.7, n)
+        u1 = InitialDataSpec("gaussian", 1.0, 1.0, n)
+        for t in (3.0, 10.0, 1e3, 1e6, 1e8):
+            norms.l2_norm(t, u0, u1, n)
+            norms.energy(t, u0, u1, n)
+            norms.residual_norm(t, u0, u1, n)
+            norms.M_integral(t, n, "sin")
+    assert worst and max(worst) <= 8
+
+
 def test_tail_model_bounds_are_upper_bounds():
     for t, p in ((5.0, 0.0), (12.0, 2.0), (4.0, -1.0)):
         tail = weight(t, p)
