@@ -73,8 +73,12 @@ class InitialDataSpec:
         if self.family == "zero":  # a unit width keeps w^n finite
             object.__setattr__(self, "amplitude", 0.0)
             object.__setattr__(self, "width", 1.0)
+        # amplitude (2 pi)^(n/2) width^n, formed once: the datum is frozen.
+        n = self.dimension
+        object.__setattr__(self, "_mass", self._times_width_to(
+            self.amplitude * (2.0 * math.pi) ** (n / 2.0), n))
         if not (math.isfinite(self.width * self.width)
-                and math.isfinite(self.mass())):
+                and math.isfinite(self._mass)):
             raise ValueError(
                 f"width {self.width!r} in dimension {self.dimension}: "
                 f"width^2 or the transform at r = 0, amplitude * "
@@ -101,21 +105,19 @@ class InitialDataSpec:
 
     def fourier(self, r):
         """Transform value at radius r, real or complex (it is entire)."""
-        out = self.mass() * np.exp(self._exponent(r))
+        out = self._mass * np.exp(self._exponent(r))
         return out if out.ndim else out.item()
 
     def fourier_minus_mass(self, r):
         """Transform minus mass, mass * expm1(-width^2 r^2 / 2), at radius
         r, real or complex: no cancellation as r -> 0, where it is
         -mass width^2 r^2 / 2."""
-        out = self.mass() * np.expm1(self._exponent(r))
+        out = self._mass * np.expm1(self._exponent(r))
         return out if out.ndim else out.item()
 
     def mass(self) -> float:
-        """integral of the datum = transform at r = 0."""
-        n = self.dimension
-        return self._times_width_to(
-            self.amplitude * (2.0 * math.pi) ** (n / 2.0), n)
+        """integral of the datum = transform at r = 0 (formed once)."""
+        return self._mass
 
     def fourier_sup(self) -> float:
         """sup over r of |transform| (attained at r = 0)."""

@@ -4,26 +4,23 @@ All physical-space norms are computed spectrally: for radial data,
 
     ||u(t)||^2 = (2 pi)^(-n) * omega_n * integral_0^inf u_hat(t,r)^2 r^(n-1) dr
 
-with omega_n the unit-sphere area.  Semi-infinite integrals run in two
-phases: a first pass out to a radius where the analytic envelope is
-small gives the magnitude, a second pass (plus the closed-form tail
-bound) then meets the requested relative tolerance, or the call raises
-ArithmeticError naming its site and t.  Mode integrands oscillate like
-sin(b(r) t) with phase slope <= t in r, so their squares carry
-oscillation frequency 2t, and half-period panels cost ~sqrt(t) per
-call.  l2_norm, energy, residual_norm and M_integral keep them only on
-the first 128 half-periods: past that each integrand is (Re X)^2
-r^(n-1) for an analytic X (the mode's phasor, the residual phasor
-of ``Mode.residual_phasor``, or the weight's e^{(ir - a)t}), so a mean
-part, integrated directly, plus the real part of an analytic function,
-whose integral Cauchy's theorem moves onto a contour where it decays
-like e^{-2ty} (``_contour``: one path parameter runs down the sides,
-then along the axis).  So their cost does not grow with t;
+with omega_n the unit-sphere area.  Each semi-infinite integral is
+truncated where its analytic tail envelope meets the tolerance, and the
+envelope there is charged to the error (``_two_phase``), or the call
+raises ArithmeticError naming its site and t.  Mode integrands oscillate
+like sin(b(r) t), so their squares carry frequency 2t, and half-period
+panels cost ~sqrt(t) per call.  l2_norm, energy, residual_norm and
+M_integral each integrate (Re X)^2 r^(n-1) for an analytic X (the
+mode's phasor, the residual phasor of ``Mode.residual_phasor``, or the
+weight's e^{(ir - a)t}): directly on the first 16 half-periods, and past
+them as a mean part plus the real part of an analytic function, whose
+integral Cauchy's theorem moves onto a contour where it decays like
+e^{-2ty}.  One ``integrate`` call takes all three on one path parameter
+(``_contour``), so the cost does not grow with t;
 residual_norm(method="kterms") keeps half-period panels throughout as
-the cross-check route.  The data pair is first
-scaled by a power of two to a unit transform sup, so every amplitude
-in the double range is computed alike; zero data have a zero envelope
-and give 0.0 without quadrature.
+the cross-check route.  The data pair is first scaled by a power of two
+to a unit transform sup, so every amplitude in the double range is
+computed alike; zero data have a zero envelope and give 0.0.
 
 The "varies like" statements about decaying quantities are made
 checkable two ways: scaled-band reports over a log grid, and least
@@ -41,7 +38,7 @@ from . import modes
 from .modes import InitialDataSpec, sphere_area
 from .quadrature import (Envelope, QuadratureSpec, integrate,
                          truncation_point)
-from .stable import sinc
+from .stable import sinc  # noqa: F401  (bench/tracer.py wraps norms.sinc)
 
 __all__ = [
     "DecaySeries", "DecayFitResult", "fit_decay", "BAND_SPLIT",
@@ -63,39 +60,36 @@ BAND_SPLIT = 1.0
 
 # -- two-phase semi-infinite quadrature -------------------------------------
 
+def _halves(lo: float, hi: float, omega: float) -> int:
+    """Panels no wider than a half-period pi/omega on [lo, hi], so a
+    symmetric cancellation cannot fool the embedded error estimate."""
+    return math.ceil((hi - lo) / (math.pi / omega)) if omega else 1
+
+
 def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
-               lower: float = 0.0, abs_floor: float = 0.0,
-               split: _Split | None = None) -> float:
+               lower: float = 0.0, abs_floor: float = 0.0) -> float:
     """Integral of f over [lower, inf): the one half-line route.
 
-    Phase 1 picks a provisional truncation radius r1 of the analytic
-    tail envelope and learns the magnitude there; phase 2 extends the
-    radius until the envelope bound is below rel_tol * |value| / 4.  The
-    bound at the radius where integration stops (``lower`` itself when
-    the envelope is already small there) is charged to the error.
-    ``abs_floor`` certifies results whose error is negligible on the
-    caller's absolute scale (bands that have decayed to nothing cannot
-    be certified relative to themselves).
-
-    With a ``split`` (f = mean + Re h past split.delta, see ``_Split``)
-    half-period panels stop at c = max(lower, split.delta), and one
-    contour (``_contour``) spans [c, r2].  When r1 lies past c, phase 1
-    integrates f directly only on [lower, c] and estimates the integral
-    m of the mean part over [c, r1]: a magnitude, since 0 <= f <= 2 mean
-    on the axis and the oscillating part integrates to little past c.
-    [lower, c] is certified against m too (absolute tolerance
-    rel_tol m / 4), not only against its own value, which may be a
-    cancelling remainder.  A contour whose bounds do not fit (None)
-    falls back to half-period panels.  Returns the value, or raises
-    ArithmeticError("<site> did not converge"), also where a direct
-    piece does not converge: its estimate may not see the error then.
+    It integrates to a truncation radius r1 of the tail envelope; where
+    the envelope bound there still exceeds rel_tol |value| / 4 (rare),
+    it extends once to the radius where it does not.  The bound where
+    integration stops (``lower`` itself when the envelope is already
+    small there) is charged to the error.  ``abs_floor`` certifies
+    results whose error is negligible on the caller's absolute scale.
+    A ``_Split`` f whose [lower, R] spans more than _DIRECT half-periods
+    takes one ``_contour`` call to R (an extension redoes it, so one
+    rectangle remains), and half-period panels on [lower, R] where its
+    bounds do not fit; any other f takes half-period panels, and an
+    extension adds [r1, R].  Returns the value, or raises
+    ArithmeticError("<site> did not converge"), also where a piece does
+    not converge: its estimate may not see the error then.
     """
     scale = tail.scale
     if scale == 0.0:
         return 0.0
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
-    tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-25 * scale
+    tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-40 * scale
     if abs_floor > 0.0:
         tau1 = min(tau1, 0.25 * abs_floor)
     r1, bound = truncation_point(tail, tau1)
@@ -103,61 +97,67 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         r1, bound = lower, tail.bound(lower)
 
     def direct(lo, hi, abs_tol):
-        # Panels no wider than a half-period pi/omega, so a symmetric
-        # cancellation cannot fool the embedded error estimate.
-        halves = math.ceil((hi - lo) / (math.pi / omega)) if omega else 1
+        if hi <= lo:
+            return 0.0, 0.0
         res = integrate(f, QuadratureSpec(
             lo, hi, abs_tol=abs_tol, rel_tol=0.5 * rel_tol,
-            min_panels=halves, max_panels=200_000))
+            min_panels=_halves(lo, hi, omega), max_panels=200_000))
         if not res.converged:
             raise ArithmeticError(f"{site} did not converge")
         return res.value, res.error_estimate
 
-    cut = math.inf if split is None else max(lower, split.delta)
-    hi = min(r1, cut)
-    mean = _mean_estimate(split, cut, r1) if r1 > cut else 0.0
-    value = err = 0.0
-    if hi > lower:
-        value, err = direct(lower, hi, max(0.25 * rel_tol * mean, 1e-300))
+    def contour(hi):  # None where half-period panels serve
+        if (isinstance(f, _Split) and hi > max(lower, f.delta)
+                and _halves(lower, hi, omega) > _DIRECT):
+            return _contour(f, lower, hi, omega, rel_tol, site)
+        return None
 
-    r2, tau2 = r1, 0.25 * rel_tol * (abs(value) + mean)
+    radius, found = r1, contour(r1)
+    value, err = found or direct(lower, r1, 1e-300)
+    tau2 = 0.25 * rel_tol * abs(value)
     if bound > tau2 > 0.0:
-        radius, bound2 = truncation_point(tail, tau2)
-        if radius > r1:
-            r2, bound = radius, bound2
-    if r2 > hi:
-        abs_tol = max(tau2, 1e-300)
-        mid = min(r2, cut)
-        v, e = direct(hi, mid, abs_tol) if mid > hi else (0.0, 0.0)
-        if r2 > mid:
-            v2, e2 = (_contour(split, mid, r2, 0.5 * rel_tol, abs_tol)
-                      or direct(mid, r2, abs_tol))
-            v, e = v + v2, e + e2
-        value, err = value + v, err + e
-    err += bound
+        r2, bound2 = truncation_point(tail, tau2)
+        if r2 > r1:
+            radius, bound, found = r2, bound2, contour(r2)
+            if found:
+                value, err = found
+            else:
+                v, e = direct(r1, r2, tau2)
+                value, err = value + v, err + e
 
-    if not err <= max(rel_tol * abs(value), abs_floor,
-                      1e-280 * max(scale, 1.0)):
+    def certified():
+        return err + bound <= max(rel_tol * abs(value), abs_floor,
+                                  1e-280 * max(scale, 1.0))
+
+    if found and not certified():
+        value, err = direct(lower, radius, 1e-300)
+    # Nonzero data have a positive integrand, so 0.0 over [lower, R]
+    # means that no abscissa saw it (a transform narrower than a panel).
+    if not certified() or (value == 0.0 and radius > lower):
         raise ArithmeticError(f"{site} did not converge")
     return value
 
 
 # -- the split: mean part and contour ---------------------------------------
 
-# Half-periods of cos(2bt) on the direct route: [0, delta] with
-# delta = _K pi / (2t).  Every l2_norm, energy and residual_norm call of
-# ``logdamp lemmas`` needs at most 70, so those keep their half-period
-# panels (its M_integral calls at t = 1e3 and 1e4 take the split).
-_K = 128
+# Half-periods of cos(2bt) on the direct part of a contour piece:
+# [0, delta] with delta = _K pi / (2t).
+_K = 16
+# A piece of at most _DIRECT half-periods takes half-period panels: on
+# real radii they cost a third of the contour's complex ones (at t = 100,
+# 85 half-periods, the contour took twice the time).
+_DIRECT = 128
 # t Y for the contour height Y: |e^{2 lambda t}| <= e^{-1.5 t y} on the
-# strip 0 <= y <= 1/2, so it is at most e^{-36} on the top side.
+# strip 0 <= y <= 1/2, so it is at most e^{-36} on the top side.  As
+# Y < delta, the side offsets y = s - delta of ``_contour`` are exact.
 _TY = 24.0
 
 
 class _Split:
     """(Re X)^2 r^(n-1), X = phasor(mode, r) analytic where ``_contour``
-    needs it (e.g. X = Mode.phasor), on [delta, inf) as mean(x) + Re h(x)
-    (x real), h analytic on the rectangles [delta, R] x [0, height].
+    needs it (e.g. X = Mode.phasor): directly on [0, delta], and on
+    [delta, inf) as mean(x) + Re h(x) (x real), h analytic on the
+    rectangles [delta, R] x [0, height].
 
     On real radii (Re X)^2 = |X|^2/2 + Re(X^2)/2, so the mean is
     |X|^2/2 r^(n-1) and h = X^2/2 r^(n-1).  ``energy`` splits
@@ -165,82 +165,71 @@ class _Split:
     mode X: |lambda|^2 = r^2 on real radii and lambda^2 + r^2 =
     -2 a lambda (the mode equation) give the mean r^2 |X|^2 r^(n-1) and
     h = -a lambda X^2 r^(n-1).  The mean carries no e^{2ibt} and h is
-    analytic, so neither needs half-period panels past delta.  A call
-    on radii z builds one ``Mode``: the mean where Im z = 0, h elsewhere.
-    The height min(1/2, _TY/t, 1/w), w the widest nonzero datum of
-    ``data``, keeps tY <= 24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.
+    analytic, so neither needs half-period panels past delta.  The
+    height min(1/2, _TY/t, 1/w), w the widest nonzero datum of ``data``,
+    keeps tY <= 24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.  At
+    t = 0 delta is inf: the whole half-line is direct.
     """
 
     def __init__(self, t: float, n: int, phasor, data=(), energy=False):
         self.t, self.n, self.phasor, self.energy = t, n, phasor, energy
         widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
-        self.delta = _K * math.pi / (2.0 * t)
-        self.height = min(0.5, _TY / t, 1.0 / max(widths))
+        self.delta = _K * math.pi / (2.0 * t) if t else math.inf
+        self.height = min(0.5, _TY / t if t else 0.5, 1.0 / max(widths))
 
-    def __call__(self, z):
+    def __call__(self, z, k=None):
+        """The integrand on the first k radii (all when k is None), which
+        are real, and past them the mean where Im z = 0 and h elsewhere:
+        (direct, rest), or direct alone.  One ``Mode`` serves all."""
         mode = modes.Mode(self.t, z)
-        p, real = self.phasor(mode, z), np.imag(z) == 0.0
-        w = (np.where(real, z * z, mode.a * (mode.a - 1j * mode.b))
-             if self.energy else 0.5)
-        return w * p * np.where(real, p.conj(), p) * z ** (self.n - 1)
+        p = self.phasor(mode, z)
+        x, q = np.real(z[:k]), p[:k]
+        direct = q.real * q.real
+        if self.energy:  # u_t = Re(lambda X), lambda = -a + ib
+            ut = -np.real(mode.a[:k]) * q.real - np.real(mode.b[:k]) * q.imag
+            direct = ut * ut + x * x * direct
+        direct = direct * x ** (self.n - 1)
+        if k is None:
+            return direct
+        z, p, a, b = z[k:], p[k:], mode.a[k:], mode.b[k:]
+        real = np.imag(z) == 0.0
+        w = (np.where(real, z * z, a * (a - 1j * b)) if self.energy
+             else 0.5)
+        return direct, w * p * np.where(real, p.conj(), p) * z ** (self.n - 1)
 
 
-def _squared_mode(t: float, u0, u1, n: int, energy: bool):
-    """(f, split): the integrand of l2_norm (u^2 r^(n-1)) or of energy
-    ((u_t^2 + r^2 u^2) r^(n-1)), and its ``_Split`` past delta with
-    X = Mode.phasor, u = Re X and u_t = Re(lambda X) (None at t = 0).
-    """
-    def f(r):
-        mode = modes.Mode(t, r)
-        u0v, u1v = u0.fourier(r), u1.fourier(r)
-        u = mode.u(u0v, u1v)
-        if energy:
-            ut = mode.u_t(u0v, u1v)
-            return (ut * ut + (r * u) ** 2) * r ** (n - 1)
-        return u ** 2 * r ** (n - 1)
-
-    if t == 0.0:
-        return f, None
-    return f, _Split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
-                                                       u1.fourier(r)),
-                     (u0, u1), energy)
-
-
-def _geometric(lo: float, hi: float) -> tuple:
+def _geometric(lo: float, hi: float) -> list:
     """Breakpoints lo 2^(k/2) inside (lo, hi), where a mean part runs."""
-    steps = np.arange(1, math.ceil(2.0 * math.log2(hi / lo)))
-    return tuple(lo * 2.0 ** (steps / 2))
+    return [lo * 2.0 ** (k / 2)
+            for k in range(1, math.ceil(2.0 * math.log2(hi / lo)))]
 
 
-def _mean_estimate(split: _Split, lo: float, hi: float) -> float:
-    """The integral of a mean part over [lo, hi] by the trapezoid rule in
-    log x on lo, its ``_geometric`` breakpoints and hi: an estimate that
-    only sizes the truncation (within 1e-4 on the benchmark's calls)."""
-    x = np.array((lo, *_geometric(lo, hi), hi))
-    y = split(x).real * x
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(np.log(x))))
+def _contour(split: _Split, lo: float, hi: float, omega: float,
+             rel_tol: float, site: str):
+    """(value, error) of the integral of f over [lo, hi], hi > c =
+    max(lo, split.delta) > 0, in one ``integrate`` call, or
+    ArithmeticError naming ``site`` where that does not converge.
 
+    f is integrated directly on [lo, c] (half-period panels pi/omega).
+    Past c, f = mean + Re h, and on the rectangle [c, hi] x [0, Y]
+    Cauchy's theorem gives
 
-def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
-             abs_tol: float):
-    """(value, error) of the integral of f = mean + Re h over [lo, hi],
-    lo > 0, or None when the contour's error exceeds
-    max(abs_tol, rel_tol |value|).
-
-    On the rectangle [lo, hi] x [0, Y] Cauchy's theorem gives
-
-        int_lo^hi h dx = i int_0^Y h(lo + iy) dy + int_lo^hi h(x + iY) dx
-                         - i int_0^Y h(hi + iy) dy.
+        int_c^hi h dx = i int_0^Y h(c + iy) dy + int_c^hi h(x + iY) dx
+                        - i int_0^Y h(hi + iy) dy.
 
     The left side decays like e^{-2ty} and is integrated; the top and
-    right sides are bounded by the integrals of |h| (plus their
-    quadrature errors) and charged to the error, as the envelope tail
-    is.  One ``integrate`` call runs a path parameter s over [lo - Y, hi]
-    with two rows, two radii per abscissa in one ``_Split`` call: for
-    s < lo down the sides, y = lo - s, -Im h(lo + iy) and |h(hi + iy)|;
-    from lo along the axis, mean(s) and |h(s + iY)|.  The sides start on
-    eight equal y panels, the axis on the geometric breakpoints
-    lo 2^(k/2) (both take fewer waves than halving from one panel).
+    right sides are bounded by the integrals of |h| and charged to the
+    error, as the envelope tail is.  The path parameter s runs over
+    [lo, hi + Y]: along the axis to c, f(s); down the sides to c + Y,
+    y = s - c, -Im h(c + iy), charging |h(hi + iy)|; then along the axis,
+    x = s - Y, mean(x), charging |h(x + iY)|.  Row 0 is the value, and
+    row 1 is row 0 plus the charged part, so ``integrate`` holds both to
+    the value's tolerance (a row of the charged part alone would be held
+    to its own); with e0, e1 their error estimates the error is
+    2 e0 + e1 + (row 1 - row 0).  Each rule pass makes one ``_Split``
+    call: one radius per direct abscissa, two per other.  The sides
+    start on eight equal y panels, the axis on the breakpoints
+    c 2^(k/2) (both take fewer waves than halving from one panel).
 
     h is analytic there: 1 + r^2 has real part >= 3/4 for
     y <= 1/2, so a = log1p(r^2)/2 is, and so is g = a^2/r^2 for
@@ -250,27 +239,38 @@ def _contour(split: _Split, lo: float, hi: float, rel_tol: float,
     rectangle of height Y <= 1/2.  Hence Re(1 - g) > 0, sqrt(1 - g)
     and b = r sqrt(1 - g) are analytic, and b != 0, so 1/b is too; the
     data transforms are entire, and the powers r^k (k < 0 too) are
-    analytic where Re r >= lo > 0.
+    analytic where Re r >= c > 0.
     """
-    def f(s):
-        side = s < lo
-        y = np.where(side, lo - s, split.height)
-        v = split(np.concatenate([np.where(side, lo + 1j * y, s),
-                                  np.where(side, hi, s) + 1j * y]))
-        first, second = v[:s.size], v[s.size:]
-        return np.array([np.where(side, -first.imag, first.real),
-                         np.abs(second)])
+    c, top = max(lo, split.delta), split.height
+    halves = _halves(lo, c, omega)
 
-    sides = lo - split.height * np.arange(8) / 8.0
+    def f(s):
+        direct = s < c
+        rest = s[~direct]
+        side = rest < c + top
+        y = np.where(side, rest - c, top)
+        x = rest - top
+        v_direct, v = split(np.concatenate([
+            s[direct], np.where(side, c + 1j * y, x),
+            np.where(side, hi, x) + 1j * y]), np.count_nonzero(direct))
+        first, second = v[:rest.size], v[rest.size:]
+        out = np.empty((2, s.size))
+        out[0, direct] = v_direct
+        out[0, ~direct] = np.where(side, -first.imag, first.real)
+        out[1] = out[0]
+        out[1, ~direct] += np.abs(second)
+        return out
+
     res = integrate(f, QuadratureSpec(
-        lo - split.height, hi, abs_tol=0.25 * abs_tol,
-        rel_tol=0.25 * rel_tol, breakpoints=(*sides, *_geometric(lo, hi))))
-    if not res.panels_used:  # refused: more panels than max_panels
-        return None
-    value = float(res.value[0])
-    err = float(res.error_estimate.sum() + res.value[1])
-    return (value, err) if err <= max(abs_tol, rel_tol * abs(value)) \
-        else None
+        lo, hi + top, abs_tol=1e-300, rel_tol=0.25 * rel_tol,
+        max_panels=200_000, breakpoints=(
+            *[lo + (c - lo) * j / halves for j in range(1, halves)], c,
+            *[c + top * j / 8.0 for j in range(1, 9)],
+            *[top + x for x in _geometric(c, hi)])))
+    if not res.converged:
+        raise ArithmeticError(f"{site} did not converge")
+    value, (e0, e1) = float(res.value[0]), res.error_estimate.tolist()
+    return value, 2.0 * e0 + e1 + (float(res.value[1]) - value)
 
 
 def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
@@ -283,14 +283,23 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
     return n
 
 
-def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec):
+def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
     """(u0, u1, k): the pair scaled by 2^-k to a larger transform sup in
     [1/2, 1).  u is linear in the data and the scaling is exact, so the
     norms of the pair are 2^k (the energy 2^2k) times those of the
-    scaled pair, which stays clear of under- and overflow."""
+    scaled pair, which stays clear of under- and overflow.  Where that
+    takes a nonzero amplitude to 0, or below 2^-1034 (a subnormal with
+    fewer than 40 bits, 5e-13 relative), as width^n past about 1e308
+    times the amplitude's own scale does, ArithmeticError names the
+    site."""
     k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1]
-    return (*(replace(d, amplitude=math.ldexp(d.amplitude, -k))
-              for d in (u0, u1)), k)
+    pair = [replace(d, amplitude=math.ldexp(d.amplitude, -k))
+            for d in (u0, u1)]
+    if any(d.amplitude and abs(s.amplitude) < 2.0 ** -1034
+           for d, s in zip((u0, u1), pair)):
+        raise ArithmeticError(f"{site}: the data underflow when scaled "
+                              f"to a unit transform sup")
+    return (*pair, k)
 
 
 def _rescaled(value: float, k: int, site: str) -> float:
@@ -336,6 +345,15 @@ def _envelope(t: float, u0, u1, n: int, energy: bool = False,
     return Envelope((coeff, weight, data), *profile)
 
 
+def _mode_split(t: float, u0, u1, n: int, energy: bool) -> _Split:
+    """The ``_Split`` of l2_norm (u^2 r^(n-1)) or of energy
+    ((u_t^2 + r^2 u^2) r^(n-1)), X = Mode.phasor: u = Re X and
+    u_t = Re(lambda X)."""
+    return _Split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
+                                                    u1.fourier(r)),
+                  (u0, u1), energy)
+
+
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
             n: int | None = None, rel_tol: float = 1e-10) -> float:
     """||u(t, .)||_{L^2} for the given data pair, by radial quadrature.
@@ -344,11 +362,10 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     """
     n = _check_pair(u0, u1, n)
     t = float(t)
-    u0, u1, k = _unit_pair(u0, u1)
-    f, split = _squared_mode(t, u0, u1, n, energy=False)
     site = f"l2_norm at t={t}"
-    val = _two_phase(f, _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site,
-                     split=split)
+    u0, u1, k = _unit_pair(u0, u1, site)
+    val = _two_phase(_mode_split(t, u0, u1, n, energy=False),
+                     _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site)
     return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
                      site)
 
@@ -358,11 +375,11 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     """E(t) = (||u_t||^2 + ||grad u||^2) / 2, computed spectrally."""
     n = _check_pair(u0, u1, n)
     t = float(t)
-    u0, u1, k = _unit_pair(u0, u1)
-    f, split = _squared_mode(t, u0, u1, n, energy=True)
     site = f"energy at t={t}"
-    val = _two_phase(f, _envelope(t, u0, u1, n, energy=True), 2.0 * t,
-                     rel_tol, site, split=split)
+    u0, u1, k = _unit_pair(u0, u1, site)
+    val = _two_phase(_mode_split(t, u0, u1, n, energy=True),
+                     _envelope(t, u0, u1, n, energy=True), 2.0 * t,
+                     rel_tol, site)
     return _rescaled(0.5 * plancherel_constant(n) * max(val, 0.0), 2 * k,
                      site)
 
@@ -373,12 +390,12 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     """L^2 distance between u_hat(t) and the mass profile, to 1e-9.
 
     ``band`` is "both" ([0, inf)) or "high" ([BAND_SPLIT, inf)).
-    ``method`` "difference" evaluates the integrand as the direct
-    difference on the first 128 half-periods and splits the residual
-    phasor of ``Mode.residual_phasor`` past them (see ``_Split``);
-    "kterms" sums the five remainder terms on half-period panels
-    throughout, the independent cross-check route.  The two integrands
-    agree to roundoff by the closure identity.
+    ``method`` "difference" integrates (Re X)^2 r^(n-1) for the residual
+    phasor X of ``Mode.residual_phasor`` (u - profile = Re X without
+    cancellation), directly on the first 16 half-periods and split past
+    them (see ``_Split``); "kterms" sums the five remainder terms on
+    half-period panels throughout, the independent cross-check route.
+    The two integrands agree to roundoff by the closure identity.
     For n >= 3 and P1 != 0 the profile is in L^2 only when 2t > n - 2;
     below that the call raises ValueError naming t and n, before any
     quadrature.
@@ -395,35 +412,28 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     if method not in ("difference", "kterms"):
         raise ValueError("method must be 'difference' or 'kterms'")
     t = float(t)
-    u0, u1, k = _unit_pair(u0, u1)
+    if band == "high":
+        lower, site = BAND_SPLIT, f"residual_norm high band at t={t}"
+    else:
+        lower, site = 0.0, f"residual_norm at t={t}"
+    u0, u1, k = _unit_pair(u0, u1, site)
     p1 = u1.mass()
     if p1 != 0.0 and 0.0 < 2.0 * t <= n - 2.0:
         raise ValueError(f"residual_norm at t={t}: the profile is not in L^2"
                          f" for n={n} (needs 2t > n - 2)")
 
-    split = None
     if method == "difference":
-        def f(r):
-            mode = modes.Mode(t, r)
-            d = mode.u(u0.fourier(r), u1.fourier(r)) - mode.profile(p1)
-            return d * d * r ** (n - 1)
-
-        if t > 0.0:
-            split = _Split(t, n, lambda mode, r: mode.residual_phasor(
-                u0.fourier(r), u1.fourier_minus_mass(r), p1), (u0, u1))
+        f = _Split(t, n, lambda mode, r: mode.residual_phasor(
+            u0.fourier(r), u1.fourier_minus_mass(r), p1), (u0, u1))
     else:
         def f(r):
             mode = modes.Mode(t, r)
             d = sum(mode.k_terms(u0.fourier(r), u1.fourier(r), p1))
             return d * d * r ** (n - 1)
 
-    if band == "high":
-        lower, site = BAND_SPLIT, f"residual_norm high band at t={t}"
-    else:
-        lower, site = 0.0, f"residual_norm at t={t}"
     floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     val = _two_phase(f, _envelope(t, u0, u1, n, p1=p1), 2.0 * max(t, 1.0),
-                     1e-9, site, lower=lower, abs_floor=floor, split=split)
+                     1e-9, site, lower=lower, abs_floor=floor)
     return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
                      site)
 
@@ -443,26 +453,14 @@ def M_integral(t: float, n: int, kind: str) -> float:
     if t <= 1.0:
         raise ValueError("M_integral requires t > 1")
 
-    if kind == "sin":
-        # sin^2(rt)/r^2 is evaluated as t^2 sinc^2(rt), so the removable
-        # singularity at r = 0 costs nothing.
-        def f(r):
-            return (np.exp(-t * np.log1p(r * r)) * t * t * sinc(r * t) ** 2
-                    * r ** (n - 1))
-        tail = Envelope((1.0, (t, n - 3.0), None))
-    else:
-        def f(r):
-            return (np.exp(-t * np.log1p(r * r))
-                    * np.cos(r * t) ** 2 * r ** (n - 1))
-        tail = Envelope((1.0, (t, n - 1.0), None))
-
     def phasor(mode, r):  # (1+r^2)^(-t) w = (Re X)^2 on real radii
         x = np.exp(t * (1j * r - mode.a))
         return -1j * x / r if kind == "sin" else x
 
+    tail = Envelope((1.0, (t, n - (3.0 if kind == "sin" else 1.0)), None))
     site = f"M_integral({kind}) at t={t}"
-    return sphere_area(n) * _two_phase(f, tail, 2.0 * t, 1e-10, site,
-                                       split=_Split(t, n, phasor))
+    return sphere_area(n) * _two_phase(_Split(t, n, phasor), tail, 2.0 * t,
+                                       1e-10, site)
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

@@ -307,11 +307,11 @@ def _initial_edges(spec: QuadratureSpec) -> np.ndarray | None:
                   *(float(bp) for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
     spans = len(pts) - 1
-    if spec.min_panels <= spans:
-        return np.array(pts)
-    least = math.ceil(spec.min_panels / spans)
+    least = max(1, math.ceil(spec.min_panels / spans))
     if least * spans > spec.max_panels:
         return None
+    if least == 1:
+        return np.array(pts)
     # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / least.
     return np.interp(np.arange(least * spans + 1),
                      np.arange(spans + 1) * least, pts)

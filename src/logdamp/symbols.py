@@ -33,15 +33,15 @@ def kernel(r):
     it once.  a = log1p(r^2)/2 and g = a*a/(r*r), bit-identical to
     log^2(1+r^2)/(4r^2) as 1/2 and 4 are powers of two.  ``big`` masks
     the radii whose square overflows (|r| > 1.34e154; None when none
-    does, found by numpy's overflow flag without an extra pass): there
-    a = log r, dropping log1p(r^-2)/2 < 1e-308, and g = (a/r)^2.  Below
-    |r| = 1e-4, g is the series in x = r^2,
+    does): there a = log r, dropping log1p(r^-2)/2 < 1e-308, and
+    g = (a/r)^2.  Below |r| = 1e-4, g is the series in x = r^2,
     g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
 
     Real radii must be finite and >= 0.  Complex radii (the analytic
     continuation, for contour integrals) must be finite with Re r >= 0
     and off the cut r = iy, |y| >= 1, where 1 + r^2 <= 0; there
-    log1p(r^2) is the cancellation-free ``_log1p_complex``.
+    log1p(r^2) is the cancellation-free ``_log1p_complex``, which gives
+    a complex radius with Im r = 0 the bits of the real path.
     """
     r = np.asarray(r)
     cplx = np.iscomplexobj(r)
@@ -49,31 +49,24 @@ def kernel(r):
         r = r.astype(float, copy=False)
     shape = r.shape
     r = np.atleast_1d(r)
-    if cplx:
-        if not np.all(np.isfinite(r)) or np.any(
-                (r.real < 0.0) | ((r.real == 0.0) & (np.abs(r.imag) >= 1.0))):
-            raise ValueError("complex radius must be finite with Re r >= 0, "
-                             "off the cut r = iy, |y| >= 1")
-    elif not np.all(np.isfinite(r)) or np.any(r < 0.0):
-        raise ValueError("radius must be finite and >= 0")
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            rr, big = r * r, None
-    except FloatingPointError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rr = r * r
-        big = ~np.isfinite(rr)
-    if cplx:
-        with np.errstate(invalid="ignore"):
-            a = 0.5 * _log1p_complex(rr)
-    else:
-        a = 0.5 * np.log1p(rr)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    low = r.real.min() if r.size else 0.0
+    if not (np.isfinite(r).all() and low >= 0.0) or (
+            cplx and low == 0.0
+            and (np.abs(r.imag[r.real == 0.0]) >= 1.0).any()):
+        raise ValueError("complex radius must be finite with Re r >= 0, "
+                         "off the cut r = iy, |y| >= 1" if cplx else
+                         "radius must be finite and >= 0")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rr = r * r
+        a = 0.5 * (_log1p_complex(rr) if cplx else np.log1p(rr))
         g = a * a / rr
-    if big is not None:
-        a[big] = np.log(r[big])
-        g[big] = (a[big] / r[big]) ** 2
-        big = big.reshape(shape)
+        big = ~np.isfinite(rr)
+        if big.any():
+            a[big] = np.log(r[big])
+            g[big] = (a[big] / r[big]) ** 2
+            big = big.reshape(shape)
+        else:
+            big = None
     small = (np.abs(r) if cplx else r) < G_SERIES_CUT
     if small.any():
         x = rr[small]
@@ -86,19 +79,25 @@ def _log1p_complex(z):
     """log(1 + z) for complex z, accurate relative to |log(1 + z)|.
 
     numpy's complex log1p loses digits as |z| falls (6e-5 relative at
-    |z| = 1e-12, z = r^2 for r = (1 + 0.3i) 1e-6).
-    Below |z| = 1/2 this takes the real part as log1p(p(2 + p) + q^2)/2,
-    with |1 + z|^2 - 1 = p(2 + p) + q^2 formed from z = p + iq without
-    adding 1, and the imaginary part as atan2(q, 1 + p); the absolute
-    error of p(2 + p) + q^2 is a few ulps of |z|, and |log(1 + z)| >=
-    |z|/2 there.  Elsewhere log(1 + z) has no cancellation.
+    |z| = 1e-12, z = r^2 for r = (1 + 0.3i) 1e-6).  With z = p + iq and
+    |q| <= 1 + p (so z = r^2 for every r with |Im r| <= 1/2) this takes
+
+        log|1 + z| = log1p(p) + log1p((q / (1 + p))^2) / 2,
+
+    whose second term lies in [0, log(2)/2] and is at most 2/pi times
+    |arg(1 + z)|, and arg(1 + z) = atan2(q, 1 + p): the error is a few
+    ulps of |log(1 + z)|, and a real z (q = 0) gets log1p(p), the bits
+    of the real path.  Elsewhere |arg(1 + z)| > pi/4 and log(1 + z) has
+    no cancellation.
     """
-    out = np.log(1.0 + z)
-    near = np.abs(z) < 0.5
-    if near.any():
-        p, q = z.real[near], z.imag[near]
-        out[near] = (0.5 * np.log1p(p * (2.0 + p) + q * q)
-                     + 1j * np.arctan2(q, 1.0 + p))
+    p, q = z.real, z.imag
+    d = 1.0 + p
+    out = np.empty_like(z)
+    out.real = np.log1p(p) + 0.5 * np.log1p((q / d) ** 2)
+    out.imag = np.arctan2(q, d)
+    far = ~(np.abs(q) <= d)
+    if far.any():
+        out[far] = np.log(1.0 + z[far])
     return out
 
 

@@ -73,47 +73,67 @@ def mp_residual_sq(t, u0, u1, dps=30):
     return _mp_squared_mode(t, u0, u1, False, dps, profile=True)
 
 
-def _mp_squared_mode(t, u0, u1, energy, dps, profile=False):
-    """(2 pi)^(-n) omega_n times the radial integral of u_hat^2 r^(n-1),
-    of (u_hat - P1 phi)^2 r^(n-1) with the ``profile``, or of
-    (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy.
+def mp_residual_piece(t, u0, u1, hi, dps=30):
+    """The radial integral of (u_hat - P1 phi)^2 r^(n-1) over [0, hi],
+    the integrand of mp_residual_sq, on one Gauss-Legendre panel per
+    half-period of the 2t oscillation.  u_hat and the profile cancel to
+    about 1/(P1 t) relative there, which 30 digits absorb."""
+    with mp.workdps(dps):
+        f = _mp_mode_integrand(t, u0, u1, False, True)
+        return mp_quad_panels(f, 0, hi, omega=2.0 * float(t), dps=dps)
+
+
+def _mp_mode_integrand(t, u0, u1, energy, profile):
+    """u_hat^2 r^(n-1), (u_hat - P1 phi)^2 r^(n-1) with the ``profile``,
+    or (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy, at the working
+    precision.
 
     Each mode is built from the characteristic roots l_pm = -a +/- ib of
     v'' + 2a v' + r^2 v = 0 in complex arithmetic, so none of the
-    package's real-form rewrites enter.  The radial integral stops where
-    the Gaussian (not with the profile, which has none) and damping
-    factors are below e^-80.  Its Gauss-Legendre panels span 16
-    half-periods of the 2t oscillation: one Gauss-Legendre degree serves
-    a panel of many half-periods, so at t = 1e3 this takes a fifth of
-    the evaluations of one panel per half-period, and the two agree to
-    30 digits.
+    package's real-form rewrites enter.
+    """
+    n = u0.dimension
+    tm = mp.mpf(t)
+
+    def transform(d, r):
+        if d.family == "zero":
+            return mp.mpf(0)
+        w = mp.mpf(d.width)
+        return (mp.mpf(d.amplitude) * (2 * mp.pi) ** (mp.mpf(n) / 2)
+                * w ** n * mp.exp(-(w * r) ** 2 / 2))
+
+    def f(r):
+        a = mp.log(1 + r * r) / 2
+        lp = mp.mpc(-a, mp.sqrt(r * r - a * a))
+        lm = mp.conj(lp)
+        ep, em = mp.exp(lp * tm), mp.exp(lm * tm)
+        dl = lp - lm
+        v0, v1 = transform(u0, r), transform(u1, r)
+        u = ((lp * em - lm * ep) * v0 + (ep - em) * v1) / dl
+        if profile:
+            u -= transform(u1, 0) * mp.exp(-a * tm) * mp.sin(r * tm) / r
+        if not energy:
+            return abs(u) ** 2 * r ** (n - 1)
+        ut = (lp * lm * (em - ep) * v0 + (lp * ep - lm * em) * v1) / dl
+        return (abs(ut) ** 2 + r * r * abs(u) ** 2) * r ** (n - 1) / 2
+    return f
+
+
+def _mp_squared_mode(t, u0, u1, energy, dps, profile=False):
+    """(2 pi)^(-n) omega_n times the radial integral of the integrand of
+    ``_mp_mode_integrand``.
+
+    The radial integral stops where the Gaussian (not with the profile,
+    which has none) and damping factors are below e^-80.  Its
+    Gauss-Legendre panels span 16 half-periods of the 2t oscillation:
+    one Gauss-Legendre degree serves a panel of many half-periods, so at
+    t = 1e3 this takes a fifth of the evaluations of one panel per
+    half-period, and the two agree to 30 digits.
     """
     n = u0.dimension
     with mp.workdps(dps):
         tm = mp.mpf(t)
-
-        def transform(d, r):
-            if d.family == "zero":
-                return mp.mpf(0)
-            w = mp.mpf(d.width)
-            return (mp.mpf(d.amplitude) * (2 * mp.pi) ** (mp.mpf(n) / 2)
-                    * w ** n * mp.exp(-(w * r) ** 2 / 2))
-
-        def f(r):
-            a = mp.log(1 + r * r) / 2
-            lp = mp.mpc(-a, mp.sqrt(r * r - a * a))
-            lm = mp.conj(lp)
-            ep, em = mp.exp(lp * tm), mp.exp(lm * tm)
-            dl = lp - lm
-            v0, v1 = transform(u0, r), transform(u1, r)
-            u = ((lp * em - lm * ep) * v0 + (ep - em) * v1) / dl
-            if profile:
-                u -= transform(u1, 0) * mp.exp(-a * tm) * mp.sin(r * tm) / r
-            if not energy:
-                return abs(u) ** 2 * r ** (n - 1)
-            ut = (lp * lm * (em - ep) * v0 + (lp * ep - lm * em) * v1) / dl
-            return (abs(ut) ** 2 + r * r * abs(u) ** 2) * r ** (n - 1) / 2
-
+        f = _mp_mode_integrand(t, u0, u1, energy, profile)
         wmin = 0 if profile else min(d.width for d in (u0, u1)
                                      if d.family != "zero")
         cut = 1e-3

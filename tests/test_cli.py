@@ -243,16 +243,32 @@ def test_profile_of_wide_data_prints_every_row(tmp_path, capsys, dim,
 
 
 def test_profile_with_a_first_moment_outside_the_doubles(tmp_path, capsys):
-    # In 3-D the first moment of this datum is 2.5e317, so I0 is inf; the
-    # run ended on `error: math range error`, which names no site.  Now
-    # every row prints and the I0 check says it does not apply.
+    # In 3-D the first moment of this datum is 2.5e309, so I0 is inf; a
+    # run on such a datum (amplitude 1e-300, width 1e154, moment 2.5e317)
+    # ended on `error: math range error`, which names no site.  Now every
+    # row prints and the I0 check says it does not apply.  (That datum
+    # itself is now refused: see the next test.)
     cfg = tmp_path / "wide.cfg"
-    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e154\n")
+    cfg.write_text("u1_amplitude = 1e-96\nu1_width = 1e101\n")
     _, text = run(tmp_path, "profile", "--config", str(cfg), "--dim", "3")
     assert "error:" not in capsys.readouterr().err
     rows = parse_rows(text)
     assert len(rows) == 9 and all(r["I0"] == "inf" for r in rows)
     assert "# n=3 I0 check not applicable (I0 = inf)" in text.splitlines()
+
+
+def test_profile_refuses_data_that_underflow_when_scaled(tmp_path, capsys):
+    # The norms scale the pair to a unit transform sup; for this datum
+    # (transform at 0 1.6e163) that takes the amplitude 1e-300 to 0.0, and
+    # the zero pair printed a residual of 0 on every row and checks=PASS
+    # (ROADMAP defect 13).  Now the first norm names its site and stops.
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e154\n")
+    code, text = run(tmp_path, "profile", "--config", str(cfg), "--dim", "3")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and "checks=PASS" not in text
+    assert err == ["error: residual_norm at t=100.0: the data underflow when "
+                   "scaled to a unit transform sup"]
 
 
 @pytest.mark.parametrize("command", ["decay", "profile", "lemmas"])

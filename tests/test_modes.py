@@ -1,5 +1,6 @@
 """Mode solution, profile, data split, and the five-term remainder."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,28 @@ def test_mass_is_the_transform_at_zero_bit_for_bit():
     for d in data:
         assert d.mass().hex() == float(d.fourier(0.0)).hex(), d
         assert d.fourier_minus_mass(0.0) == 0.0
+
+
+def test_mass_is_formed_once_per_datum(monkeypatch):
+    # The datum is frozen: its mass is formed when it is built, and the
+    # transforms scale by it without forming it again (a decay pass made
+    # two _times_width_to calls per fourier call).  A replaced datum
+    # forms its own.
+    d = InitialDataSpec("gaussian", 1.7, 0.8, 3)
+    mass, calls = d.mass(), []
+    times_width_to = InitialDataSpec._times_width_to
+
+    def counted(self, c, p):
+        calls.append(p)
+        return times_width_to(self, c, p)
+
+    monkeypatch.setattr(InitialDataSpec, "_times_width_to", counted)
+    r = np.linspace(0.0, 3.0, 7)
+    for _ in range(3):
+        d.fourier(r), d.fourier_minus_mass(r + 0.1j), d.fourier_sup()
+    assert calls == [] and d.mass() == mass
+    half = dataclasses.replace(d, amplitude=0.85)
+    assert calls == [3] and half.mass() == 0.5 * mass
 
 
 def test_closed_forms_match_log_space_references():

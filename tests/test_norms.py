@@ -11,8 +11,8 @@ import pytest
 from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
-from oracles import (mp_energy, mp_l2_sq, mp_quad_panels, mp_residual_sq,
-                     mp_weight_tail)
+from oracles import (mp_energy, mp_l2_sq, mp_quad_panels, mp_residual_piece,
+                     mp_residual_sq, mp_weight_tail)
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -96,6 +96,36 @@ def test_norms_scale_exactly_with_amplitude(n):
                 norms.energy(t, *pair, n)
 
 
+@pytest.mark.parametrize("width", [1e105, 1e120, 1e154])
+def test_data_that_underflow_when_scaled_are_refused(width):
+    # Scaling this pair to a unit transform sup takes the amplitude 1e-300
+    # to 0.0 (widths 1e120, 1e154) or to a subnormal of 30 bits (1e105):
+    # the norms of the zero pair were 0.0 where the profile norm is
+    # 7.5e59 ... 7.5e161 (ROADMAP defect 13).  Each norm names its site.
+    u0, u1 = zero(3), gaussian(3, 1e-300, width)
+    for fn, site in ((norms.l2_norm, "l2_norm"), (norms.energy, "energy"),
+                     (norms.residual_norm, "residual_norm")):
+        with pytest.raises(ArithmeticError,
+                           match=re.escape(f"{site} at t=100.0: the data "
+                                           "underflow when scaled")):
+            fn(100.0, u0, u1, 3)
+    # A datum whose scaled amplitude keeps 43 bits (width 1e103) is kept.
+    # No panel resolves its transform, a spike of width 1e-103 at r = 0:
+    # its residual is the profile norm, and its norm, which no abscissa
+    # sees, is refused rather than certified 0.0 (it raised at the parent
+    # only because the envelope bound where integration stopped was not
+    # 0.0).
+    u1 = gaussian(3, 1e-300, 1e103)
+    profile = u1.mass() * math.sqrt((2.0 * math.pi) ** -3
+                                    * norms.M_integral(100.0, 3, "sin"))
+    assert norms.residual_norm(100.0, u0, u1, 3) == pytest.approx(profile,
+                                                                  rel=1e-9)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape("l2_norm at t=100.0 did not "
+                                       "converge")):
+        norms.l2_norm(100.0, u0, u1, 3)
+
+
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         norms.l2_norm(1.0, gaussian(1), gaussian(2))
@@ -109,7 +139,7 @@ def test_three_dimensional_rate_between_decades():
     assert r == pytest.approx(10.0 ** -0.25, rel=0.1)
 
 
-# -- the mean part and contour past 128 half-periods --------------------------
+# -- the mean part and contour past 16 half-periods ---------------------------
 
 def _contours(monkeypatch):
     """Record what each norms._contour call returned."""
@@ -141,7 +171,6 @@ def test_split_route_matches_mpmath(monkeypatch, n, u0):
     got = norms.residual_norm(t, u0, u1, n) ** 2
     assert got == pytest.approx(float(mp_residual_sq(t, u0, u1)), rel=1e-9)
     assert len(seen) > count
-    assert seen and all(part is not None for part in seen)
 
 
 @pytest.mark.parametrize("u0", ["zero", "gaussian"])
@@ -203,7 +232,7 @@ def _panels(monkeypatch):
 def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
     # Half-period panels to the truncation radius took 40 520 to 45 980
     # (l2_norm) and 39 476 (energy) panels here; the direct route now
-    # stops at 128 half-periods, and a call takes about 155.
+    # stops at 16 half-periods, and a call takes about 45.
     panels = _panels(monkeypatch)
     u0, u1 = gaussian(n, 2.0, 0.7), gaussian(n)
     for fn in (norms.l2_norm, norms.energy):
@@ -216,7 +245,7 @@ def test_norm_and_energy_work_does_not_grow_with_t(monkeypatch, n):
 def test_residual_and_M_work_does_not_grow_with_t(monkeypatch, n):
     # Half-period panels took over 200 000 (residual_norm, at the panel
     # cap) and 39 476 to 49 289 (M_integral) panels here; now a call
-    # takes about 155, as l2_norm and energy do.
+    # takes about 45, as l2_norm and energy do.
     panels = _panels(monkeypatch)
     u1 = gaussian(n)
     for call in (lambda: norms.residual_norm(1e8, gaussian(n, 2.0, 0.7), u1,
@@ -239,7 +268,7 @@ def test_residual_and_M_work_does_not_grow_with_t(monkeypatch, n):
 def test_one_rectangle_per_split_call(monkeypatch, call):
     # Where phase 2 extended a split call, a second rectangle started at
     # r1, its left side cancelling the first one's right side: these took
-    # two.  The mean part now sizes the truncation before the contour.
+    # two.  Phase 1's radius now reaches far enough for them.
     seen = _contours(monkeypatch)
     assert call() > 0.0
     assert len(seen) == 1 and seen[0] is not None
@@ -247,33 +276,37 @@ def test_one_rectangle_per_split_call(monkeypatch, call):
 
 def test_contour_falls_back_where_its_bound_does_not_fit(monkeypatch):
     # At t = 2 the contour height is 1/2 and its top side is not small
-    # against the mean part of data this narrow (width 0.01), so [delta, R]
-    # keeps half-period panels; the value is the all-direct one.
+    # against the mean part of data this narrow (width 0.01), so [0, R]
+    # takes half-period panels; the value is the all-direct one.
     t, n = 2.0, 3
     u0, u1 = gaussian(n, 1.0, 0.01), gaussian(n, 1.0, 0.01)
     seen = _contours(monkeypatch)
     got = norms.energy(t, u0, u1, n)
-    assert None in seen
+    assert len(seen) == 1 and not seen[0][1] <= 1e-10 * abs(seen[0][0])
+    assert got != seen[0][0]
     monkeypatch.setattr(norms, "_K", math.inf)
     assert got == pytest.approx(norms.energy(t, u0, u1, n), rel=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("call", [
+_SPLIT_CALLS = [
     lambda n: norms.l2_norm(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
     lambda n: norms.energy(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
     lambda n: norms.residual_norm(1e6, gaussian(n, 2.0, 0.7), gaussian(n), n),
     lambda n: norms.residual_norm(1e6, zero(n), gaussian(n), n),
     lambda n: norms.M_integral(1e6, n, "sin"),
     lambda n: norms.M_integral(1e6, n, "cos"),
-], ids=["l2_norm", "energy", "residual", "residual_zero_u0", "M_sin",
-        "M_cos"])
-def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
-    # Half-period panels on [0, delta], then one contour call: its sides
-    # and the axis run on one path parameter (three calls before), and
-    # each rule pass of it makes one symbols.kernel call.
-    kernels, integrals, integrate_ = [], [], norms.integrate
-    kernel = symbols.kernel
+]
+_SPLIT_IDS = ["l2_norm", "energy", "residual", "residual_zero_u0", "M_sin",
+              "M_cos"]
+
+
+def _cost(monkeypatch):
+    """Record each norms.integrate call, and check that each rule pass of
+    it makes one symbols.kernel call: on one radius per abscissa for a
+    one-row integrand, and on one or two for the two-row contour piece
+    (one on its direct part, two on the sides and the axis)."""
+    integrals, kernels = [], []
+    kernel, integrate_ = symbols.kernel, norms.integrate
 
     def counted_kernel(r):
         kernels.append(np.size(r))
@@ -283,26 +316,74 @@ def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
         def g(x):
             before = len(kernels)
             y = f(x)
-            if np.ndim(y) == 2:  # the contour: two radii per abscissa
-                assert kernels[before:] == [2 * np.size(x)]
+            assert len(kernels) == before + 1
+            if np.ndim(y) == 1:
+                assert kernels[-1] == np.size(x)
+            else:
+                assert np.size(x) < kernels[-1] <= 2 * np.size(x)
             return y
         integrals.append(spec)
         return integrate_(g, spec)
 
     monkeypatch.setattr(symbols, "kernel", counted_kernel)
     monkeypatch.setattr(norms, "integrate", counted_integrate)
+    return integrals, kernels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("call", _SPLIT_CALLS, ids=_SPLIT_IDS)
+def test_split_call_takes_one_integrate_call(monkeypatch, n, call):
+    # Half-period panels on [0, delta], the contour's sides and its axis
+    # run on one path parameter in one integrate call (two calls before,
+    # and a mean estimate), and each rule pass of it makes one
+    # symbols.kernel call.
+    integrals, kernels = _cost(monkeypatch)
     assert call(n) > 0.0
-    assert len(integrals) == 2
+    assert len(integrals) == 1 and integrals[0].lower == 0.0
+    assert len(kernels) >= 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("call", _SPLIT_CALLS, ids=_SPLIT_IDS)
+def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
+    # The rare case: where the envelope bound at phase 1's radius r1
+    # still exceeds rel_tol |value| / 4, the call extends once and redoes
+    # the contour piece to the new radius r2, so one rectangle remains.
+    # Phase 1 is made to stop at an eighth of its radius here; the value
+    # stays within its certified tolerance, and each rule pass still
+    # makes one symbols.kernel call.
+    expect = call(n)
+    truncation_point = norms.truncation_point
+    radii = []
+
+    def short_first(tail, tol):
+        radius, bound = truncation_point(tail, tol)
+        if not radii:
+            radius, bound = radius / 8.0, tail.bound(radius / 8.0)
+        radii.append(radius)
+        return radius, bound
+
+    monkeypatch.setattr(norms, "truncation_point", short_first)
+    integrals, _ = _cost(monkeypatch)
+    got = call(n)
+    assert len(integrals) == 2 and len(radii) == 2
+    assert [spec.lower for spec in integrals] == [0.0, 0.0]
+    assert integrals[0].upper < radii[1] < integrals[1].upper
+    assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_residual_at_the_panel_cap_raises_by_site():
-    # At t = 1e10 the difference integrand on [0, delta] stopped at the
-    # 200 000-panel cap unconverged, and the call returned 0.0018469...,
-    # 4.6e-9 off on D against its certified 1e-9 (ROADMAP defect 11).
+    # The K-term route keeps half-period panels to its truncation radius:
+    # at t = 1e10 that is about 500 000 of them, over the 200 000-panel
+    # cap, so it raises by site without evaluating the integrand.  (The
+    # difference integrand of the default route stopped at the cap here,
+    # unconverged, and returned 0.0018469..., 4.6e-9 off on D against its
+    # certified 1e-9: ROADMAP defect 11.)
     with pytest.raises(ArithmeticError,
                        match=re.escape("residual_norm at t=10000000000.0 "
                                        "did not converge")):
-        norms.residual_norm(1e10, gaussian(1, 0.5, 0.8), gaussian(1), 1)
+        norms.residual_norm(1e10, gaussian(1, 0.5, 0.8), gaussian(1), 1,
+                            method="kterms")
 
 
 def test_unconverged_direct_piece_raises(monkeypatch):
@@ -320,6 +401,75 @@ def test_unconverged_direct_piece_raises(monkeypatch):
                        match=re.escape("l2_norm at t=1000000.0 did not "
                                        "converge")):
         norms.l2_norm(1e6, gaussian(2, 2.0, 0.7), gaussian(2), 2)
+
+
+@pytest.mark.parametrize("site, call", [
+    ("energy at t=1000000.0", lambda: norms.energy(
+        1e6, gaussian(3, 2.0, 0.7), gaussian(3), 3)),
+    ("residual_norm at t=1000000.0", lambda: norms.residual_norm(
+        1e6, gaussian(1, 0.5, 0.8), gaussian(1), 1)),
+    ("M_integral(sin) at t=1000000.0", lambda: norms.M_integral(
+        1e6, 2, "sin")),
+], ids=["energy", "residual", "M_sin"])
+def test_unconverged_contour_piece_raises(monkeypatch, site, call):
+    # The one contour piece carries the direct part, the mean part and
+    # the left side in one row: a converged=False there raises by site,
+    # and no half-period fallback hides it.
+    integrate_, rows = norms.integrate, []
+
+    def unconverged(f, spec):
+        def g(x):
+            y = f(x)
+            rows.append(np.ndim(y))
+            return y
+        res = integrate_(g, spec)
+        return dataclasses.replace(res, converged=False)
+
+    monkeypatch.setattr(norms, "integrate", unconverged)
+    with pytest.raises(ArithmeticError,
+                       match=re.escape(f"{site} did not converge")):
+        call()
+    assert rows and set(rows) == {2}
+
+
+# Defect 11: n = 1 and 2, u0 = 0.5 G(0.8), u1 = G(1).  The difference
+# integrand on [0, delta] cancelled two terms of size P1 t: at t = 1e9
+# the default route was 1.8e-9 off on D (n = 1), and at 1e10 and 1e12
+# it raised at the panel cap.
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residual_at_large_t_matches_the_kterm_route(n):
+    u0, u1 = gaussian(n, 0.5, 0.8), gaussian(n)
+    got = norms.residual_norm(1e9, u0, u1, n)
+    ref = norms.residual_norm(1e9, u0, u1, n, method="kterms")
+    assert (got / ref) ** 2 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e10, 1e12])
+@pytest.mark.parametrize("n", [1, 2])
+def test_residual_direct_part_matches_mpmath_past_the_kterm_route(
+        monkeypatch, n, t):
+    # The K-term route raises here; the residual certifies, and the
+    # integrand its contour piece takes on [0, delta] integrates to the
+    # 30-digit mpmath value of the difference integrand there.
+    u0, u1 = gaussian(n, 0.5, 0.8), gaussian(n)
+    seen, integrate_ = [], norms.integrate
+
+    def recorded(f, spec):
+        seen.append(f)
+        return integrate_(f, spec)
+
+    monkeypatch.setattr(norms, "integrate", recorded)
+    assert norms.residual_norm(t, u0, u1, n) > 0.0
+    delta = norms._K * math.pi / (2.0 * t)
+    got = integrate_(lambda s: seen[0](s)[0], QuadratureSpec(
+        0.0, delta, rel_tol=1e-14, min_panels=norms._K))
+    # residual_norm integrates the pair scaled by 2^-k to a unit sup.
+    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1]
+    s0, s1 = (dataclasses.replace(d, amplitude=math.ldexp(d.amplitude, -k))
+              for d in (u0, u1))
+    ref = float(mp_residual_piece(t, s0, s1, delta))
+    assert got.converged and got.value == pytest.approx(ref, rel=1e-13)
 
 
 # -- energy -------------------------------------------------------------------
@@ -458,36 +608,41 @@ def test_residual_argument_validation():
 def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
                                                      split):
     # A half-period panel abscissa is one radius; an abscissa of the
-    # contour route (a two-row vector integrand) is two: the mean part
-    # and the top side, or the left and right sides.  The mean part's
-    # magnitude estimate takes one radius per node.
+    # contour piece (a two-row vector integrand) is one on its direct
+    # part and two past it: the mean part and the top side, or the left
+    # and right sides.  Each radius gets the damping symbol once.
     seen = {"symbol": 0, "radii": 0, "contour": 0}
-    kernel, integrate_ = symbols.kernel, norms.integrate
-    estimate = norms._mean_estimate
+    kernel, integrate_, contour = symbols.kernel, norms.integrate, \
+        norms._contour
 
     def counted_kernel(r):
         seen["symbol"] += np.size(r)
         return kernel(r)
 
-    def counted_integrate(f, spec):
-        rows = set()
+    def counted_contour(split, lo, hi, *args):
+        seen["contour"] += 1
+        c = max(lo, split.delta)
 
+        def counted_integrate(f, spec):
+            def g(x):
+                seen["radii"] += np.size(x) + np.count_nonzero(x >= c)
+                return f(x)
+            return integrate_(g, spec)
+        monkeypatch.setattr(norms, "integrate", counted_integrate)
+        try:
+            return contour(split, lo, hi, *args)
+        finally:
+            monkeypatch.setattr(norms, "integrate", direct)
+
+    def direct(f, spec):
         def g(x):
-            y = f(x)
-            rows.add(np.ndim(y))
-            seen["radii"] += np.ndim(y) * np.size(x)
-            return y
-        res = integrate_(g, spec)
-        seen["contour"] += 2 in rows
-        return res
-
-    def counted_estimate(mean, lo, hi):
-        seen["radii"] += len(norms._geometric(lo, hi)) + 2
-        return estimate(mean, lo, hi)
+            seen["radii"] += np.size(x)
+            return f(x)
+        return integrate_(g, spec)
 
     monkeypatch.setattr(symbols, "kernel", counted_kernel)
-    monkeypatch.setattr(norms, "integrate", counted_integrate)
-    monkeypatch.setattr(norms, "_mean_estimate", counted_estimate)
+    monkeypatch.setattr(norms, "integrate", direct)
+    monkeypatch.setattr(norms, "_contour", counted_contour)
     call(gaussian(2, 2.0, 0.7), gaussian(2))
     assert seen["radii"] > 0
     assert seen["symbol"] == seen["radii"]
@@ -521,8 +676,8 @@ def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, t,
                                                      call):
     # At t = 5 every band carries weight, so no absolute floor certifies
     # a truncated panelling; with 2 panels none can meet its tolerance.
-    # At t = 1e6 the mean part and contour run past 128 half-periods, and
-    # neither they nor the half-period panels fit in 2 panels.
+    # At t = 1e6 the contour piece's initial panels (its 16 half-periods,
+    # eight side panels and the geometric axis) do not fit in 2 panels.
     assert math.isfinite(call(t))
     integrate_ = norms.integrate
     monkeypatch.setattr(norms, "integrate", lambda f, spec: integrate_(

@@ -162,6 +162,28 @@ def test_over_budget_half_period_panelling_is_refused():
     assert fits.value == pytest.approx(2.5 * math.pi, rel=1e-12)
 
 
+def test_over_budget_breakpoint_panelling_is_refused():
+    # The half-periods may come as breakpoints too (the contour piece of
+    # norms puts them there): more spans than max_panels are refused
+    # without evaluating f, as an over-budget min_panels is.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.sin(200.0 * x) ** 2
+
+    edges = tuple(k * math.pi / 400.0 for k in range(1, 1000))
+    spec = QuadratureSpec(0.0, 2.5 * math.pi, breakpoints=edges,
+                          max_panels=100)
+    res = integrate(f, spec)
+    assert not res.converged
+    assert res.panels_used == 0 and res.error_estimate == math.inf
+    assert calls == []
+    fits = integrate(f, dataclasses.replace(spec, max_panels=1000))
+    assert fits.converged and fits.panels_used == 1000
+    assert fits.value == pytest.approx(1.25 * math.pi, rel=1e-12)
+
+
 def test_converged_invariant():
     def f(x):
         return np.exp(-x) * np.cos(3.0 * x)

@@ -160,13 +160,16 @@ def test_stable_differences_where_r_squared_overflows(r):
     assert arr[1] == symbols.inv_b_minus_inv_r(1.0)
 
 
-# Radii on the sides of the contour rectangles [delta, R] x [0, Y] of
-# norms._contour: delta = 128 pi / (2t) for t = 1e3 ... 1e12, with
-# |r| below the series cut (1e-4), and between it and |r^2| = 1/2,
-# where log1p takes the cancellation-free complex form.
+# Left sides of the contour rectangles [delta, R] x [0, Y] of
+# norms._contour: delta = 16 pi / (2t) for t = 1e3 ... 1e12 (and the
+# 128 pi / (2t) of earlier versions).
+_DELTAS = [16.0 * math.pi / (2.0 * 10.0 ** k) for k in range(3, 13)]
+# Radii on the rectangles' sides, with |r| below the series cut (1e-4),
+# and between it and |r^2| = 1/2, where log1p takes the
+# cancellation-free complex form.
 _SIDES = np.concatenate([
     d + 1j * np.geomspace(1e-14, 0.5, 40)
-    for d in (2.0e-10, 2.0e-6, 2.0e-4, 0.2)] + [
+    for d in (2.0e-10, 2.0e-6, 2.0e-4, 0.2, *_DELTAS)] + [
     np.geomspace(2e-10, 50.0, 60) + 1j * y for y in (2.4e-11, 2.4e-5, 0.5)])
 
 
@@ -196,13 +199,27 @@ def test_g_stays_inside_the_unit_disc_on_the_contour_strip():
     # the strip 0 < x <= 1e8, 0 <= y <= 1/2 on a log grid in x.  Past
     # it |g| <= |a|^2/|r|^2 keeps falling.  There also
     # Re lambda = -Re a - Im b <= -0.75 y, the decay of the left side.
-    x = np.geomspace(1e-12, 1e8, 4001)
+    x = np.concatenate([np.geomspace(1e-12, 1e8, 4001), _DELTAS])
     y = np.concatenate([[0.0], np.geomspace(1e-12, 0.5, 200)])
     z = (x[None, :] + 1j * y[:, None]).ravel()
     _, a, g, _ = symbols.kernel(z)
     assert np.abs(g).max() < 0.17
     lam = -a + 1j * z * np.sqrt(1.0 - g)
     assert np.all(lam.real <= -0.75 * z.imag)
+
+
+def test_real_radii_keep_their_bits_on_the_complex_path():
+    # The contour piece sends its real radii (the direct part and the
+    # axis) through the complex kernel with the complex ones: a is the
+    # real path's to the bit (log1p of the real part), g within 2 ulp
+    # (complex division multiplies by a reciprocal).
+    r = np.concatenate([[0.0], np.geomspace(1e-300, 1e154, 20001),
+                        np.geomspace(8e-12, 30.0, 2001)])
+    _, a, g, _ = symbols.kernel(r)
+    _, ac, gc, _ = symbols.kernel(r + 0j)
+    assert np.all(ac.imag == 0.0) and np.all(gc.imag == 0.0)
+    assert np.array_equal(ac.real, a)
+    assert np.all(np.abs(gc.real - g) <= 2.0 * np.spacing(g))
 
 
 def test_complex_domain_errors():
