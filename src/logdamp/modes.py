@@ -175,6 +175,12 @@ def _out(x):
     return x if np.ndim(x) else float(x)
 
 
+def _nil(value) -> bool:
+    """True for a scalar transform value of 0: a zero datum's, which
+    ``norms`` passes in place of an array of zeros."""
+    return np.ndim(value) == 0 and value == 0
+
+
 class Mode:
     """The factors shared by every mode field at time t and radii r.
 
@@ -186,7 +192,9 @@ class Mode:
     ``cos_bt`` and ``sinc_bt`` form on first use (by ``u``, ``u_t``,
     ``profile``, ``k_terms``), so phasor-only modes skip them.
     sin(bt)/b is t*sinc(bt), so the r = 0 limit is exact.  Real radii
-    serve every field; complex radii only the two phasors.
+    serve every field; complex radii only the two phasors, which take
+    a zero datum's transform as the scalar 0 and then form no term of
+    it (``norms`` passes that for an amplitude-0 datum).
     """
 
     def __init__(self, t, r):
@@ -211,10 +219,13 @@ class Mode:
         u^2 = |P|^2/2 + Re(P^2)/2 splits into a mean part and a part
         that oscillates like e^{2ibt}.  P continues analytically to
         complex radii where |g| < 1 and r != 0 (see ``norms._contour``).
+        A scalar u0_val of 0 (a zero datum's, untransformed) forms no
+        term of u0.
         """
         a, b = self.a, self.b
-        return (np.exp(self.t * (1j * b - a))
-                * (u0_val - 1j * (u1_val + a * u0_val) / b))
+        z = (-1j * u1_val / b if _nil(u0_val)
+             else u0_val - 1j * (u1_val + a * u0_val) / b)
+        return np.exp(self.t * (1j * b - a)) * z
 
     def residual_phasor(self, u0_val, a1_val, p1: float):
         """X = e^{(ir - a)t} W with u - profile = Re X on real radii, where
@@ -223,16 +234,25 @@ class Mode:
 
         Z as in ``phasor`` and a1_val = A1 = u1 - P1 (see
         ``InitialDataSpec.fourier_minus_mass``).  So X carries the one
-        oscillation e^{irt}, and sin(bt) - sin(rt) is never formed.  Every piece
-        is cancellation-free on real and complex radii r != 0:
-        d = (b - r)t = -g r t / (1 + sqrt(1 - g)), expm1(id) is
+        oscillation e^{irt}, and sin(bt) - sin(rt) is never formed.
+        Every piece is cancellation-free on real and complex radii
+        r != 0: d = (b - r)t = -g r t / (1 + sqrt(1 - g)), expm1(id) is
         ``stable.expm1_i`` and 1/b - 1/r = g / (b (1 + sqrt(1 - g))).
+        With v = (A1 + a u0)/b and e = e^{id} - 1 this is
+
+            W = u0 (1 + e) - i ((v + P1/b) e + v + P1 (1/b - 1/r)),
+
+        formed with 1/b and 1/(1 + sqrt(1 - g)) taken once; a scalar
+        u0_val of 0, as in ``phasor``, forms no term of u0.
         """
-        r, a, b, g, sq, t = self.r, self.a, self.b, self.g, self.sq, self.t
-        d = -g * r * t / (1.0 + sq)
-        z = u0_val - 1j * (a1_val + p1 + a * u0_val) / b
-        w = (z * expm1_i(d) + u0_val
-             - 1j * ((a1_val + a * u0_val) / b + p1 * g / (b * (1.0 + sq))))
+        r, a, g, t = self.r, self.a, self.g, self.t
+        ib, iq = 1.0 / self.b, 1.0 / (1.0 + self.sq)
+        e = expm1_i(-t * g * r * iq)
+        zero = _nil(u0_val)
+        v = a1_val * ib if zero else (a1_val + a * u0_val) * ib
+        pb = p1 * ib
+        s = (v + pb) * e + v + pb * g * iq
+        w = -1j * s if zero else u0_val * (1.0 + e) - 1j * s
         return np.exp(t * (1j * r - a)) * w
 
     def u(self, u0_val, u1_val):

@@ -71,11 +71,15 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     """Integral of f over [lower, inf): the one half-line route.
 
     It integrates to a truncation radius r1 of the tail envelope; where
-    the envelope bound there still exceeds rel_tol |value| / 4 (rare),
-    it extends once to the radius where it does not.  The bound where
-    integration stops (``lower`` itself when the envelope is already
-    small there) is charged to the error.  ``abs_floor`` certifies
-    results whose error is negligible on the caller's absolute scale.
+    the envelope bound there still exceeds a quarter of the certified
+    error, max(rel_tol |value|, abs_floor) / 4 (rare), it extends once
+    to the radius where it does not.  The bound where integration stops
+    (``lower`` itself when the envelope is already small there) is
+    charged to the error.  ``abs_floor`` certifies results whose error
+    is negligible on the caller's absolute scale.  Phase 1 stops where
+    the bound falls to 1e-4 of its value at r = 1, or, where that
+    underflows, to 1e-40 of the envelope's scale (``_depth`` if that is
+    smaller, for a ``_Split``).
     A ``_Split`` f whose [lower, R] spans more than _DIRECT half-periods
     takes one ``_contour`` call to R (an extension redoes it, so one
     rectangle remains), and half-period panels on [lower, R] where its
@@ -89,7 +93,11 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         return 0.0
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
-    tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-40 * scale
+    if 0.0 < b_at_1 < math.inf:
+        tau1 = 1e-4 * b_at_1
+    else:
+        tau1 = min(1e-40 * scale, _depth(f, scale, rel_tol)
+                   if isinstance(f, _Split) else math.inf)
     if abs_floor > 0.0:
         tau1 = min(tau1, 0.25 * abs_floor)
     r1, bound = truncation_point(tail, tau1)
@@ -114,7 +122,7 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
 
     radius, found = r1, contour(r1)
     value, err = found or direct(lower, r1, 1e-300)
-    tau2 = 0.25 * rel_tol * abs(value)
+    tau2 = 0.25 * max(rel_tol * abs(value), abs_floor)
     if bound > tau2 > 0.0:
         r2, bound2 = truncation_point(tail, tau2)
         if r2 > r1:
@@ -136,6 +144,25 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     if not certified() or (value == 0.0 and radius > lower):
         raise ArithmeticError(f"{site} did not converge")
     return value
+
+
+def _depth(split, scale: float, rel_tol: float) -> float:
+    """Phase 1's tolerance for a split call at t > n/2 whose envelope
+    bound at r = 1 underflows: 1e-3 of rel_tol/4 times scale W/t, with
+    W = Gamma(n/2) Gamma(t - n/2) / (2 Gamma(t)) the closed-form
+    integral of the weight envelope (1+r^2)^(-t) r^(n-1) over [0, inf).
+    A mode's |u|^2 r^(n-1) integrates to about scale W/t: on the
+    weight's bulk r ~ t^(-1/2) the envelope's |sin(bt)/b| <= t
+    overstates |sin(bt)/b| <= 1/b ~ t^(1/2), its square by t.  This is
+    below 1e-40 scale only from t ~ 3e10 (n = 3, rel_tol = 1e-10), where
+    that fixed depth fell short of rel_tol |value| / 4 (l2_norm at
+    n = 3, t = 1e12)."""
+    t, n = split.t, split.n
+    if not t > n / 2.0:
+        return math.inf
+    log_w = (math.lgamma(n / 2.0) + math.lgamma(t - n / 2.0)
+             - math.lgamma(t) - math.log(2.0 * t))
+    return 2.5e-4 * rel_tol * scale * math.exp(log_w)
 
 
 # -- the split: mean part and contour ---------------------------------------
@@ -169,6 +196,9 @@ class _Split:
     height min(1/2, _TY/t, 1/w), w the widest nonzero datum of ``data``,
     keeps tY <= 24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.  At
     t = 0 delta is inf: the whole half-line is direct.
+
+    Called on real radii it is the direct integrand; ``path`` gives the
+    two rows of ``_contour`` from one ``Mode`` on all their radii.
     """
 
     def __init__(self, t: float, n: int, phasor, data=(), energy=False):
@@ -177,25 +207,49 @@ class _Split:
         self.delta = _K * math.pi / (2.0 * t) if t else math.inf
         self.height = min(0.5, _TY / t if t else 0.5, 1.0 / max(widths))
 
-    def __call__(self, z, k=None):
-        """The integrand on the first k radii (all when k is None), which
-        are real, and past them the mean where Im z = 0 and h elsewhere:
-        (direct, rest), or direct alone.  One ``Mode`` serves all."""
-        mode = modes.Mode(self.t, z)
-        p = self.phasor(mode, z)
-        x, q = np.real(z[:k]), p[:k]
+    def __call__(self, x):
+        """The integrand on real radii x."""
+        mode = modes.Mode(self.t, x)
+        return self._direct(x, mode.a, mode.b, self.phasor(mode, x))
+
+    def _direct(self, x, a, b, q):
+        """The integrand on real radii x from the real a, b and X there
+        (u_t = Re(lambda X), lambda = -a + ib, for the energy)."""
         direct = q.real * q.real
-        if self.energy:  # u_t = Re(lambda X), lambda = -a + ib
-            ut = -np.real(mode.a[:k]) * q.real - np.real(mode.b[:k]) * q.imag
+        if self.energy:
+            ut = -a * q.real - b * q.imag
             direct = ut * ut + x * x * direct
-        direct = direct * x ** (self.n - 1)
-        if k is None:
-            return direct
-        z, p, a, b = z[k:], p[k:], mode.a[k:], mode.b[k:]
-        real = np.imag(z) == 0.0
-        w = (np.where(real, z * z, a * (a - 1j * b)) if self.energy
-             else 0.5)
-        return direct, w * p * np.where(real, p.conj(), p) * z ** (self.n - 1)
+        return direct * x ** (self.n - 1)
+
+    def path(self, s, c: float, hi: float):
+        """``_contour``'s rows at the ascending path parameters s: the
+        integrand on s < c, -Im h(c + iy) on the sides (y = s - c < Y),
+        the mean at x = s - Y on the axis; row 1 adds |h(hi + iy)| and
+        |h(x + iY)|.  One ``Mode`` takes the radii of the segments in
+        the order [direct | axis | left side | right side | top], so the
+        mean and h each take one slice, and each row segment is written
+        once."""
+        top = self.height
+        k, m = s.searchsorted((c, c + top))
+        x, ax, iy = s[:k], s[m:] - top, 1j * (s[k:m] - c)
+        j, ns = k + ax.size, m - k
+        z = np.concatenate([x, ax, c + iy, hi + iy, ax + 1j * top])
+        mode = modes.Mode(self.t, z)
+        a, b, p = mode.a, mode.b, self.phasor(mode, z)
+        out = np.empty((2, s.size))
+        out[0, :k] = self._direct(x, a[:k].real, b[:k].real, p[:k])
+        q = p[k:j]  # the mean |X|^2/2 (energy r^2 |X|^2) on the axis
+        w = ax * ax if self.energy else 0.5
+        out[0, m:] = (w * q.real * q.real + w * q.imag * q.imag) \
+            * ax ** (self.n - 1)
+        a, b, p, z = a[j:], b[j:], p[j:], z[j:]
+        h = (a * (a - 1j * b) if self.energy else 0.5) * p * p
+        if self.n > 1:
+            h = h * z ** (self.n - 1)
+        out[0, k:m] = -h[:ns].imag
+        out[1] = out[0]
+        out[1, k:] += np.abs(h[ns:])
+        return out
 
 
 def _geometric(lo: float, hi: float) -> list:
@@ -226,10 +280,13 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     row 1 is row 0 plus the charged part, so ``integrate`` holds both to
     the value's tolerance (a row of the charged part alone would be held
     to its own); with e0, e1 their error estimates the error is
-    2 e0 + e1 + (row 1 - row 0).  Each rule pass makes one ``_Split``
-    call: one radius per direct abscissa, two per other.  The sides
-    start on eight equal y panels, the axis on the breakpoints
-    c 2^(k/2) (both take fewer waves than halving from one panel).
+    2 e0 + e1 + (row 1 - row 0).  c and c + Y are breakpoints, so no
+    panel straddles a segment, and ``integrate`` hands each rule pass
+    its abscissae in ascending order: ``_Split.path`` cuts them into the
+    three segments by two searches, and one ``Mode`` takes one radius
+    per direct abscissa and two per other.  The sides start on eight
+    equal y panels, the axis on the breakpoints c 2^(k/2) (both take
+    fewer waves than halving from one panel).
 
     h is analytic there: 1 + r^2 has real part >= 3/4 for
     y <= 1/2, so a = log1p(r^2)/2 is, and so is g = a^2/r^2 for
@@ -261,7 +318,7 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
         out[1, ~direct] += np.abs(second)
         return out
 
-    res = integrate(f, QuadratureSpec(
+    res = integrate(lambda s: split.path(s, c, hi), QuadratureSpec(
         lo, hi + top, abs_tol=1e-300, rel_tol=0.25 * rel_tol,
         max_panels=200_000, breakpoints=(
             *[lo + (c - lo) * j / halves for j in range(1, halves)], c,
@@ -316,8 +373,11 @@ def _rescaled(value: float, k: int, site: str) -> float:
 def _envelope(t: float, u0, u1, n: int, energy: bool = False,
               p1: float | None = None) -> Envelope:
     """Tail envelope of a mode integrand, from B_i = sup |data transform|
-    and the narrowest data width w: for r >= 1 the first term's weight
-    (1+r^2)^(-t) r^p may also be replaced by r^q exp(-w^2 r^2).
+    and the narrowest data width w: the first term's weight
+    (1+r^2)^(-t) r^p may also be replaced by exp(-w^2 r^2) times r^q for
+    r >= 1 and r^(n-1) below, the power of the integrand there (so a
+    wide datum, whose transform lies far inside [0, 1], truncates at a
+    radius of order 1/w).
 
     u_hat(t,.)^2 r^(n-1): |u_hat| <= e^{-at}(1.58 B0 + min(t, 1.1/r) B1)
     <= e^{-at}(1.58 B0 + t B1) (a/b <= 3^(-1/2), 1/b <= 1.1/r,
@@ -340,7 +400,7 @@ def _envelope(t: float, u0, u1, n: int, energy: bool = False,
     if p1 is not None:
         coeff *= 2.0
     widths = [d.width for d in (u0, u1) if d.amplitude != 0.0]
-    data = (min(widths) ** 2, q) if widths else None
+    data = (min(widths) ** 2, q, n - 1.0) if widths else None
     profile = [(2.0 * p1 * p1, (t, n - 3.0), None)] if p1 and t > 0.0 else []
     return Envelope((coeff, weight, data), *profile)
 
@@ -349,9 +409,17 @@ def _mode_split(t: float, u0, u1, n: int, energy: bool) -> _Split:
     """The ``_Split`` of l2_norm (u^2 r^(n-1)) or of energy
     ((u_t^2 + r^2 u^2) r^(n-1)), X = Mode.phasor: u = Re X and
     u_t = Re(lambda X)."""
-    return _Split(t, n, lambda mode, r: mode.phasor(u0.fourier(r),
-                                                    u1.fourier(r)),
+    return _Split(t, n, lambda mode, r: mode.phasor(_hat(u0, r),
+                                                    _hat(u1, r)),
                   (u0, u1), energy)
+
+
+def _hat(d: InitialDataSpec, r, minus_mass: bool = False):
+    """d's transform at r (minus its mass), or the scalar 0.0 for a zero
+    datum, of which the phasors then form no term."""
+    if not d.amplitude:
+        return 0.0
+    return d.fourier_minus_mass(r) if minus_mass else d.fourier(r)
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -424,7 +492,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
 
     if method == "difference":
         f = _Split(t, n, lambda mode, r: mode.residual_phasor(
-            u0.fourier(r), u1.fourier_minus_mass(r), p1), (u0, u1))
+            _hat(u0, r), _hat(u1, r, minus_mass=True), p1), (u0, u1))
     else:
         def f(r):
             mode = modes.Mode(t, r)

@@ -2,12 +2,15 @@
 
 A 15-point Kronrod rule with embedded 7-point Gauss estimate is applied
 per panel.  Panels are numpy arrays (edges, values, errors), evaluated
-at most _CHUNK = 512 at a time.  That bounds the arrays an integrand
-sees to 7 680 abscissae (60 KB each), so the ten or so temporaries of
-the mode kernel stay in a per-core L2 cache; chunks of 2048 panels
-spill it, and an unrefined l2_norm/energy pass to t = 1e8 took 1.5x
-as long (2-core Xeon VM, 2 MB L2).  Chunking changes no value,
-because the rule works panel by panel.  An
+at most _CHUNK = 512 at a time, which bounds the arrays an integrand
+sees to 7 680 abscissae (60 KB each).  A split call of ``norms`` takes
+about 41 panels, so only the K-term route and the half-period
+fallback reach a chunk; there it keeps the ten or so temporaries of
+the mode kernel in a per-core L2 cache (chunks of 2048 panels spilled
+it, and an unrefined half-period l2_norm/energy pass to t = 1e8 took
+1.5x as long; 2-core Xeon VM, 2 MB L2).  Chunking changes no value,
+because the rule works panel by panel.  Every rule pass takes its
+abscissae in ascending order.  An
 initial panelling that meets the tolerance is returned at once;
 otherwise each wave quarters the smallest worst-first prefix of the
 splittable panels whose errors cover the excess (error minus target):
@@ -102,28 +105,35 @@ def _weight_tail(coeff: float, radius: float, t: float, p: float,
         return math.inf
     r = float(radius)           # log(1+R^2), also where R*R overflows
     w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
-    top = weight_factor_range(p, r)[1]
+    top = weight_factor_range(p, r)[1] if p < 1.0 else 1.0
     return coeff * top * math.exp(-s * w) / (2.0 * s)
 
 
-def _data_tail(coeff: float, c: float, q: float, radius: float) -> float:
+def _data_tail(coeff: float, radius: float, c: float, q: float,
+               q_low: float | None = None) -> float:
     """coeff R^(q-1) exp(-c R^2)/c >= the tail of coeff r^q exp(-c r^2)
-    once R >= 1 and c R^2 >= max(1, q - 1) (incomplete-gamma estimate);
-    +inf below that."""
+    once c R^2 >= max(1, q - 1) (incomplete-gamma estimate); +inf below
+    that.  The power is r^q from r = 1 on and r^q_low below it: from
+    R < 1 the bound is the r^q_low tail from R plus the r^q tail from 1
+    (+inf without q_low)."""
+    low = radius < 1.0
+    p = q_low if low else q
     x = c * radius * radius
-    if radius < 1.0 or x < max(1.0, q - 1.0):
+    if p is None or x < max(1.0, p - 1.0):
         return math.inf
-    log_b = (math.log(coeff) + (q - 1.0) * math.log(radius)
+    log_b = (math.log(coeff) + (p - 1.0) * math.log(radius)
              - x - math.log(c))
-    return math.exp(log_b) if log_b <= 700.0 else math.inf
+    tail = math.exp(log_b) if log_b <= 700.0 else math.inf
+    return tail + _data_tail(coeff, 1.0, c, q) if low else tail
 
 
 class Envelope:
     """Tail envelope |f(r)| <= sum over terms (coeff, weight, data) of
     coeff min((1+r^2)^(-t) r^p, r^q exp(-c r^2)), weight = (t, p) or
     (t, p, p_low) (r^p_low in place of r^p below r = 1), data = (c, q)
-    (for r >= 1 only); None drops a side.  ``bound(R)``, the sum of each
-    term's smaller closed-form tail, bounds the integral of |f| past R.
+    (for r >= 1 only) or (c, q, q_low) (r^q_low below r = 1); None drops
+    a side.  ``bound(R)``, the sum of each term's smaller closed-form
+    tail, bounds the integral of |f| past R.
     """
 
     def __init__(self, *terms: tuple):
@@ -132,7 +142,7 @@ class Envelope:
 
     def bound(self, radius: float) -> float:
         return sum(min(_weight_tail(c, radius, *w) if w else math.inf,
-                       _data_tail(c, *d, radius) if d else math.inf)
+                       _data_tail(c, radius, *d) if d else math.inf)
                    for c, w, d in self.terms if c != 0.0)
 
 
@@ -141,8 +151,10 @@ def _term_radius(coeff, weight, data, tol: float) -> float:
     weight side has w = log1p(R^2) solve s w + k log(-expm1(-w)) = c,
     c = log(coeff/(2 s tol)), k = max(0, (1-p)/2) (p_low if that gives
     R < 1): increasing and concave, so Newton climbs from a point left
-    of the root.  The data side takes fixed-point steps on c R^2 =
-    log(coeff/(c tol)) + (q-1) log R from where that bound holds."""
+    of the root, and stops once a step is below 1e-9 of w.  The data
+    side takes fixed-point steps on c R^2 = log(coeff/(c tol)) +
+    (q-1) log R from where that bound holds (q_low if that gives
+    R < 1)."""
     radius = math.inf
     for i, p in enumerate(weight[1:] if weight else ()):
         s, k = weight[0] - (p + 1.0) / 2.0, max(0.0, (1.0 - p) / 2.0)
@@ -154,31 +166,40 @@ def _term_radius(coeff, weight, data, tol: float) -> float:
             w = max(w, min(1.0 / s, math.exp(min(0.0, max(-700.0,
                                                           (c - 1.0) / k)))))
             for _ in range(8 if w < 700.0 else 0):
-                w -= (s * w + k * math.log(-math.expm1(-w)) - c) / (
+                step = (s * w + k * math.log(-math.expm1(-w)) - c) / (
                     s + k / math.expm1(w))
+                w -= step
+                if abs(step) <= 1e-9 * w:
+                    break
         radius = min(1.0 if i else math.inf, math.exp(0.5 * w) if w > 700.0
                      else math.sqrt(max(math.expm1(w), 0.0)))
         if radius >= 1.0:
             break
     if data:
-        c, q = data
-        x = start = max(1.0, max(1.0, q - 1.0) / c)
-        for _ in range(3):
-            x = max(start, (math.log(coeff) - math.log(c) - math.log(tol)
-                            + 0.5 * (q - 1.0) * math.log(x)) / c)
-        radius = min(radius, math.sqrt(x))
+        c, *powers = data
+        cap = math.log(coeff) - math.log(c) - math.log(tol)
+        for i, q in enumerate(powers):  # x = R^2, from where R^q holds
+            x = start = max(0.0 if i else 1.0, max(1.0, q - 1.0) / c)
+            for _ in range(3):
+                x = max(start, (cap + 0.5 * (q - 1.0) * math.log(x)) / c)
+            if i or x > 1.0:
+                break
+        radius = min(radius, math.sqrt(min(x, 1.0) if i else x))
     return radius
 
 
-_GRID, _LOWEST = 1024, -30615  # radii 2^(j/1024), j > _LOWEST (1e-9)
+# Radii 2^(j/1024), j > _LOWEST (1.2e-150, above the 1e-154 where
+# ``weight_factor_range`` overflows): a datum of width w needs R ~ 1/w.
+_GRID, _LOWEST = 1024, -510_000
 
 
 def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
-    """Smallest grid radius R = 2^(j/1024) > 1e-9 with tail.bound(R) <=
-    tol, and that bound.  Bound calls check the bracket of the largest
-    ``_term_radius`` at tol and at tol / (number of terms), widening it
-    in doubling steps, and close it on the line through log bound
-    against log R.  R does not depend on the search path."""
+    """Smallest grid radius R = 2^(j/1024) > 1.2e-150 with
+    tail.bound(R) <= tol, and that bound.  Bound calls check the
+    bracket of the largest ``_term_radius`` at tol and at
+    tol / (number of terms), widening it in doubling steps, and close it
+    on the line through log bound against log R.  R does not depend on
+    the search path."""
     if tol <= 0.0:
         raise ValueError("tail tolerance must be positive")
     terms = [term for term in tail.terms if term[0] != 0.0]
@@ -187,7 +208,8 @@ def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
     lo = max(_term_radius(*term, tol) for term in terms)
     hi = (max(_term_radius(*term, tol / len(terms)) for term in terms)
           if len(terms) > 1 else lo)
-    lo, hi = (math.floor(_GRID * math.log2(min(max(radius, 1e-9), 1e300)))
+    lo, hi = (math.floor(_GRID * math.log2(min(max(radius, 1e-150),
+                                               1e300)))
               for radius in (lo, hi))
     hi, low, step = max(hi, lo) + 1, math.inf, 1  # low: the bound at lo
     while not (top := tail.bound(2.0 ** (hi / _GRID))) <= tol:
@@ -286,9 +308,12 @@ def _rule(f, a: np.ndarray, b: np.ndarray):
     """``_panel_rule`` in chunks of at most _CHUNK panels: (values, errors)
     as (k, m) arrays, and the integrand's leading shape.
 
-    The outputs are filled in place: per-chunk results kept alive between
-    the chunks' temporaries would fragment the heap and raise peak RSS.
+    The outputs of several chunks are filled in place: per-chunk results
+    kept alive between the chunks' temporaries would fragment the heap
+    and raise peak RSS.  One chunk's are returned as they are.
     """
+    if a.size <= _CHUNK:
+        return _panel_rule(f, a, b)
     for i in range(0, a.size, _CHUNK):
         v, e, shape = _panel_rule(f, a[i:i + _CHUNK], b[i:i + _CHUNK])
         if i == 0:
@@ -376,7 +401,15 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
         mid = 0.5 * (lo + hi)
         left = np.concatenate([lo, 0.5 * (lo + mid), mid, 0.5 * (mid + hi)])
         right = np.concatenate([left[n:], hi])
-        qval, qerr, _ = _rule(f, left, right)
+        # The rule takes the quarters in ascending order, as it takes the
+        # initial panels, so its abscissae ascend on every pass.
+        if n > 1:
+            order = left.argsort()
+            v, e, _ = _rule(f, left[order], right[order])
+            qval, qerr = np.empty_like(v), np.empty_like(e)
+            qval[:, order], qerr[:, order] = v, e
+        else:
+            qval, qerr, _ = _rule(f, left, right)
         # First quarters take their parents' slots; the others go last.
         b[pick] = right[:n]
         val[:, pick], err[:, pick] = qval[:, :n], qerr[:, :n]

@@ -42,6 +42,10 @@ def kernel(r):
     and off the cut r = iy, |y| >= 1, where 1 + r^2 <= 0; there
     log1p(r^2) is the cancellation-free ``_log1p_complex``, which gives
     a complex radius with Im r = 0 the bits of the real path.
+
+    The check is one minimum of Re r and one maximum of |r|, which also
+    tell whether any radius needs the series, the far branch of
+    ``_log1p_complex`` or the overflow path; each is formed only then.
     """
     r = np.asarray(r)
     cplx = np.iscomplexobj(r)
@@ -49,8 +53,11 @@ def kernel(r):
         r = r.astype(float, copy=False)
     shape = r.shape
     r = np.atleast_1d(r)
-    low = r.real.min() if r.size else 0.0
-    if not (np.isfinite(r).all() and low >= 0.0) or (
+    mag = np.abs(r) if cplx else r
+    low, top = (r.real.min(), mag.max()) if r.size else (0.0, 0.0)
+    # NaN fails both comparisons; |r| may overflow where r is finite.
+    if not low >= 0.0 or (not top < math.inf
+                          and not np.isfinite(r).all()) or (
             cplx and low == 0.0
             and (np.abs(r.imag[r.real == 0.0]) >= 1.0).any()):
         raise ValueError("complex radius must be finite with Re r >= 0, "
@@ -58,24 +65,25 @@ def kernel(r):
                          "radius must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rr = r * r
-        a = 0.5 * (_log1p_complex(rr) if cplx else np.log1p(rr))
+        # |r| <= 1/2 keeps every r^2 off _log1p_complex's far branch.
+        a = 0.5 * (_log1p_complex(rr, top > 0.5) if cplx else np.log1p(rr))
         g = a * a / rr
-        big = ~np.isfinite(rr)
-        if big.any():
+        big = ~np.isfinite(rr) if top > 1e154 else None
+        if big is not None and big.any():
             a[big] = np.log(r[big])
             g[big] = (a[big] / r[big]) ** 2
             big = big.reshape(shape)
         else:
             big = None
-    small = (np.abs(r) if cplx else r) < G_SERIES_CUT
-    if small.any():
+    if low < G_SERIES_CUT:
+        small = mag < G_SERIES_CUT
         x = rr[small]
         g[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
                                                       - x * (5.0 / 6.0))))
     return r.reshape(shape), a.reshape(shape), g.reshape(shape), big
 
 
-def _log1p_complex(z):
+def _log1p_complex(z, far=True):
     """log(1 + z) for complex z, accurate relative to |log(1 + z)|.
 
     numpy's complex log1p loses digits as |z| falls (6e-5 relative at
@@ -88,15 +96,15 @@ def _log1p_complex(z):
     |arg(1 + z)|, and arg(1 + z) = atan2(q, 1 + p): the error is a few
     ulps of |log(1 + z)|, and a real z (q = 0) gets log1p(p), the bits
     of the real path.  Elsewhere |arg(1 + z)| > pi/4 and log(1 + z) has
-    no cancellation.
+    no cancellation; ``far`` False says that no z lies there.
     """
     p, q = z.real, z.imag
     d = 1.0 + p
     out = np.empty_like(z)
     out.real = np.log1p(p) + 0.5 * np.log1p((q / d) ** 2)
     out.imag = np.arctan2(q, d)
-    far = ~(np.abs(q) <= d)
-    if far.any():
+    if far:
+        far = ~(np.abs(q) <= d)
         out[far] = np.log(1.0 + z[far])
     return out
 

@@ -119,6 +119,80 @@ def _mp_mode_integrand(t, u0, u1, energy, profile):
     return f
 
 
+def mp_contour_rows(kind, t, n, u0, u1, s, c, top, hi, dps=30):
+    """The two rows of ``norms._contour``'s integrand at the path
+    parameters s, from the same phasor X (``kind``: "mode" or "energy",
+    X = Z e^{lambda t}; "residual", X = e^{(ir - a)t} (Z e^{i(b - r)t} +
+    i P1/r); "sin", X = -i e^{(ir - a)t}/r; "cos", X = e^{(ir - a)t})
+    in complex arithmetic at the working precision, Z = u0 - i(u1 +
+    a u0)/b and lambda = -a + ib with b = sqrt(r^2 - a^2) (the roots'
+    form; the package takes r sqrt(1 - g)).
+
+    Row 0 is (Re X)^2 r^(n-1) (the energy ((Re lambda X)^2 +
+    r^2 (Re X)^2) r^(n-1)) below c, -Im h(c + iy) for y = s - c < top
+    and the mean at x = s - top past that, with h = X^2/2 r^(n-1)
+    (-a lambda X^2 r^(n-1)) and the mean |X|^2/2 r^(n-1)
+    (r^2 |X|^2 r^(n-1)); row 1 adds |h(hi + iy)| on the sides and
+    |h(x + i top)| on the axis.  Also returns |h| where row 0 is -Im h,
+    the scale of its roundoff.
+    """
+    with mp.workdps(dps):
+        tm, energy = mp.mpf(t), kind == "energy"
+        p1 = mp.mpf(u1.mass())
+
+        def transform(d, r):
+            if d.amplitude == 0.0:
+                return mp.mpf(0)
+            w = mp.mpf(d.width)
+            return mp.mpf(d.mass()) * mp.exp(-(w * r) ** 2 / 2)
+
+        def phasor(r):
+            r = mp.mpmathify(r)
+            a = mp.log(1 + r * r) / 2
+            b = mp.sqrt(r * r - a * a)
+            lam = -a + 1j * b
+            if kind in ("sin", "cos"):
+                x = mp.exp(tm * (1j * r - a))
+                return (-1j * x / r if kind == "sin" else x), a, lam
+            v0, v1 = transform(u0, r), transform(u1, r)
+            z = v0 - 1j * (v1 + a * v0) / b
+            if kind == "residual":
+                x = mp.exp(tm * (1j * r - a)) * (
+                    z * mp.exp(1j * (b - r) * tm) + 1j * p1 / r)
+            else:
+                x = z * mp.exp(lam * tm)
+            return x, a, lam
+
+        def h(r):
+            x, a, lam = phasor(r)
+            w = -a * lam if energy else mp.mpf(1) / 2
+            return w * x * x * mp.mpmathify(r) ** (n - 1)
+
+        rows, scales = [], []
+        for si in s:
+            si = mp.mpf(si)
+            if si < c:
+                x, a, lam = phasor(si)
+                v = mp.re(x) ** 2
+                if energy:
+                    v = mp.re(lam * x) ** 2 + si * si * v
+                v, extra, scale = v * si ** (n - 1), 0, None
+            elif si < c + top:
+                y = si - c
+                left = h(mp.mpc(c, y))
+                v, extra = -mp.im(left), abs(h(mp.mpc(hi, y)))
+                scale = abs(left)
+            else:
+                x = si - top
+                xv = phasor(x)[0]
+                w = x * x if energy else mp.mpf(1) / 2
+                v = w * abs(xv) ** 2 * x ** (n - 1)
+                extra, scale = abs(h(mp.mpc(x, top))), None
+            rows.append((v, v + extra))
+            scales.append(scale)
+        return rows, scales
+
+
 def _mp_squared_mode(t, u0, u1, energy, dps, profile=False):
     """(2 pi)^(-n) omega_n times the radial integral of the integrand of
     ``_mp_mode_integrand``.

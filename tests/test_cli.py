@@ -182,6 +182,26 @@ def test_decay_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
     assert len(parse_rows(text)) == 5
 
 
+def test_decay_of_a_wide_velocity_datum_prints_every_row(tmp_path, capsys):
+    # The velocity's transform is a spike of width 1e-103 at r = 0, which
+    # no abscissa saw while the envelope's data side held only from
+    # r = 1: the run ended on "error: l2_norm at t=100.0 did not
+    # converge".  Now every norm is t ||u1|| (to (t/width)^2), so the
+    # slope check reads +1 and fails, as it should this far from the
+    # decay regime (t >> width^2).
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e103\n")
+    code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3")
+    assert "error:" not in capsys.readouterr().err
+    rows = parse_rows(text)
+    assert len(rows) == 20
+    u1 = InitialDataSpec("gaussian", 1e-300, 1e103, 3)
+    for row in rows:
+        assert float(row["norm"]) == pytest.approx(
+            float(row["t"]) * u1.l2_norm(), rel=1e-10)
+    assert code == 1 and "# FAIL n=3 slope +1.0000" in text
+
+
 def test_profile_to_t_1e12_certifies_every_row(tmp_path, capsys):
     # The difference integrand hit the 200 000-panel cap from t = 1e7 on
     # (error: residual_norm at t=10000000.0 did not converge); the mean

@@ -11,8 +11,8 @@ import pytest
 from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
-from oracles import (mp_energy, mp_l2_sq, mp_quad_panels, mp_residual_piece,
-                     mp_residual_sq, mp_weight_tail)
+from oracles import (mp_contour_rows, mp_energy, mp_l2_sq, mp_quad_panels,
+                     mp_residual_piece, mp_residual_sq, mp_weight_tail)
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -110,20 +110,34 @@ def test_data_that_underflow_when_scaled_are_refused(width):
                                            "underflow when scaled")):
             fn(100.0, u0, u1, 3)
     # A datum whose scaled amplitude keeps 43 bits (width 1e103) is kept.
-    # No panel resolves its transform, a spike of width 1e-103 at r = 0:
-    # its residual is the profile norm, and its norm, which no abscissa
-    # sees, is refused rather than certified 0.0 (it raised at the parent
-    # only because the envelope bound where integration stopped was not
-    # 0.0).
+    # Its transform is a spike of width 1e-103 at r = 0: its residual is
+    # the profile norm, and its norm, which no abscissa saw while the
+    # envelope's data side held only from r = 1 (the call raised), is
+    # t ||u1|| (see test_wide_datum_at_small_t_has_its_closed_form_norms).
     u1 = gaussian(3, 1e-300, 1e103)
     profile = u1.mass() * math.sqrt((2.0 * math.pi) ** -3
                                     * norms.M_integral(100.0, 3, "sin"))
     assert norms.residual_norm(100.0, u0, u1, 3) == pytest.approx(profile,
                                                                   rel=1e-9)
-    with pytest.raises(ArithmeticError,
-                       match=re.escape("l2_norm at t=100.0 did not "
-                                       "converge")):
-        norms.l2_norm(100.0, u0, u1, 3)
+    assert norms.l2_norm(100.0, u0, u1, 3) == pytest.approx(
+        100.0 * u1.l2_norm(), rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("t", [1.0, 100.0, 1e4])
+def test_wide_datum_at_small_t_has_its_closed_form_norms(n, t):
+    # u1 = 1e-300 G(width 1e103): its transform lives on r ~ 1e-103, where
+    # e^{-at} = 1 and sin(bt)/b = t to (t/width)^2, so ||u(t)|| = t ||u1||
+    # and E(t) = ||u1||^2 / 2, both closed forms.  The envelope's data
+    # side counted only from r = 1, so the bound there was 0.0 and
+    # integration stopped at R ~ 1 (1e-9 at the least), where no abscissa
+    # sees the spike: "l2_norm at t=100.0 did not converge".
+    u1 = gaussian(n, 1e-300, 1e103)
+    assert norms.l2_norm(t, zero(n), u1, n) == pytest.approx(
+        t * u1.l2_norm(), rel=1e-10)
+    if n == 3:  # ||u1||^2 underflows for n = 1, 2 (1e-497, 1e-394)
+        assert norms.energy(t, zero(n), u1, n) == pytest.approx(
+            0.5 * u1.l2_norm() ** 2, rel=1e-10)
 
 
 def test_dimension_mismatch_rejected():
@@ -343,6 +357,33 @@ def test_split_call_takes_one_integrate_call(monkeypatch, n, call):
     assert len(kernels) >= 1
 
 
+_LARGE_T_CALLS = [
+    lambda n, t: norms.l2_norm(t, gaussian(n, 2.0, 0.7), gaussian(n), n),
+    lambda n, t: norms.energy(t, gaussian(n, 2.0, 0.7), gaussian(n), n),
+    lambda n, t: norms.residual_norm(t, gaussian(n, 2.0, 0.7), gaussian(n),
+                                     n),
+    lambda n, t: norms.residual_norm(t, zero(n), gaussian(n), n),
+    lambda n, t: norms.M_integral(t, n, "sin"),
+    lambda n, t: norms.M_integral(t, n, "cos"),
+]
+
+
+@pytest.mark.parametrize("t", [1e9, 1e10, 1e12])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("call", _LARGE_T_CALLS, ids=_SPLIT_IDS)
+def test_split_call_takes_one_integrate_call_at_large_t(monkeypatch, t, n,
+                                                        call):
+    # Phase 1 stopped at 1e-40 of the envelope's scale where its bound at
+    # r = 1 underflows, short of rel_tol |value| / 4 for the residual at
+    # n = 2 from t = 1e10 and n = 3 from 1e9, and for l2_norm at n = 3,
+    # t = 1e12: those redid the whole contour.  The residual's extension
+    # now aims at its certified error, which its absolute floor sets
+    # there, and phase 1 takes norms._depth where that is deeper.
+    integrals, _ = _cost(monkeypatch)
+    assert call(n, t) > 0.0
+    assert len(integrals) == 1 and integrals[0].lower == 0.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("call", _SPLIT_CALLS, ids=_SPLIT_IDS)
 def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
@@ -370,6 +411,65 @@ def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
     assert [spec.lower for spec in integrals] == [0.0, 0.0]
     assert integrals[0].upper < radii[1] < integrals[1].upper
     assert got == pytest.approx(expect, rel=1e-9)
+
+
+_ROW_CALLS = {
+    "mode": lambda t, u0, u1, n: norms.l2_norm(t, u0, u1, n),
+    "energy": lambda t, u0, u1, n: norms.energy(t, u0, u1, n),
+    "residual": lambda t, u0, u1, n: norms.residual_norm(t, u0, u1, n),
+    "sin": lambda t, u0, u1, n: norms.M_integral(t, n, "sin"),
+    "cos": lambda t, u0, u1, n: norms.M_integral(t, n, "cos"),
+}
+
+
+@pytest.mark.parametrize("t", [1e2, 1e6, 1e8])
+@pytest.mark.parametrize("kind", list(_ROW_CALLS))
+def test_contour_rows_match_mpmath_on_every_segment(monkeypatch, kind, t):
+    # Both rows of the contour integrand that ``_Split.path`` writes
+    # segment by segment, at three abscissae of each segment (direct,
+    # sides, axis), against the same phasor formulas at 30 digits.  Row 0
+    # on the sides is -Im h, held to the roundoff of |h|.
+    for n in (1, 2, 3):
+        for u0 in (zero(n), gaussian(n, 0.5, 0.8)):
+            pair = norms._unit_pair(u0, gaussian(n, 1.7, 1.3), "")[:2]
+            splits = []
+            monkeypatch.setattr(norms, "_two_phase", lambda f, *args, **kw:
+                                splits.append(f) or 1.0)
+            _ROW_CALLS[kind](t, *pair, n)
+            split = splits[0]
+            c, top = split.delta, split.height
+            hi = 4.0 * c + top
+            # c t = 8 pi: no direct abscissa sits on a zero of sin(rt).
+            fs = (0.13, 0.47, 0.91)
+            s = np.array([f * c for f in fs] + [c + f * top for f in fs]
+                         + [c + top + f * (hi - c) for f in fs])
+            got = split.path(s, c, hi)
+            ref, scales = mp_contour_rows(kind, t, n, *pair, s, c, top, hi)
+            for j, ((r0, r1), scale) in enumerate(zip(ref, scales)):
+                tol = 1e-12 * float(abs(r0) if scale is None else scale)
+                assert abs(got[0, j] - float(r0)) <= tol, (n, j)
+                assert abs(got[1, j] - float(r1)) <= 1e-12 * float(r1) + tol
+
+
+def test_split_call_evaluates_no_transform_of_zero_data(monkeypatch):
+    # Half of each benchmark grid has u0 = 0: the phasors take the scalar
+    # 0.0 for it and form no term of it, so no transform of an
+    # amplitude-0 datum is evaluated (each cost a complex exp per radius).
+    seen = []
+    for name in ("fourier", "fourier_minus_mass"):
+        method = getattr(InitialDataSpec, name)
+        def counted(self, r, method=method):
+            seen.append(self.amplitude)
+            return method(self, r)
+        monkeypatch.setattr(InitialDataSpec, name, counted)
+    for t in (1e2, 1e6):
+        for n in (1, 2, 3):
+            u1 = gaussian(n, 1.7, 1.3)
+            norms.l2_norm(t, zero(n), u1, n)
+            norms.energy(t, zero(n), u1, n)
+            norms.residual_norm(t, zero(n), u1, n)
+            norms.l2_norm(t, u1, zero(n), n)
+    assert seen and 0.0 not in seen
 
 
 def test_residual_at_the_panel_cap_raises_by_site():

@@ -162,6 +162,26 @@ def test_over_budget_half_period_panelling_is_refused():
     assert fits.value == pytest.approx(2.5 * math.pi, rel=1e-12)
 
 
+def test_refinement_waves_take_ascending_abscissae_and_keep_their_panels():
+    # Each rule pass sees its abscissae in ascending order (a split
+    # integrand slices its path segments by position), on the waves too,
+    # where the picked panels come worst first.  Value bits and panel
+    # count are those of the unsorted waves.
+    seen = []
+
+    def f(x):
+        seen.append(x.copy())
+        return np.array([1.0 / (1e-6 + (x - 0.3) ** 2),
+                         np.sqrt(np.abs(x + 0.2))])
+
+    res = integrate(f, QuadratureSpec(-1.0, 1.0, rel_tol=1e-12,
+                                      breakpoints=(0.5,)))
+    assert len(seen) == 13 and res.converged and res.panels_used == 101
+    assert all(np.all(np.diff(x) > 0.0) for x in seen)
+    assert [float(v).hex() for v in res.value] == [
+        "0x1.886ca2a1be1e4p+11", "0x1.5a775e7a4aaacp+0"]
+
+
 def test_over_budget_breakpoint_panelling_is_refused():
     # The half-periods may come as breakpoints too (the contour piece of
     # norms puts them there): more spans than max_panels are refused
