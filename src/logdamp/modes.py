@@ -175,12 +175,6 @@ def _out(x):
     return x if np.ndim(x) else float(x)
 
 
-def _nil(value) -> bool:
-    """True for a scalar transform value of 0: a zero datum's, which
-    ``norms`` passes in place of an array of zeros."""
-    return np.ndim(value) == 0 and value == 0
-
-
 class Mode:
     """The factors shared by every mode field at time t and radii r.
 
@@ -192,9 +186,9 @@ class Mode:
     ``cos_bt`` and ``sinc_bt`` form on first use (by ``u``, ``u_t``,
     ``profile``, ``k_terms``), so phasor-only modes skip them.
     sin(bt)/b is t*sinc(bt), so the r = 0 limit is exact.  Real radii
-    serve every field; complex radii only the two phasors, which take
-    a zero datum's transform as the scalar 0 and then form no term of
-    it (``norms`` passes that for an amplitude-0 datum).
+    serve every field; complex radii only the two phasors.  A transform
+    value may be the scalar 0 (``norms`` passes that for a zero datum);
+    it broadcasts through every formula.
     """
 
     def __init__(self, t, r):
@@ -219,13 +213,10 @@ class Mode:
         u^2 = |P|^2/2 + Re(P^2)/2 splits into a mean part and a part
         that oscillates like e^{2ibt}.  P continues analytically to
         complex radii where |g| < 1 and r != 0 (see ``norms._contour``).
-        A scalar u0_val of 0 (a zero datum's, untransformed) forms no
-        term of u0.
         """
         a, b = self.a, self.b
-        z = (-1j * u1_val / b if _nil(u0_val)
-             else u0_val - 1j * (u1_val + a * u0_val) / b)
-        return np.exp(self.t * (1j * b - a)) * z
+        return (np.exp(self.t * (1j * b - a))
+                * (u0_val - 1j * (u1_val + a * u0_val) / b))
 
     def residual_phasor(self, u0_val, a1_val, p1: float):
         """X = e^{(ir - a)t} W with u - profile = Re X on real radii, where
@@ -242,17 +233,14 @@ class Mode:
 
             W = u0 (1 + e) - i ((v + P1/b) e + v + P1 (1/b - 1/r)),
 
-        formed with 1/b and 1/(1 + sqrt(1 - g)) taken once; a scalar
-        u0_val of 0, as in ``phasor``, forms no term of u0.
+        formed with 1/b and 1/(1 + sqrt(1 - g)) taken once.
         """
         r, a, g, t = self.r, self.a, self.g, self.t
         ib, iq = 1.0 / self.b, 1.0 / (1.0 + self.sq)
         e = expm1_i(-t * g * r * iq)
-        zero = _nil(u0_val)
-        v = a1_val * ib if zero else (a1_val + a * u0_val) * ib
-        pb = p1 * ib
+        v, pb = (a1_val + a * u0_val) * ib, p1 * ib
         s = (v + pb) * e + v + pb * g * iq
-        w = -1j * s if zero else u0_val * (1.0 + e) - 1j * s
+        w = u0_val * (1.0 + e) - 1j * s
         return np.exp(t * (1j * r - a)) * w
 
     def u(self, u0_val, u1_val):

@@ -301,23 +301,6 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     c, top = max(lo, split.delta), split.height
     halves = _halves(lo, c, omega)
 
-    def f(s):
-        direct = s < c
-        rest = s[~direct]
-        side = rest < c + top
-        y = np.where(side, rest - c, top)
-        x = rest - top
-        v_direct, v = split(np.concatenate([
-            s[direct], np.where(side, c + 1j * y, x),
-            np.where(side, hi, x) + 1j * y]), np.count_nonzero(direct))
-        first, second = v[:rest.size], v[rest.size:]
-        out = np.empty((2, s.size))
-        out[0, direct] = v_direct
-        out[0, ~direct] = np.where(side, -first.imag, first.real)
-        out[1] = out[0]
-        out[1, ~direct] += np.abs(second)
-        return out
-
     res = integrate(lambda s: split.path(s, c, hi), QuadratureSpec(
         lo, hi + top, abs_tol=1e-300, rel_tol=0.25 * rel_tol,
         max_panels=200_000, breakpoints=(

@@ -84,9 +84,13 @@ def weight_factor_range(p: float, radius: float) -> tuple[float, float]:
         integral_R^inf (1+r^2)^(-t) r^p dr
             = (1/2) integral_{log(1+R^2)}^inf e^(-sw) (1-e^(-w))^((p-1)/2) dw,
     whose last factor lies in [m, M]: the tail is [m, M] (1+R^2)^(-s)/(2s).
-    R^-2 overflows (OverflowError) below R ~ 1e-154.
+    Where the factor overflows (small R, p < 1) M is +inf; where R^-2
+    does (R below ~1e-154, p > 1) m is 0.
     """
-    f = (1.0 + float(radius) ** -2.0) ** ((1.0 - p) / 2.0)
+    try:
+        f = (1.0 + float(radius) ** -2.0) ** ((1.0 - p) / 2.0)
+    except OverflowError:
+        f = math.inf if p < 1.0 else 0.0
     return min(1.0, f), max(1.0, f)
 
 
@@ -106,7 +110,8 @@ def _weight_tail(coeff: float, radius: float, t: float, p: float,
     r = float(radius)           # log(1+R^2), also where R*R overflows
     w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
     top = weight_factor_range(p, r)[1] if p < 1.0 else 1.0
-    return coeff * top * math.exp(-s * w) / (2.0 * s)
+    return (coeff * top * math.exp(-s * w) / (2.0 * s) if top < math.inf
+            else math.inf)
 
 
 def _data_tail(coeff: float, radius: float, c: float, q: float,
@@ -168,10 +173,13 @@ def _term_radius(coeff, weight, data, tol: float) -> float:
             for _ in range(8 if w < 700.0 else 0):
                 step = (s * w + k * math.log(-math.expm1(-w)) - c) / (
                     s + k / math.expm1(w))
+                if step > 0.0:  # the root is below the e^-700 start
+                    break
                 w -= step
                 if abs(step) <= 1e-9 * w:
                     break
-        radius = min(1.0 if i else math.inf, math.exp(0.5 * w) if w > 700.0
+        radius = min(1.0 if i else math.inf,
+                     math.exp(0.5 * min(w, 1400.0)) if w > 700.0
                      else math.sqrt(max(math.expm1(w), 0.0)))
         if radius >= 1.0:
             break
@@ -188,13 +196,14 @@ def _term_radius(coeff, weight, data, tol: float) -> float:
     return radius
 
 
-# Radii 2^(j/1024), j > _LOWEST (1.2e-150, above the 1e-154 where
-# ``weight_factor_range`` overflows): a datum of width w needs R ~ 1/w.
+# Radii 2^(j/1024), j > _LOWEST (2^(_LOWEST/1024) = 1.18e-150, above the
+# 1e-154 where ``weight_factor_range`` overflows): a datum of width w
+# needs R ~ 1/w.
 _GRID, _LOWEST = 1024, -510_000
 
 
 def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
-    """Smallest grid radius R = 2^(j/1024) > 1.2e-150 with
+    """Smallest grid radius R = 2^(j/1024) > 1.18e-150 with
     tail.bound(R) <= tol, and that bound.  Bound calls check the
     bracket of the largest ``_term_radius`` at tol and at
     tol / (number of terms), widening it in doubling steps, and close it
@@ -208,9 +217,8 @@ def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
     lo = max(_term_radius(*term, tol) for term in terms)
     hi = (max(_term_radius(*term, tol / len(terms)) for term in terms)
           if len(terms) > 1 else lo)
-    lo, hi = (math.floor(_GRID * math.log2(min(max(radius, 1e-150),
-                                               1e300)))
-              for radius in (lo, hi))
+    lo, hi = (max(_LOWEST, math.floor(_GRID * math.log2(
+        min(max(radius, 1e-300), 1e300)))) for radius in (lo, hi))
     hi, low, step = max(hi, lo) + 1, math.inf, 1  # low: the bound at lo
     while not (top := tail.bound(2.0 ** (hi / _GRID))) <= tol:
         if hi > 1000 * _GRID:
@@ -403,13 +411,10 @@ def integrate(f, spec: QuadratureSpec) -> QuadratureResult:
         right = np.concatenate([left[n:], hi])
         # The rule takes the quarters in ascending order, as it takes the
         # initial panels, so its abscissae ascend on every pass.
-        if n > 1:
-            order = left.argsort()
-            v, e, _ = _rule(f, left[order], right[order])
-            qval, qerr = np.empty_like(v), np.empty_like(e)
-            qval[:, order], qerr[:, order] = v, e
-        else:
-            qval, qerr, _ = _rule(f, left, right)
+        order = left.argsort()
+        v, e, _ = _rule(f, left[order], right[order])
+        qval, qerr = np.empty_like(v), np.empty_like(e)
+        qval[:, order], qerr[:, order] = v, e
         # First quarters take their parents' slots; the others go last.
         b[pick] = right[:n]
         val[:, pick], err[:, pick] = qval[:, :n], qerr[:, :n]

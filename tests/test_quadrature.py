@@ -302,21 +302,31 @@ def _random_term(rng, side):
     data = None
     if side in ("data", "both"):
         data = (10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 6.0))
+        if rng.random() < 0.5:  # held below r = 1, wide data included
+            data = (10.0 ** rng.uniform(-3.0, 300.0), data[1],
+                    rng.uniform(0.0, 6.0))
     return (10.0 ** rng.uniform(-5.0, 20.0), weight, data)
 
 
 def test_truncation_point_contract_on_random_envelopes():
-    # The closed-form start and the search keep the contract: the bound
-    # holds at R, and 0.1 % below R it fails (or R is at the 1e-9 clamp).
+    # The closed-form start and the search keep the contract: R is above
+    # the grid's floor, the bound holds at R, and 0.1 % below R it fails
+    # (or R is the floor's first grid radius).
+    floor = 2.0 ** (quadrature._LOWEST / quadrature._GRID)
     rng = np.random.default_rng(16)
-    for _ in range(300):
+    below_one = at_floor = 0
+    for _ in range(400):
         terms = [_random_term(rng, rng.choice(["weight", "data", "both"]))
                  for _ in range(rng.integers(1, 3))]
         tail = Envelope(*terms)
         tol = tail.scale * 10.0 ** rng.uniform(-40.0, -1.0)
         radius, bound = truncation_point(tail, tol)
-        assert bound == tail.bound(radius) <= tol, terms
-        assert radius < 1.001e-9 or tail.bound(radius / 1.001) > tol, terms
+        assert radius > floor and bound == tail.bound(radius) <= tol, terms
+        at_floor += radius / 1.001 < floor
+        below_one += radius < 1.0
+        assert (radius / 1.001 < floor
+                or tail.bound(radius / 1.001) > tol), terms
+    assert below_one > 40 and at_floor > 0
 
 
 def test_truncation_point_takes_few_bound_calls_on_the_norms_envelopes(
