@@ -186,7 +186,8 @@ class Mode:
     ``cos_bt`` and ``sinc_bt`` form on first use (by ``u``, ``u_t``,
     ``profile``, ``k_terms``), so phasor-only modes skip them.
     sin(bt)/b is t*sinc(bt), so the r = 0 limit is exact.  Real radii
-    serve every field; complex radii only the two phasors.  A transform
+    serve every field; complex radii (|Im r| <= ``symbols.STRIP_HEIGHT``)
+    only the two phasors.  A transform
     value may be the scalar 0 (``norms`` passes that for a zero datum);
     it broadcasts through every formula.
     """

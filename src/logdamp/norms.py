@@ -20,7 +20,8 @@ e^{-2ty}.  One ``integrate`` call takes all three on one path parameter
 residual_norm(method="kterms") keeps half-period panels throughout as
 the cross-check route.  The data pair is first scaled by a power of two
 to a unit transform sup, so every amplitude in the double range is
-computed alike; zero data have a zero envelope and give 0.0.
+computed alike; zero data have a zero envelope and give 0.0.  A t that
+is not finite, or whose square is not a double, is a ValueError by site.
 
 The "varies like" statements about decaying quantities are made
 checkable two ways: scaled-band reports over a log grid, and least
@@ -30,7 +31,7 @@ squares slopes on (log t, log value) via fit_decay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -39,9 +40,10 @@ from .modes import InitialDataSpec, sphere_area
 from .quadrature import (Envelope, QuadratureSpec, integrate,
                          truncation_point)
 from .stable import sinc  # noqa: F401  (bench/tracer.py wraps norms.sinc)
+from .symbols import STRIP_HEIGHT
 
 __all__ = [
-    "DecaySeries", "DecayFitResult", "fit_decay", "BAND_SPLIT",
+    "fit_decay", "BAND_SPLIT",
     "l2_norm", "residual_norm", "energy", "M_integral",
     "log_operator_norms", "data_constant",
 ]
@@ -56,6 +58,14 @@ def plancherel_constant(n: int) -> float:
 # the peak and tail integral families.  A split at the smallest radius
 # where g reaches 1/2 would never apply: g peaks near 0.162.
 BAND_SPLIT = 1.0
+
+
+def _check_time(t: float, site: str) -> None:
+    """ValueError naming the site unless t^2 is a double: the envelopes
+    square t, and a mode integrand reaches t^2 sup|u1_hat|^2."""
+    if not math.isfinite(t * t):
+        raise ValueError(f"{site}: t must be finite with t^2 a double "
+                         f"(|t| <= 1.34e154)")
 
 
 # -- two-phase semi-infinite quadrature -------------------------------------
@@ -91,6 +101,8 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     scale = tail.scale
     if scale == 0.0:
         return 0.0
+    if scale == math.inf:  # (t sup|u1_hat|)^2 doubled for a residual
+        raise ValueError(f"{site}: the tail envelope overflows at this t")
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
     if 0.0 < b_at_1 < math.inf:
@@ -175,7 +187,7 @@ _K = 16
 # 85 half-periods, the contour took twice the time).
 _DIRECT = 128
 # t Y for the contour height Y: |e^{2 lambda t}| <= e^{-1.5 t y} on the
-# strip 0 <= y <= 1/2, so it is at most e^{-36} on the top side.  As
+# strip 0 <= y <= STRIP_HEIGHT, so it is at most e^{-36} on the top side.  As
 # Y < delta, the side offsets y = s - delta of ``_contour`` are exact.
 _TY = 24.0
 
@@ -193,9 +205,10 @@ class _Split:
     -2 a lambda (the mode equation) give the mean r^2 |X|^2 r^(n-1) and
     h = -a lambda X^2 r^(n-1).  The mean carries no e^{2ibt} and h is
     analytic, so neither needs half-period panels past delta.  The
-    height min(1/2, _TY/t, 1/w), w the widest nonzero datum of ``data``,
-    keeps tY <= 24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.  At
-    t = 0 delta is inf: the whole half-line is direct.
+    height min(``STRIP_HEIGHT``, _TY/t, 1/w), w the widest nonzero datum
+    of ``data``, keeps the contour in ``symbols.kernel``'s domain, tY <=
+    24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.  At t = 0 delta
+    is inf: the whole half-line is direct.
 
     Called on real radii it is the direct integrand; ``path`` gives the
     two rows of ``_contour`` from one ``Mode`` on all their radii.
@@ -205,7 +218,7 @@ class _Split:
         self.t, self.n, self.phasor, self.energy = t, n, phasor, energy
         widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
         self.delta = _K * math.pi / (2.0 * t) if t else math.inf
-        self.height = min(0.5, _TY / t if t else 0.5, 1.0 / max(widths))
+        self.height = min(STRIP_HEIGHT, _TY / max(t, 1.0), 1.0 / max(widths))
 
     def __call__(self, x):
         """The integrand on real radii x."""
@@ -288,15 +301,15 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     equal y panels, the axis on the breakpoints c 2^(k/2) (both take
     fewer waves than halving from one panel).
 
-    h is analytic there: 1 + r^2 has real part >= 3/4 for
-    y <= 1/2, so a = log1p(r^2)/2 is, and so is g = a^2/r^2 for
-    r != 0.  |g| <= 0.17 on the boundary of [lo, hi] x [0, 1/2] (0.169
-    at r = 1.71 + 0.5i; tests/test_symbols.py samples the strip), so by
-    the maximum-modulus principle also inside it, which holds every
-    rectangle of height Y <= 1/2.  Hence Re(1 - g) > 0, sqrt(1 - g)
-    and b = r sqrt(1 - g) are analytic, and b != 0, so 1/b is too; the
-    data transforms are entire, and the powers r^k (k < 0 too) are
-    analytic where Re r >= c > 0.
+    h is analytic there: 1 + r^2 has real part >= 3/4 for y <=
+    ``STRIP_HEIGHT`` = 1/2, so a = log1p(r^2)/2 is, and so is g =
+    a^2/r^2 for r != 0.  |g| <= 0.17 on the boundary of [lo, hi] x
+    [0, 1/2] (0.169 at r = 1.71 + 0.5i; tests/test_symbols.py samples
+    the strip), so by the maximum-modulus principle also inside it,
+    which holds every rectangle of height Y <= 1/2.  Hence Re(1 - g) >
+    0, sqrt(1 - g) and b = r sqrt(1 - g) are analytic, and b != 0, so
+    1/b is too; the data transforms are entire, and the powers r^k
+    (k < 0 too) are analytic where Re r >= c > 0.
     """
     c, top = max(lo, split.delta), split.height
     halves = _halves(lo, c, omega)
@@ -313,14 +326,10 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     return value, 2.0 * e0 + e1 + (float(res.value[1]) - value)
 
 
-def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n):
-    if u0.dimension != u1.dimension:
-        raise ValueError("data pair must share a dimension")
-    if n is None:
-        n = u0.dimension
-    if n != u0.dimension:
-        raise ValueError("n must match the data dimension")
-    return n
+def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n: int) -> None:
+    if not u0.dimension == u1.dimension == n:
+        raise ValueError(f"n={n} and the data pair ({u0.dimension}, "
+                         f"{u1.dimension}) must share a dimension")
 
 
 def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
@@ -405,15 +414,16 @@ def _hat(d: InitialDataSpec, r, minus_mass: bool = False):
     return d.fourier_minus_mass(r) if minus_mass else d.fourier(r)
 
 
-def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
-            n: int | None = None, rel_tol: float = 1e-10) -> float:
+def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
+            rel_tol: float = 1e-10) -> float:
     """||u(t, .)||_{L^2} for the given data pair, by radial quadrature.
 
     Raises ArithmeticError if the quadrature cannot certify rel_tol.
     """
-    n = _check_pair(u0, u1, n)
+    _check_pair(u0, u1, n)
     t = float(t)
     site = f"l2_norm at t={t}"
+    _check_time(t, site)
     u0, u1, k = _unit_pair(u0, u1, site)
     val = _two_phase(_mode_split(t, u0, u1, n, energy=False),
                      _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site)
@@ -421,12 +431,13 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
                      site)
 
 
-def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
-           n: int | None = None, rel_tol: float = 1e-10) -> float:
+def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
+           rel_tol: float = 1e-10) -> float:
     """E(t) = (||u_t||^2 + ||grad u||^2) / 2, computed spectrally."""
-    n = _check_pair(u0, u1, n)
+    _check_pair(u0, u1, n)
     t = float(t)
     site = f"energy at t={t}"
+    _check_time(t, site)
     u0, u1, k = _unit_pair(u0, u1, site)
     val = _two_phase(_mode_split(t, u0, u1, n, energy=True),
                      _envelope(t, u0, u1, n, energy=True), 2.0 * t,
@@ -436,7 +447,7 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
 
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
-                  n: int | None = None, band: str = "both",
+                  n: int, band: str = "both",
                   method: str = "difference") -> float:
     """L^2 distance between u_hat(t) and the mass profile, to 1e-9.
 
@@ -457,7 +468,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     max(1e-9 D, (1e-9 (|P1| + sup|u0_hat| + sup|u1_hat|))^2).  Where D
     has decayed below that floor, the result is certified only to it.
     """
-    n = _check_pair(u0, u1, n)
+    _check_pair(u0, u1, n)
     if band not in ("both", "high"):
         raise ValueError("band must be 'both' or 'high'")
     if method not in ("difference", "kterms"):
@@ -467,6 +478,7 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
         lower, site = BAND_SPLIT, f"residual_norm high band at t={t}"
     else:
         lower, site = 0.0, f"residual_norm at t={t}"
+    _check_time(t, site)
     u0, u1, k = _unit_pair(u0, u1, site)
     p1 = u1.mass()
     if p1 != 0.0 and 0.0 < 2.0 * t <= n - 2.0:
@@ -501,6 +513,8 @@ def M_integral(t: float, n: int, kind: str) -> float:
     t = float(t)
     if kind not in ("sin", "cos"):
         raise ValueError("kind must be 'sin' or 'cos'")
+    site = f"M_integral({kind}) at t={t}"
+    _check_time(t, site)
     if t <= 1.0:
         raise ValueError("M_integral requires t > 1")
 
@@ -509,7 +523,6 @@ def M_integral(t: float, n: int, kind: str) -> float:
         return -1j * x / r if kind == "sin" else x
 
     tail = Envelope((1.0, (t, n - (3.0 if kind == "sin" else 1.0)), None))
-    site = f"M_integral({kind}) at t={t}"
     return sphere_area(n) * _two_phase(_Split(t, n, phasor), tail, 2.0 * t,
                                        1e-10, site)
 
@@ -547,38 +560,18 @@ def data_constant(u0: InitialDataSpec, u1: InitialDataSpec) -> float:
             + u0.l1_norm() + u1.weighted_l1_norm())
 
 
-# -- decay series and exponent fitting ---------------------------------------
+# -- exponent fitting ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecaySeries:
-    """A positive quantity sampled on a strictly increasing t-grid."""
-
-    t_grid: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.t_grid) != len(self.values):
-            raise ValueError("t_grid and values must have equal length")
-        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
-            raise ValueError("t_grid must be strictly increasing")
-        vals = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
-            raise ValueError("values must be finite and positive")
-
-
-@dataclass(frozen=True)
-class DecayFitResult:
-    slope: float
-    intercept: float
-    max_log_residual: float
-
-
-def fit_decay(series: DecaySeries) -> DecayFitResult:
-    """Least-squares slope of log(value) against log(t) over the series."""
-    if len(series.t_grid) < 5:
+def fit_decay(t_grid, values) -> float:
+    """Least-squares slope of log(value) against log(t) over at least 5
+    points, t strictly increasing and each value finite and positive."""
+    x, y = np.asarray(t_grid, dtype=float), np.asarray(values, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("t_grid and values must have equal length")
+    if x.size < 5:
         raise ValueError("a decay fit needs at least 5 grid points")
-    x = np.log(np.asarray(series.t_grid))
-    y = np.log(np.asarray(series.values))
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = np.max(np.abs(slope * x + intercept - y))
-    return DecayFitResult(float(slope), float(intercept), float(resid))
+    if not np.all(x[1:] > x[:-1]):
+        raise ValueError("t_grid must be strictly increasing")
+    if not np.all(np.isfinite(y) & (y > 0.0)):
+        raise ValueError("values must be finite and positive")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

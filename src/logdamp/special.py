@@ -79,8 +79,8 @@ def _tail_integral(t: float, p: float) -> float:
     """
     t, p = float(t), float(p)
     s = t - (p + 1.0) / 2.0
-    if not (s > 0.0):
-        raise ValueError("J_p requires 2t > p + 1")
+    if not 0.0 < s < math.inf:
+        raise ValueError("J_p requires finite t with 2t > p + 1")
     m, M = weight_factor_range(p, 1.0)
     decay = m * 1e-12 / (4.0 * M)          # e^(-sV)
 

@@ -26,6 +26,8 @@ import numpy as np
 # Below this radius g is evaluated by series; the first dropped term is
 # < 1e-20 relative, far below double precision.
 G_SERIES_CUT = 1e-4
+# ``kernel``'s complex domain is the strip Re r >= 0, |Im r| <= this.
+STRIP_HEIGHT = 0.5
 
 
 def kernel(r):
@@ -38,14 +40,15 @@ def kernel(r):
     g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
 
     Real radii must be finite and >= 0.  Complex radii (the analytic
-    continuation, for contour integrals) must be finite with Re r >= 0
-    and off the cut r = iy, |y| >= 1, where 1 + r^2 <= 0; there
-    log1p(r^2) is the cancellation-free ``_log1p_complex``, which gives
-    a complex radius with Im r = 0 the bits of the real path.
+    continuation, for contour integrals) must be finite and lie in the
+    strip Re r >= 0, |Im r| <= ``STRIP_HEIGHT``; there log1p(r^2) is the
+    cancellation-free ``_log1p_complex``, which gives a complex radius
+    with Im r = 0 the bits of the real path.
 
     The check is one minimum of Re r and one maximum of |r|, which also
-    tell whether any radius needs the series, the far branch of
-    ``_log1p_complex`` or the overflow path; each is formed only then.
+    tell whether any radius needs the series or the overflow path; each
+    is formed only then.  As |Im r| <= |r|, Im r is scanned only where
+    that maximum exceeds the strip's height.
     """
     r = np.asarray(r)
     cplx = np.iscomplexobj(r)
@@ -55,18 +58,16 @@ def kernel(r):
     r = np.atleast_1d(r)
     mag = np.abs(r) if cplx else r
     low, top = (r.real.min(), mag.max()) if r.size else (0.0, 0.0)
-    # NaN fails both comparisons; |r| may overflow where r is finite.
-    if not low >= 0.0 or (not top < math.inf
-                          and not np.isfinite(r).all()) or (
-            cplx and low == 0.0
-            and (np.abs(r.imag[r.real == 0.0]) >= 1.0).any()):
-        raise ValueError("complex radius must be finite with Re r >= 0, "
-                         "off the cut r = iy, |y| >= 1" if cplx else
-                         "radius must be finite and >= 0")
+    # NaN fails every comparison (|r| is NaN where Im r is).
+    if not (low >= 0.0 and top < math.inf) or (
+            cplx and top > STRIP_HEIGHT
+            and not np.abs(r.imag).max() <= STRIP_HEIGHT):
+        raise ValueError(
+            f"complex radius must be finite with Re r >= 0 and |Im r| <= "
+            f"{STRIP_HEIGHT}" if cplx else "radius must be finite and >= 0")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         rr = r * r
-        # |r| <= 1/2 keeps every r^2 off _log1p_complex's far branch.
-        a = 0.5 * (_log1p_complex(rr, top > 0.5) if cplx else np.log1p(rr))
+        a = 0.5 * (_log1p_complex(rr) if cplx else np.log1p(rr))
         g = a * a / rr
         big = ~np.isfinite(rr) if top > 1e154 else None
         if big is not None and big.any():
@@ -83,29 +84,27 @@ def kernel(r):
     return r.reshape(shape), a.reshape(shape), g.reshape(shape), big
 
 
-def _log1p_complex(z, far=True):
-    """log(1 + z) for complex z, accurate relative to |log(1 + z)|.
+def _log1p_complex(z):
+    """log(1 + z) for z = r^2, r in ``kernel``'s strip, accurate relative
+    to |log(1 + z)|.
 
     numpy's complex log1p loses digits as |z| falls (6e-5 relative at
-    |z| = 1e-12, z = r^2 for r = (1 + 0.3i) 1e-6).  With z = p + iq and
-    |q| <= 1 + p (so z = r^2 for every r with |Im r| <= 1/2) this takes
+    |z| = 1e-12, z = r^2 for r = (1 + 0.3i) 1e-6).  With z = p + iq,
+    r = x + iy and |y| <= STRIP_HEIGHT = 1/2, 1 + p - |q| = (x - |y|)^2
+    + 1 - 2y^2 > 0, so |q| < 1 + p and this takes
 
         log|1 + z| = log1p(p) + log1p((q / (1 + p))^2) / 2,
 
     whose second term lies in [0, log(2)/2] and is at most 2/pi times
     |arg(1 + z)|, and arg(1 + z) = atan2(q, 1 + p): the error is a few
     ulps of |log(1 + z)|, and a real z (q = 0) gets log1p(p), the bits
-    of the real path.  Elsewhere |arg(1 + z)| > pi/4 and log(1 + z) has
-    no cancellation; ``far`` False says that no z lies there.
+    of the real path.
     """
     p, q = z.real, z.imag
     d = 1.0 + p
     out = np.empty_like(z)
     out.real = np.log1p(p) + 0.5 * np.log1p((q / d) ** 2)
     out.imag = np.arctan2(q, d)
-    if far:
-        far = ~(np.abs(q) <= d)
-        out[far] = np.log(1.0 + z[far])
     return out
 
 

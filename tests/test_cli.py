@@ -8,6 +8,7 @@ import pytest
 from logdamp import norms
 from logdamp.cli import main
 from logdamp.modes import InitialDataSpec
+from logdamp.quadrature import EvaluationError
 
 
 def run(tmp_path, *argv):
@@ -352,6 +353,41 @@ def test_uncertified_quantity_is_one_error_line(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == (
         "error: residual_norm at t=1.0 did not converge\n")
+
+
+def test_time_whose_square_is_not_a_double_is_one_domain_error(tmp_path,
+                                                              capsys):
+    # This run ended on "error: (34, 'Numerical result out of range')".
+    code, text = run(tmp_path, "decay", "--dim", "1", "--t-min", "1e190",
+                     "--t-max", "1e200", "--t-points", "5")
+    assert code == 2 and text == ""
+    assert capsys.readouterr().err == (
+        "error: l2_norm at t=1e+190: t must be finite with t^2 a double "
+        "(|t| <= 1.34e154)\n")
+
+
+def test_evaluation_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A non-finite integrand value raises EvaluationError, a RuntimeError.
+    def l2_norm(*args, **kwargs):
+        raise EvaluationError("integrand returned a non-finite value at "
+                              "r=0.5")
+
+    monkeypatch.setattr(norms, "l2_norm", l2_norm)
+    code, text = run(tmp_path, "decay", "--dim", "1", "--t-points", "5")
+    assert code == 1 and text == ""
+    assert capsys.readouterr().err == (
+        "error: integrand returned a non-finite value at r=0.5\n")
+
+
+def test_special_fails_a_non_finite_peak_integral(tmp_path):
+    # I_p underflows to 0 and t^2 overflows, so I_p_scaled is nan for
+    # p = 2 and 3; the band's max/min let it pass as checks=PASS.
+    code, text = run(tmp_path, "special", "--t-min", "1e290",
+                     "--t-max", "1e300")
+    assert code == 1 and text.endswith("# checks=FAIL\n")
+    fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
+    assert len(fails) == 8
+    assert "# FAIL peak-integral p=3.0 t=1e+300: nan" in fails
 
 
 def test_unknown_config_key(tmp_path):

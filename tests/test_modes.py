@@ -445,12 +445,14 @@ def test_residual_phasor_matches_mpmath(t, top):
     # X = e^{(ir - a)t} (Z e^{i(b - r)t} + i P1/r), formed in mpmath from
     # the raw symbols at 60 digits, where the cancellation of Z e^{i(b-r)t}
     # against i P1/r near r = 0 costs nothing; |r| <= top keeps the
-    # phase rt at most 1e4, as the double rt carries an error of ulp(rt).
+    # phase rt at most 1e4, as the double rt carries an error of ulp(rt),
+    # and the radii lie in the kernel's strip |Im r| <= 1/2.
     import mpmath as mp
     from oracles import mp_symbols
     g0 = InitialDataSpec("gaussian", 0.5, 0.8, 2)
     g1 = InitialDataSpec("gaussian", 1.0, 1.3, 2)
-    r = _SMALL_AND_COMPLEX[np.abs(_SMALL_AND_COMPLEX) <= top]
+    r = _SMALL_AND_COMPLEX[(np.abs(_SMALL_AND_COMPLEX) <= top) & (
+        np.abs(_SMALL_AND_COMPLEX.imag) <= symbols.STRIP_HEIGHT)]
     got = Mode(t, r).residual_phasor(g0.fourier(r), g1.fourier_minus_mass(r),
                                      g1.mass())
     with mp.workdps(60):

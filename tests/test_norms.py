@@ -141,10 +141,78 @@ def test_wide_datum_at_small_t_has_its_closed_form_norms(n, t):
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        norms.l2_norm(1.0, gaussian(1), gaussian(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "n=1 and the data pair (1, 2) must share a dimension")):
+        norms.l2_norm(1.0, gaussian(1), gaussian(2), 1)
+    with pytest.raises(ValueError, match=re.escape("n=3 and the data pair "
+                                                   "(2, 2)")):
         norms.l2_norm(1.0, gaussian(2), gaussian(2), n=3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e155])
+def test_time_outside_the_doubles_is_refused_by_name(t):
+    # t^2 must be a double: past that the envelopes and the integrands
+    # overflow, and nan or inf used to end on unnamed errors.
+    u0, u1 = gaussian(2, 0.5, 0.8), gaussian(2)
+    for site, call in (
+            ("l2_norm", lambda: norms.l2_norm(t, u0, u1, 2)),
+            ("energy", lambda: norms.energy(t, u0, u1, 2)),
+            ("residual_norm", lambda: norms.residual_norm(t, u0, u1, 2)),
+            ("M_integral(sin)", lambda: norms.M_integral(t, 2, "sin"))):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{site} at t={t}: t must be finite")):
+            call()
+
+
+def test_time_1e154_still_certifies():
+    # n = 2 at t = 1e154: ||u||^2 and M(t, 2, sin) are (pi/2)(log t +
+    # gamma + 2 log 2) and E is pi/(2t) up to O(1/t); the residual has
+    # decayed far below its absolute floor, to which it is certified.
+    t, u0, u1 = 1e154, gaussian(2, 0.5, 0.8), gaussian(2)
+    lead = 0.5 * math.pi * (math.log(t) + 0.5772156649015329
+                            + 2.0 * math.log(2.0))
+    assert norms.l2_norm(t, u0, u1, 2) ** 2 == pytest.approx(lead, rel=1e-10)
+    assert norms.M_integral(t, 2, "sin") == pytest.approx(lead, rel=1e-10)
+    assert norms.energy(t, u0, u1, 2) == pytest.approx(0.5 * math.pi / t,
+                                                       rel=1e-10)
+    floor = (1e-9 * (u1.mass() + u0.fourier_sup() + u1.fourier_sup())) ** 2
+    assert 0.0 < norms.residual_norm(t, u0, u1, 2) ** 2 \
+        <= norms.plancherel_constant(2) * floor
+
+
+def test_residual_envelope_overflow_is_refused_by_name():
+    # Below the t cap, the residual's envelope 2 (t sup|u1_hat|)^2 can
+    # still overflow for a velocity whose scaled sup is near 1.
+    u1 = gaussian(1, 0.99 * 2.0 / math.sqrt(2.0 * math.pi))
+    with pytest.raises(ValueError, match=re.escape(
+            "residual_norm at t=1.3e+154: the tail envelope overflows")):
+        norms.residual_norm(1.3e154, zero(1), u1, 1)
+
+
+@pytest.mark.parametrize("t", [20.0, 1e2, 1e6, 1e8])
+def test_contour_radii_lie_in_the_kernel_strip(monkeypatch, t):
+    # Every radius of _Split.path's rows, for the four split quantities,
+    # lies in the strip; _DIRECT = 0 puts t = 20 and 1e2 on the contour
+    # too.  The top side sits at the height min(STRIP_HEIGHT, 24/t, 1/w).
+    monkeypatch.setattr(norms, "_DIRECT", 0)
+    seen = []
+
+    def kernel(r, kernel=symbols.kernel):
+        if np.iscomplexobj(r):
+            seen.append(np.asarray(r))
+        return kernel(r)
+
+    monkeypatch.setattr(symbols, "kernel", kernel)
+    u0, u1 = gaussian(2, 0.5, 0.8), gaussian(2)
+    for call in (lambda: norms.l2_norm(t, u0, u1, 2),
+                 lambda: norms.energy(t, u0, u1, 2),
+                 lambda: norms.residual_norm(t, u0, u1, 2),
+                 lambda: norms.M_integral(t, 2, "sin")):
+        seen.clear()
+        call()
+        z = np.concatenate(seen)
+        assert z.real.min() >= 0.0
+        assert np.abs(z.imag).max() == min(symbols.STRIP_HEIGHT, 24.0 / t)
 
 
 def test_three_dimensional_rate_between_decades():
@@ -937,43 +1005,41 @@ def test_log_operator_norms_refuses_uncertified():
 # -- fitting ------------------------------------------------------------------
 
 def test_fit_exact_power_law():
-    ts = tuple(np.logspace(1, 4, 12))
-    series = norms.DecaySeries(ts, tuple(3.7 * t ** -0.25 for t in ts))
-    fit = norms.fit_decay(series)
-    assert fit.slope == pytest.approx(-0.25, abs=1e-12)
-    assert fit.intercept == pytest.approx(math.log(3.7), abs=1e-12)
-    assert fit.max_log_residual <= 1e-12
+    ts = np.logspace(1, 4, 12)
+    slope = norms.fit_decay(ts, 3.7 * ts ** -0.25)
+    assert type(slope) is float
+    assert slope == pytest.approx(-0.25, abs=1e-12)
 
 
 def test_fit_perturbed_power_law():
     ts = tuple(np.logspace(2, 5, 24))
     vals = tuple(2.0 * t ** -0.25 * (1.0 + 0.1 * math.sin(math.log(t)))
                  for t in ts)
-    fit = norms.fit_decay(norms.DecaySeries(ts, vals))
-    assert fit.slope == pytest.approx(-0.25, abs=0.05)
+    assert norms.fit_decay(ts, vals) == pytest.approx(-0.25, abs=0.05)
 
 
 def test_fit_constant_series():
     ts = tuple(np.logspace(0, 3, 9))
-    fit = norms.fit_decay(norms.DecaySeries(ts, (4.2,) * 9))
-    assert fit.slope == pytest.approx(0.0, abs=1e-14)
+    assert norms.fit_decay(ts, (4.2,) * 9) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_fit_window_selection_and_errors():
     # The fit spans the whole series, which needs at least 5 points.
     ts = tuple(np.logspace(0, 3, 5))
-    fit = norms.fit_decay(norms.DecaySeries(ts, tuple(t ** -1.0 for t in ts)))
-    assert fit.slope == pytest.approx(-1.0, abs=1e-12)
+    assert norms.fit_decay(ts, [t ** -1.0 for t in ts]) \
+        == pytest.approx(-1.0, abs=1e-12)
     with pytest.raises(ValueError, match="5 grid points"):
-        norms.fit_decay(norms.DecaySeries(ts[:4], (1.0,) * 4))
+        norms.fit_decay(ts[:4], (1.0,) * 4)
 
 
 def test_series_validation():
-    with pytest.raises(ValueError):
-        norms.DecaySeries((1.0, 2.0), (1.0,))
-    with pytest.raises(ValueError):
-        norms.DecaySeries((2.0, 1.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        norms.DecaySeries((1.0, 2.0), (1.0, -1.0))
-    with pytest.raises(ValueError):
-        norms.DecaySeries((1.0, 2.0), (1.0, math.nan))
+    ts = (1.0, 2.0, 3.0, 4.0, 5.0)
+    with pytest.raises(ValueError, match="equal length"):
+        norms.fit_decay(ts, (1.0,) * 4)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        norms.fit_decay((1.0, 2.0, 2.0, 4.0, 5.0), (1.0,) * 5)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        norms.fit_decay((1.0, 2.0, math.nan, 4.0, 5.0), (1.0,) * 5)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            norms.fit_decay(ts, (1.0, 1.0, bad, 1.0, 1.0))

@@ -223,11 +223,36 @@ def test_real_radii_keep_their_bits_on_the_complex_path():
 
 
 def test_complex_domain_errors():
-    for bad in (-1.0 + 0.5j, 1.5j, -1.5j, complex(math.nan, 0.0),
-                complex(1.0, math.inf)):
-        with pytest.raises(ValueError, match="complex radius"):
-            symbols.kernel(np.array([1.0 + 0.1j, bad]))
+    # Off the strip |Im r| <= 1/2: just past its edge, a NaN imaginary
+    # part (also where |r| is small, so the |r| <= 1/2 shortcut must not
+    # let it through), and the old cut r = iy, |y| >= 1.
+    y, nan = symbols.STRIP_HEIGHT + 1e-9, math.nan
+    for bad in (-1.0 + 0.5j, 1.5j, -1.5j, 1j, -1j, 3.0 + 1j,
+                complex(math.nan, 0.0), complex(1.0, math.inf),
+                complex(0.3, y), complex(0.3, -y), complex(2.0, y),
+                complex(0.0, y), complex(1.0, nan), complex(0.0, nan),
+                complex(1e-6, nan)):
+        for radii in ([bad], [1.0 + 0.1j, bad], [bad, 1e3 + 0j]):
+            with pytest.raises(ValueError, match="^complex radius"):
+                symbols.kernel(np.array(radii))
     assert symbols.kernel(0.5j)[1] == pytest.approx(0.5 * math.log(0.75))
+
+
+def test_kernel_on_the_strip_edge():
+    # Im r = +-1/2 along the whole edge, and r = iy, |y| <= 1/2 (the left
+    # side of a contour from the origin), against the raw formulas.
+    h = symbols.STRIP_HEIGHT
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 60)])
+    y = np.geomspace(1e-12, h, 60)
+    z = np.concatenate([x + 1j * h, x - 1j * h, 1j * y, -1j * y])
+    r, a, g, big = symbols.kernel(z)
+    assert big is None and np.abs(z.imag).max() == h
+    assert (np.abs(z) < symbols.G_SERIES_CUT).sum() > 20
+    for zi, ai, gi in zip(z, a, g):
+        ma, mb, mg = (complex(v) for v in mp_symbols(zi)[:3])
+        assert abs(ai - ma) <= 4e-16 * abs(ma)
+        assert abs(gi - mg) <= 1e-15 * abs(mg)
+        assert abs(zi * np.sqrt(1.0 - gi) - mb) <= 4e-16 * abs(mb)
 
 
 def test_extended_precision_mode_digits():
