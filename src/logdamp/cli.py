@@ -6,8 +6,8 @@ special : weight integrals, scalings, identities; --t-min, --t-max,
           --t-points, --log-grid/--linear-grid, --tol
 lemmas  : inequality suites with PASS/FAIL lines; --dim, --seed,
           --samples and the data keys
-decay   : L2 decay exponents vs theory; --dim, the grid flags, --tol
-          and the data keys
+decay   : ||u(t)||^2 over its optimal rate F_n(t); --dim, the grid
+          flags, --tol and the data keys
 profile : scaled distance to the mass profile; the options of decay
           plus --i0-multiple
 
@@ -197,7 +197,7 @@ def cmd_special(cfg: RunConfig) -> int:
     ps = (0.0, 0.5, 1.0, 2.0, 3.0)
     ts = cfg.t_grid()
     rep = Report(cfg, "p", "t", "I_p", "I_p_scaled", "J_p", "J_p_scaled",
-                 "hyp2f1", "gamma_ratio", "h0_identity_relerr")
+                 "gamma_ratio", "h0_identity_relerr")
 
     def j_value(fn, t: float, p: float) -> float:
         return fn(t, p) if 2.0 * t > p + 1.0 else math.nan
@@ -216,17 +216,21 @@ def cmd_special(cfg: RunConfig) -> int:
     for p in ps:
         for t in ts:
             ival = special.I_p(t, p)
-            # nan where I_p underflows to 0.0 and t^s overflows: a FAIL.
+            # nan where I_p underflows to 0.0 and t^s overflows.
             with np.errstate(over="ignore", invalid="ignore"):
                 iscaled = ival * t ** ((p + 1.0) / 2.0)
             jval = j_value(special.J_p, t, p)
             jscaled = j_value(special.J_p_scaled, t, p) if t > 1.0 \
                 else math.nan
             rep.row(p, t, _fmt(ival), _fmt(iscaled), _fmt(jval),
-                    _fmt(jscaled), _fmt(special.hyp2f1_special(t, p)),
-                    _fmt(special.gamma_ratio(t)), _fmt(h0_relerr[t]))
-            if not math.isfinite(iscaled):
-                failures.append(f"peak-integral p={p} t={t:g}: {iscaled}")
+                    _fmt(jscaled), _fmt(special.gamma_ratio(t)),
+                    _fmt(h0_relerr[t]))
+            # I_p holds its value to max(1e-300, 1e-12 I_p), so to 1e-12
+            # relative only from 1e-288 on (then I_p t^s is finite).
+            if not ival >= 1e-288:
+                failures.append(f"peak-integral p={p} t={t:g}: I_p="
+                                f"{ival:.3e} is certified only to 1e-300 "
+                                f"absolute")
             elif t >= 100.0:
                 scaled_by_p[p].append(iscaled)
             if t >= 5.0:
@@ -406,51 +410,55 @@ def cmd_lemmas(cfg: RunConfig) -> int:
     return rep.finish(failures)
 
 
-# -- decay -------------------------------------------------------------------
+# -- decay and profile -------------------------------------------------------
 
-def _expected_slope(n: int) -> float | None:
+def _band(rep: Report, failures: list, n: int, label: str, values,
+          limit: float, power: int = 1) -> None:
+    """Comment the max/min ratio of the positive values (if any), raised
+    to ``power``, and add a FAIL message, naming the label in words,
+    where it exceeds limit."""
+    positive = [v for v in values if v > 0.0]
+    if positive:
+        ratio = (max(positive) / min(positive)) ** power
+        rep.comment(f"n={n} {label} ratio={ratio:.4f} limit={limit:g}")
+        if ratio > limit:
+            failures.append(f"n={n} {label.replace('-', ' ')} ratio "
+                            f"{ratio:.4f}")
+
+
+def _rate(n: int, t: float) -> float:
+    """F_n(t), the paper's optimal rate: C1 F_n <= ||u(t)||^2 <= C2 F_n
+    for a velocity of mass P1 != 0, with F_1 = t, F_2 = log t and
+    F_n = t^(-(n-2)/2) for n >= 3.  As u_hat ~ P1 e^{-at} sin(rt)/r,
+    ||u||^2 ~ (2 pi)^(-n) P1^2 M(t, n, "sin"); for n = 2, r = s/sqrt(t)
+    makes that integral (pi/2)(log 4t + gamma) + o(1), gamma Euler's
+    constant, so F_2 = log 4t + gamma keeps the band flat (0.12 % over
+    t = 1e2 ... 1e12, where ||u||^2 / log t falls by a factor 1.33)."""
     if n == 1:
-        return 0.5
+        return t
     if n == 2:
-        return None
-    return -(n - 2) / 4.0
+        return math.log(4.0 * t) + 0.5772156649015329
+    return t ** (-(n - 2) / 2.0)
 
 
 def cmd_decay(cfg: RunConfig) -> int:
     ts = cfg.t_grid()
-    if cfg.t_points < 5:
-        raise ConfigError("t_points: decay fits need at least 5 grid points")
     rep = Report(cfg, "n", "t", "norm", "scaled")
     failures = []
     for n in cfg.dim:
         u0, u1 = cfg.data_pair(n)
         vals = [norms.l2_norm(t, u0, u1, n, rel_tol=1e-9) for t in ts]
-        zero = _zero_data(u0, u1)
-        expected = _expected_slope(n)
-        if expected is None:
-            scaled = [v * v / math.log(t) for v, t in zip(vals, ts)]
-        else:
-            scaled = [v * t ** (-expected) for v, t in zip(vals, ts)]
+        # ||u|| / sqrt(F_n): its square underflows for tiny data.
+        scaled = [v / math.sqrt(_rate(n, t)) for v, t in zip(vals, ts)]
         for t, v, s in zip(ts, vals, scaled):
             rep.row(n, t, _fmt(v), _fmt(s))
-        if zero:
-            rep.comment(f"n={n} zero data: no decay to fit")
-        elif expected is None:
-            ratio = max(scaled) / min(scaled)
-            rep.comment(f"n={n} squared-norm/log(t) ratio={ratio:.4f} "
-                        f"limit=1.25")
-            if ratio > 1.25:
-                failures.append(f"n={n} log-band ratio {ratio:.4f}")
+        if _zero_data(u0, u1):
+            rep.comment(f"n={n} zero data: no rate to check")
         else:
-            slope = norms.fit_decay(ts, vals)
-            rep.comment(f"n={n} slope={slope:+.4f} "
-                        f"expected={expected:+.4f} tol={cfg.tol:g}")
-            if abs(slope - expected) > cfg.tol:
-                failures.append(f"n={n} slope {slope:+.4f}")
+            _band(rep, failures, n, "squared-norm/rate", scaled, cfg.tol,
+                  power=2)
     return rep.finish(failures)
 
-
-# -- profile -----------------------------------------------------------------
 
 def cmd_profile(cfg: RunConfig) -> int:
     ts = cfg.t_grid()
@@ -463,17 +471,12 @@ def cmd_profile(cfg: RunConfig) -> int:
         scaled = [v * t ** (n / 4.0) for v, t in zip(vals, ts)]
         for t, v, s in zip(ts, vals, scaled):
             rep.row(n, t, _fmt(v), _fmt(s), _fmt(i0))
-        positive = [s for s in scaled if s > 0.0]
-        if positive:
-            ratio = max(positive) / min(positive)
-            rep.comment(f"n={n} scaled-residual ratio={ratio:.4f} limit={cfg.tol:g}")
-            if ratio > cfg.tol:
-                failures.append(f"n={n} scaled residual ratio {ratio:.4f}")
+        _band(rep, failures, n, "scaled-residual", scaled, cfg.tol)
         if i0 == math.inf:  # a first moment outside the doubles
             rep.comment(f"n={n} I0 check not applicable (I0 = inf)")
-        elif positive and i0 > 0.0 and max(positive) > cfg.i0_multiple * i0:
+        elif i0 > 0.0 and max(scaled) > cfg.i0_multiple * i0:
             failures.append(
-                f"n={n} scaled residual {max(positive):.4f} exceeds "
+                f"n={n} scaled residual {max(scaled):.4f} exceeds "
                 f"{cfg.i0_multiple:g} * I0 = {cfg.i0_multiple * i0:.4f}")
     return rep.finish(failures)
 
@@ -490,10 +493,11 @@ _COMMANDS = {
     "lemmas": (cmd_lemmas, "inequality suites with PASS/FAIL lines",
                {"dim": "1,2,3", "seed": 12345, "samples": 1000, **_DATA},
                None),
-    "decay": (cmd_decay, "L2 decay exponents vs theory",
+    "decay": (cmd_decay, "squared L2 norm over its optimal rate",
               {"dim": "1,2,3", "t_min": 1e2, "t_max": 1e5, "t_points": 20,
-               "log_grid": True, "tol": 0.05, **_DATA},
-              "absolute tolerance on the fitted slope"),
+               "log_grid": True, "tol": 1.25, **_DATA},
+              "limit on the max/min ratio of the squared norm over its "
+              "rate"),
     "profile": (cmd_profile, "scaled distance to the mass profile",
                 {"dim": "1,2,3", "t_min": 1e2, "t_max": 1e4, "t_points": 9,
                  "log_grid": True, "tol": 3.0, "i0_multiple": 1.0, **_DATA},

@@ -1,4 +1,4 @@
-"""L^2 norms, energies, oscillatory decay integrals, and exponent fits.
+"""L^2 norms, energies and oscillatory decay integrals.
 
 All physical-space norms are computed spectrally: for radial data,
 
@@ -22,10 +22,6 @@ the cross-check route.  The data pair is first scaled by a power of two
 to a unit transform sup, so every amplitude in the double range is
 computed alike; zero data have a zero envelope and give 0.0.  A t that
 is not finite, or whose square is not a double, is a ValueError by site.
-
-The "varies like" statements about decaying quantities are made
-checkable two ways: scaled-band reports over a log grid, and least
-squares slopes on (log t, log value) via fit_decay.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ from .stable import sinc  # noqa: F401  (bench/tracer.py wraps norms.sinc)
 from .symbols import STRIP_HEIGHT
 
 __all__ = [
-    "fit_decay", "BAND_SPLIT",
+    "BAND_SPLIT",
     "l2_norm", "residual_norm", "energy", "M_integral",
     "log_operator_norms", "data_constant",
 ]
@@ -101,8 +97,6 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     scale = tail.scale
     if scale == 0.0:
         return 0.0
-    if scale == math.inf:  # (t sup|u1_hat|)^2 doubled for a residual
-        raise ValueError(f"{site}: the tail envelope overflows at this t")
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
     if 0.0 < b_at_1 < math.inf:
@@ -334,14 +328,15 @@ def _check_pair(u0: InitialDataSpec, u1: InitialDataSpec, n: int) -> None:
 
 def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
     """(u0, u1, k): the pair scaled by 2^-k to a larger transform sup in
-    [1/2, 1).  u is linear in the data and the scaling is exact, so the
+    [1/4, 1/2).  u is linear in the data and the scaling is exact, so the
     norms of the pair are 2^k (the energy 2^2k) times those of the
-    scaled pair, which stays clear of under- and overflow.  Where that
-    takes a nonzero amplitude to 0, or below 2^-1034 (a subnormal with
-    fewer than 40 bits, 5e-13 relative), as width^n past about 1e308
-    times the amplitude's own scale does, ArithmeticError names the
-    site."""
-    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1]
+    scaled pair, which stays clear of under- and overflow: the
+    residual's envelope coefficient 2 (1.58 B0 + t B1)^2 is below t^2/2
+    plus O(t), a double wherever t^2 is.  Where the scaling takes a
+    nonzero amplitude to 0, or below 2^-1034 (a subnormal with fewer
+    than 40 bits, 5e-13 relative), as width^n past about 1e308 times
+    the amplitude's own scale does, ArithmeticError names the site."""
+    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1] + 1
     pair = [replace(d, amplitude=math.ldexp(d.amplitude, -k))
             for d in (u0, u1)]
     if any(d.amplitude and abs(s.amplitude) < 2.0 ** -1034
@@ -558,20 +553,3 @@ def data_constant(u0: InitialDataSpec, u1: InitialDataSpec) -> float:
     """||u0|| + ||u1|| + ||u0||_1 + ||(1+|x|) u1||_1 (closed forms)."""
     return (u0.l2_norm() + u1.l2_norm()
             + u0.l1_norm() + u1.weighted_l1_norm())
-
-
-# -- exponent fitting ---------------------------------------------------------
-
-def fit_decay(t_grid, values) -> float:
-    """Least-squares slope of log(value) against log(t) over at least 5
-    points, t strictly increasing and each value finite and positive."""
-    x, y = np.asarray(t_grid, dtype=float), np.asarray(values, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError("t_grid and values must have equal length")
-    if x.size < 5:
-        raise ValueError("a decay fit needs at least 5 grid points")
-    if not np.all(x[1:] > x[:-1]):
-        raise ValueError("t_grid must be strictly increasing")
-    if not np.all(np.isfinite(y) & (y > 0.0)):
-        raise ValueError("values must be finite and positive")
-    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -48,8 +48,9 @@ def I_p(t: float, p: float) -> float:
     Converges for every finite t when p >= 0.  For large t the mass sits
     in a peak of width ~ t^(-1/2) near the origin, so peak-scale
     breakpoints are passed as hints, and 4^-k (k = 1..15) toward the r^p
-    singularity at 0 for non-integer p.  Values below 1e-300 are
-    certified only absolutely (see ``middle_band``).
+    singularity at 0 for non-integer p.  Each value is held to
+    max(1e-300, 1e-12 |value|), so values below 1e-288 are certified
+    only absolutely (see ``middle_band``).
     """
     t, p = float(t), float(p)
     if p < 0.0:
@@ -129,7 +130,8 @@ def hyp2f1_special(t: float, p: float) -> float:
 
     Only this parameter slice is provided; it is the one the damped-wave
     decay analysis needs, and the identity makes it exact relative to
-    the I_p quadrature.
+    the I_p quadrature.  No report prints it (its column would copy
+    I_p's); ``bench/tracer.py`` wraps this name.
     """
     return (float(p) + 1.0) * I_p(t, p)
 

@@ -28,7 +28,7 @@ def test_special_default_passes(tmp_path):
     assert "# checks=PASS" in text
     rows = parse_rows(text)
     assert set(rows[0]) == {"p", "t", "I_p", "I_p_scaled", "J_p",
-                            "J_p_scaled", "hyp2f1", "gamma_ratio",
+                            "J_p_scaled", "gamma_ratio",
                             "h0_identity_relerr"}
     for row in rows:
         err = float(row["h0_identity_relerr"])
@@ -84,18 +84,35 @@ def test_lemmas_all_pass_and_deterministic(tmp_path):
     assert text1 == text2  # byte-identical rerun under a pinned seed
 
 
+def _bands(text):
+    """{n: ratio} from the decay band lines."""
+    return {int(ln.split()[1][2:]): float(ln.split("ratio=")[1].split()[0])
+            for ln in text.splitlines()
+            if ln.startswith("# n=") and "squared-norm/rate" in ln}
+
+
 def test_decay_slopes(tmp_path):
-    code, text = run(tmp_path, "decay", "--t-points", "10")
+    # One verdict for every n: max/min of ||u(t)||^2 / F_n(t), with
+    # F_1 = t, F_2 = log 4t + gamma and F_n = t^(-(n-2)/2).
+    code, text = run(tmp_path, "decay", "--t-points", "10", "--dim", "1,2,3,4")
     assert code == 0
     assert "# checks=PASS" in text
-    slopes = {}
-    for ln in text.splitlines():
-        if ln.startswith("# n=") and "slope=" in ln:
-            n = int(ln.split("n=")[1].split()[0])
-            slopes[n] = float(ln.split("slope=")[1].split()[0])
-    assert slopes[1] == pytest.approx(0.5, abs=0.05)
-    assert slopes[3] == pytest.approx(-0.25, abs=0.05)
-    assert any("squared-norm/log(t)" in ln for ln in text.splitlines())
+    bands = _bands(text)
+    assert sorted(bands) == [1, 2, 3, 4]
+    assert all(1.0 <= b <= 1.06 for b in bands.values())
+    assert "# n=2 squared-norm/rate ratio=1.0012 limit=1.25" in text
+    for row in parse_rows(text):
+        n, t, norm = int(row["n"]), float(row["t"]), float(row["norm"])
+        rate = {1: t, 2: math.log(4.0 * t) + 0.5772156649015329}.get(
+            n, t ** (-(n - 2) / 2.0))
+        assert float(row["scaled"]) == pytest.approx(norm / math.sqrt(rate),
+                                                     rel=1e-12)
+
+
+def test_decay_in_four_dimensions(tmp_path):
+    code, text = run(tmp_path, "decay", "--dim", "4")
+    assert code == 0 and "# checks=PASS" in text
+    assert _bands(text)[4] <= 1.01
 
 
 def test_profile_scaled_band(tmp_path):
@@ -137,7 +154,8 @@ def _zero_data_config(tmp_path):
 def test_decay_at_tiny_amplitude_fits_as_at_unit_amplitude(tmp_path,
                                                            capsys):
     # The norms are computed on data scaled to a unit transform sup, so
-    # they neither underflow nor lose the slope at amplitude 1e-200.
+    # they do not underflow at amplitude 1e-200; the band is taken on
+    # ||u|| / sqrt(F_n), whose square (1e-400) would.
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text("u1_amplitude = 1e-200\n")
     code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3",
@@ -146,10 +164,10 @@ def test_decay_at_tiny_amplitude_fits_as_at_unit_amplitude(tmp_path,
     assert "error:" not in capsys.readouterr().err
     _, unit = run(tmp_path, "decay", "--dim", "3", "--t-points", "5")
 
-    def slope(csv_text):
-        return [ln for ln in csv_text.splitlines() if "slope=" in ln]
+    def band(csv_text):
+        return [ln for ln in csv_text.splitlines() if "ratio=" in ln]
 
-    assert slope(text) == slope(unit) and len(slope(text)) == 1
+    assert band(text) == band(unit) and len(band(text)) == 1
     for row, ref in zip(parse_rows(text), parse_rows(unit)):
         assert float(row["norm"]) == pytest.approx(1e-200 * float(ref["norm"]),
                                                    rel=1e-9)
@@ -162,12 +180,10 @@ def test_decay_to_t_1e12_certifies_every_row(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
     rows = parse_rows(text)
     assert len(rows) == 60 and all(float(r["norm"]) > 0.0 for r in rows)
-    # The n = 2 log band reads about 1.33 over [1e2, 1e12], past its 1.25
-    # limit: the band check, not the norms, fails there.
-    assert code == 1 and "# FAIL n=2 log-band ratio" in text
-    code, text = run(tmp_path, "decay", "--t-max", "1e12", "--dim", "1,3")
+    # ||u||^2 / log t read 1.3302 over [1e2, 1e12] and failed its 1.25
+    # band while the norms were right; over log 4t + gamma it is flat.
     assert code == 0 and "# checks=PASS" in text
-    assert "error:" not in capsys.readouterr().err
+    assert _bands(text) == {1: 1.06, 2: 1.0012, 3: 1.0}
 
 
 def test_decay_of_a_wide_datum_with_a_tiny_amplitude(tmp_path, capsys):
@@ -187,9 +203,9 @@ def test_decay_of_a_wide_velocity_datum_prints_every_row(tmp_path, capsys):
     # The velocity's transform is a spike of width 1e-103 at r = 0, which
     # no abscissa saw while the envelope's data side held only from
     # r = 1: the run ended on "error: l2_norm at t=100.0 did not
-    # converge".  Now every norm is t ||u1|| (to (t/width)^2), so the
-    # slope check reads +1 and fails, as it should this far from the
-    # decay regime (t >> width^2).
+    # converge".  Now every norm is t ||u1|| (to (t/width)^2), so
+    # ||u||^2 / t^(-1/2) grows like t^2.5 and the band check fails, as it
+    # should this far from the decay regime (t >> width^2).
     cfg = tmp_path / "wide.cfg"
     cfg.write_text("u1_amplitude = 1e-300\nu1_width = 1e103\n")
     code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "3")
@@ -200,7 +216,9 @@ def test_decay_of_a_wide_velocity_datum_prints_every_row(tmp_path, capsys):
     for row in rows:
         assert float(row["norm"]) == pytest.approx(
             float(row["t"]) * u1.l2_norm(), rel=1e-10)
-    assert code == 1 and "# FAIL n=3 slope +1.0000" in text
+    fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
+    assert code == 1 and fails == [
+        "# FAIL n=3 squared norm/rate ratio 31622776.6017"]
 
 
 def test_profile_to_t_1e12_certifies_every_row(tmp_path, capsys):
@@ -325,15 +343,17 @@ def test_decay_with_zero_data_names_the_missing_fit(tmp_path, capsys):
     assert code == 0
     assert "error:" not in capsys.readouterr().err
     notes = [ln for ln in text.splitlines() if "zero data" in ln]
-    assert notes == [f"# n={n} zero data: no decay to fit"
+    assert notes == [f"# n={n} zero data: no rate to check"
                      for n in (1, 2, 3)]
     assert all(float(r["norm"]) == 0.0 for r in parse_rows(text))
     assert "# checks=PASS" in text
 
 
-def test_single_point_grid_is_a_config_error(tmp_path):
+def test_single_point_grid_is_a_config_error(tmp_path, capsys):
     assert main(["profile", "--t-points", "1"]) == 2
-    assert main(["decay", "--t-points", "4"]) == 2
+    assert main(["decay", "--t-points", "1"]) == 2
+    # A band needs two points, not the five a slope fit did.
+    assert main(["decay", "--t-points", "2", "--dim", "3"]) == 0
 
 
 def test_non_finite_time_is_a_config_error(capsys):
@@ -381,13 +401,20 @@ def test_evaluation_error_is_one_error_line(tmp_path, capsys, monkeypatch):
 
 def test_special_fails_a_non_finite_peak_integral(tmp_path):
     # I_p underflows to 0 and t^2 overflows, so I_p_scaled is nan for
-    # p = 2 and 3; the band's max/min let it pass as checks=PASS.
+    # p = 2 and 3; the band's max/min let it pass as checks=PASS.  I_p is
+    # held to max(1e-300, 1e-12 I_p): for p = 1 (I_1 ~ 1/(2t)) that is
+    # absolute on the whole grid, and at t = 1e300 I_1 t read
+    # 4.999999184851e-01 for 0.5 and passed the band.
     code, text = run(tmp_path, "special", "--t-min", "1e290",
                      "--t-max", "1e300")
     assert code == 1 and text.endswith("# checks=FAIL\n")
     fails = [ln for ln in text.splitlines() if ln.startswith("# FAIL")]
-    assert len(fails) == 8
-    assert "# FAIL peak-integral p=3.0 t=1e+300: nan" in fails
+    assert len(fails) == 12
+    assert {ln.split()[3] for ln in fails} == {"p=1.0", "p=2.0", "p=3.0"}
+    assert ("# FAIL peak-integral p=3.0 t=1e+300: I_p=0.000e+00 is "
+            "certified only to 1e-300 absolute") in fails
+    assert ("# FAIL peak-integral p=1.0 t=1e+300: I_p=5.000e-301 is "
+            "certified only to 1e-300 absolute") in fails
 
 
 def test_unknown_config_key(tmp_path):
@@ -413,7 +440,8 @@ def test_usage_error_exit_code(capsys):
     # Each command's help says what its own --tol bounds.
     tol_help = {"special": "limit on the relative error of the h0 identity",
                 "lemmas": None,
-                "decay": "absolute tolerance on the fitted slope",
+                "decay": "limit on the max/min ratio of the squared norm "
+                          "over its rate",
                 "profile": "limit on the max/min ratio of the scaled residual"}
     for command, text in tol_help.items():
         capsys.readouterr()

@@ -1,4 +1,4 @@
-"""Plancherel norms, energy decay, named integrals, and slope fitting."""
+"""Plancherel norms, energy decay and named integrals."""
 
 import dataclasses
 import math
@@ -99,7 +99,7 @@ def test_norms_scale_exactly_with_amplitude(n):
 @pytest.mark.parametrize("width", [1e105, 1e120, 1e154])
 def test_data_that_underflow_when_scaled_are_refused(width):
     # Scaling this pair to a unit transform sup takes the amplitude 1e-300
-    # to 0.0 (widths 1e120, 1e154) or to a subnormal of 30 bits (1e105):
+    # to 0.0 (widths 1e120, 1e154) or to a subnormal of 23 bits (1e105):
     # the norms of the zero pair were 0.0 where the profile norm is
     # 7.5e59 ... 7.5e161 (ROADMAP defect 13).  Each norm names its site.
     u0, u1 = zero(3), gaussian(3, 1e-300, width)
@@ -109,7 +109,7 @@ def test_data_that_underflow_when_scaled_are_refused(width):
                            match=re.escape(f"{site} at t=100.0: the data "
                                            "underflow when scaled")):
             fn(100.0, u0, u1, 3)
-    # A datum whose scaled amplitude keeps 43 bits (width 1e103) is kept.
+    # A datum whose scaled amplitude keeps 42 bits (width 1e103) is kept.
     # Its transform is a spike of width 1e-103 at r = 0: its residual is
     # the profile norm, and its norm, which no abscissa saw while the
     # envelope's data side held only from r = 1 (the call raised), is
@@ -181,12 +181,19 @@ def test_time_1e154_still_certifies():
 
 
 def test_residual_envelope_overflow_is_refused_by_name():
-    # Below the t cap, the residual's envelope 2 (t sup|u1_hat|)^2 can
-    # still overflow for a velocity whose scaled sup is near 1.
-    u1 = gaussian(1, 0.99 * 2.0 / math.sqrt(2.0 * math.pi))
+    # The residual's envelope 2 (1.58 B0 + t B1)^2 overflowed below the t
+    # cap while the pair was scaled to a sup in [1/2, 1): residual_norm
+    # refused t = 1.3e154 ("the tail envelope overflows at this t"),
+    # where l2_norm returns 23.67.  Scaled to [1/4, 1/2) it stays below
+    # t^2/2, so the only t refused is the one whose square is no double.
+    u0, u1 = gaussian(2, 0.5, 0.8), gaussian(2)
+    for t, ref in ((1.3e154, 2.546e-78), (1.34e154, 2.508e-78)):
+        assert norms.residual_norm(t, u0, u1, 2) == pytest.approx(ref,
+                                                                  rel=1e-3)
     with pytest.raises(ValueError, match=re.escape(
-            "residual_norm at t=1.3e+154: the tail envelope overflows")):
-        norms.residual_norm(1.3e154, zero(1), u1, 1)
+            "residual_norm at t=1.35e+154: t must be finite with t^2 a "
+            "double")):
+        norms.residual_norm(1.35e154, u0, u1, 2)
 
 
 @pytest.mark.parametrize("t", [20.0, 1e2, 1e6, 1e8])
@@ -253,6 +260,21 @@ def test_split_route_matches_mpmath(monkeypatch, n, u0):
     got = norms.residual_norm(t, u0, u1, n) ** 2
     assert got == pytest.approx(float(mp_residual_sq(t, u0, u1)), rel=1e-9)
     assert len(seen) > count
+
+
+@pytest.mark.parametrize("t", [30.0, 1e3])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_dimensions_past_three_match_mpmath(n, t):
+    # Every quantity takes n as a parameter (r^(n-1), omega_n, the data's
+    # (2 pi)^(n/2) width^n); n = 1-3 are tested throughout, these
+    # dimensions here.  At t = 1e3, n = 8 the energy and the squared
+    # residual are about 5e-11 and 1e-11, so approx gets no absolute slack.
+    u0, u1 = gaussian(n, 0.5, 0.8), gaussian(n)
+    for got, ref in ((norms.l2_norm(t, u0, u1, n) ** 2, mp_l2_sq),
+                     (norms.energy(t, u0, u1, n), mp_energy),
+                     (norms.residual_norm(t, u0, u1, n) ** 2,
+                      mp_residual_sq)):
+        assert got == pytest.approx(float(ref(t, u0, u1)), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("u0", ["zero", "gaussian"])
@@ -632,12 +654,14 @@ def test_residual_direct_part_matches_mpmath_past_the_kterm_route(
     delta = norms._K * math.pi / (2.0 * t)
     got = integrate_(lambda s: seen[0](s)[0], QuadratureSpec(
         0.0, delta, rel_tol=1e-14, min_panels=norms._K))
-    # residual_norm integrates the pair scaled by 2^-k to a unit sup.
-    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1]
+    # residual_norm integrates the pair scaled by 2^-k to a sup in
+    # [1/4, 1/2).
+    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1] + 1
     s0, s1 = (dataclasses.replace(d, amplitude=math.ldexp(d.amplitude, -k))
               for d in (u0, u1))
     ref = float(mp_residual_piece(t, s0, s1, delta))
-    assert got.converged and got.value == pytest.approx(ref, rel=1e-13)
+    assert got.converged
+    assert got.value == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 # -- energy -------------------------------------------------------------------
@@ -1000,46 +1024,3 @@ def test_log_operator_norms_refuses_uncertified():
     with pytest.raises(ArithmeticError, match="log_operator_norms"):
         norms.log_operator_norms(lambda r: np.exp(-0.5 * r * r), 3, 12.0,
                                  rel_tol=1e-30)
-
-
-# -- fitting ------------------------------------------------------------------
-
-def test_fit_exact_power_law():
-    ts = np.logspace(1, 4, 12)
-    slope = norms.fit_decay(ts, 3.7 * ts ** -0.25)
-    assert type(slope) is float
-    assert slope == pytest.approx(-0.25, abs=1e-12)
-
-
-def test_fit_perturbed_power_law():
-    ts = tuple(np.logspace(2, 5, 24))
-    vals = tuple(2.0 * t ** -0.25 * (1.0 + 0.1 * math.sin(math.log(t)))
-                 for t in ts)
-    assert norms.fit_decay(ts, vals) == pytest.approx(-0.25, abs=0.05)
-
-
-def test_fit_constant_series():
-    ts = tuple(np.logspace(0, 3, 9))
-    assert norms.fit_decay(ts, (4.2,) * 9) == pytest.approx(0.0, abs=1e-14)
-
-
-def test_fit_window_selection_and_errors():
-    # The fit spans the whole series, which needs at least 5 points.
-    ts = tuple(np.logspace(0, 3, 5))
-    assert norms.fit_decay(ts, [t ** -1.0 for t in ts]) \
-        == pytest.approx(-1.0, abs=1e-12)
-    with pytest.raises(ValueError, match="5 grid points"):
-        norms.fit_decay(ts[:4], (1.0,) * 4)
-
-
-def test_series_validation():
-    ts = (1.0, 2.0, 3.0, 4.0, 5.0)
-    with pytest.raises(ValueError, match="equal length"):
-        norms.fit_decay(ts, (1.0,) * 4)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        norms.fit_decay((1.0, 2.0, 2.0, 4.0, 5.0), (1.0,) * 5)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        norms.fit_decay((1.0, 2.0, math.nan, 4.0, 5.0), (1.0,) * 5)
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="finite and positive"):
-            norms.fit_decay(ts, (1.0, 1.0, bad, 1.0, 1.0))
