@@ -110,8 +110,11 @@ def _weight_tail(coeff: float, radius: float, t: float, p: float,
     r = float(radius)           # log(1+R^2), also where R*R overflows
     w = math.log1p(r * r) if r < 1e154 else 2.0 * math.log(r)
     top = weight_factor_range(p, r)[1] if p < 1.0 else 1.0
-    return (coeff * top * math.exp(-s * w) / (2.0 * s) if top < math.inf
-            else math.inf)
+    if top == math.inf:
+        return math.inf
+    # In logs: coeff * top can overflow where e^(-s w) underflows.
+    log_b = math.log(coeff) + math.log(top) - s * w - math.log(2.0 * s)
+    return math.exp(log_b) if log_b <= 709.0 else math.inf
 
 
 def _data_tail(coeff: float, radius: float, c: float, q: float,

@@ -156,15 +156,6 @@ def inv_b_minus_inv_r(r):
     return _out(np.where(zero, 0.0, g / (rd * sq * (1.0 + sq))))
 
 
-def phi(x):
-    """phi(x) = log(1+x)/(1+x) on x >= 0; maximized at x = e-1 with 1/e."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ValueError("phi requires finite x >= 0")
-    out = np.log1p(arr) / (1.0 + arr)
-    return out if out.ndim else float(out)
-
-
 def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
     """Golden-section bracket of the maximizer of a unimodal f on [a, b].
 
@@ -184,13 +175,6 @@ def _golden_max(f, a: float, b: float, width: float) -> tuple[float, float]:
             d = a + invphi * (b - a)
             fd = f(d)
     return a, b
-
-
-def locate_phi_max() -> tuple[float, float]:
-    """Golden-section bracket (left, right) of the maximizer of phi on
-    [0, 10], right - left <= 1e-8; phi is strictly concave above
-    double-precision noise down to widths ~1e-7."""
-    return _golden_max(phi, 0.0, 10.0, 1e-8)
 
 
 def g_peak() -> tuple[float, float]:

@@ -184,7 +184,7 @@ def test_11_energy_decay_and_conservation():
            "; ".join(details))
 
 
-def test_12_log_operator_bound_and_phi_maximum():
+def test_12_log_operator_relative_bound():
     rng = np.random.default_rng(12)
     worst = -math.inf
     for _ in range(1000):
@@ -205,14 +205,8 @@ def test_12_log_operator_bound_and_phi_maximum():
         rhs = 2.0 / math.e * (nv + nav)
         if rhs > 0.0:
             worst = max(worst, nlv / rhs - 1.0)
-    lo, hi = symbols.locate_phi_max()
-    mid = 0.5 * (lo + hi)
-    loc_ok = abs(mid - (math.e - 1.0)) <= 1e-6
-    val_ok = abs(symbols.phi(mid) - 1.0 / math.e) <= 1e-12
-    report("log-operator relative bound and phi maximum",
-           worst <= 0.0 and loc_ok and val_ok,
-           f"worst ratio excess {worst:.3e}, maximizer off by "
-           f"{abs(mid - (math.e - 1.0)):.2e}")
+    report("log-operator relative bound", worst <= 0.0,
+           f"worst ratio excess {worst:.3e}")
 
 
 def test_13_high_band_superpolynomial_decay():

@@ -74,11 +74,12 @@ def test_lemmas_all_pass_and_deterministic(tmp_path):
     assert code1 == 0
     for row in parse_rows(text1):
         assert row["status"] == "PASS"
-    names = {row["name"] for row in parse_rows(text1)}
-    assert {"damping_ratio_bound", "recurrence_consistency",
-            "tail_sandwich", "log_operator_relative_bound",
-            "phi_maximum", "energy_monotone",
-            "mode_closure_identity"} <= names
+    assert [row["name"] for row in parse_rows(text1)] == [
+        "damping_ratio_bound", "dispersion_shift_bound", "log_symbol_bound",
+        "recurrence_consistency", "tail_sandwich", "mid_band_bound",
+        "velocity_moment_bound", "oscillating_band_sin",
+        "oscillating_band_cos", "high_band_envelope",
+        "log_operator_relative_bound", "energy_monotone"]
     code2, text2 = run(tmp_path, "lemmas", "--samples", "60", "--seed", "5")
     assert code2 == 0
     assert text1 == text2  # byte-identical rerun under a pinned seed
@@ -229,6 +230,18 @@ def test_profile_to_t_1e12_certifies_every_row(tmp_path, capsys):
     assert "error:" not in capsys.readouterr().err
     rows = parse_rows(text)
     assert len(rows) == 27 and all(float(r["residual"]) > 0.0 for r in rows)
+    assert code == 0 and "# checks=PASS" in text
+
+
+@pytest.mark.parametrize("command", ["decay", "profile"])
+def test_top_of_the_t_range_certifies_every_row(tmp_path, capsys, command):
+    # n = 1 ended on "error: l2_norm (residual_norm) at
+    # t=3.3766483753851466e+128 did not converge": the weight tail's
+    # envelope read NaN there (inf * 0).
+    code, text = run(tmp_path, command, "--dim", "1,2,3", "--t-min", "1e120",
+                     "--t-max", "1.3e154", "--t-points", "5")
+    assert "error:" not in capsys.readouterr().err
+    assert len(parse_rows(text)) == 15
     assert code == 0 and "# checks=PASS" in text
 
 

@@ -84,8 +84,10 @@ def test_transform_prefactor_is_scale_safe():
     assert wide.fourier(1e-103) == pytest.approx(expect * math.exp(-0.5),
                                                  rel=1e-14)
     tiny = InitialDataSpec("gaussian", 1e300, 1e-110, 3)
+    # 1e300 * 1e-330, formed without the literal 1e-330, which is below
+    # the smallest subnormal and reads 0.0.
     assert tiny.mass() == pytest.approx(
-        1e300 * (2.0 * math.pi) ** 1.5 * 1e-330, rel=1e-14)
+        1e190 * 1e-110 * 1e-110 * (2.0 * math.pi) ** 1.5, rel=1e-14, abs=0)
     # Where the result itself leaves the doubles, the datum is refused
     # by its width and dimension.
     with pytest.raises(ValueError, match=r"width 1e\+103 in dimension 3"):

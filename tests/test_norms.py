@@ -319,6 +319,21 @@ def test_energy_leading_term_at_very_large_t(n, t):
         lead, rel=1e-10)
 
 
+@pytest.mark.parametrize("t", [1e125, 1e150, 1.3e154, 1.34e154])
+def test_one_dimension_certifies_up_to_the_t_cap(t):
+    # Zero u0, unit Gaussian u1 (P1^2 = 2 pi): ||u||^2 ~ P1^2 t / 2, so
+    # ||u|| / sqrt(t) -> sqrt(pi), and ||u - P1 phi|| t^(1/4) -> C_1 with
+    # C_1^2 = (2 pi)^-1 P1^2 Gamma(5/2) / 128 = 3 sqrt(pi) / 512.  From
+    # t ~ 1e125 on both raised "did not converge": the weight tail
+    # coeff * top * e^(-s w) overflowed in its first factors and
+    # underflowed in its last, and the envelope read NaN.
+    u0, u1 = zero(1), gaussian(1)
+    assert norms.l2_norm(t, u0, u1, 1) / math.sqrt(t) == pytest.approx(
+        math.sqrt(math.pi), rel=1e-12)
+    assert norms.residual_norm(t, u0, u1, 1) * t ** 0.25 == pytest.approx(
+        math.sqrt(3.0 * math.sqrt(math.pi) / 512.0), rel=1e-9)
+
+
 def _panels(monkeypatch):
     """Record the panel count of each norms.integrate call."""
     panels, integrate_ = [], norms.integrate

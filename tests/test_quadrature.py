@@ -329,6 +329,36 @@ def test_truncation_point_contract_on_random_envelopes():
     assert below_one > 40 and at_floor > 0
 
 
+def _huge_term(rng):
+    """A random weight term with t up to the cap 1.34e154 and a
+    coefficient up to 1e300, with or without a data side."""
+    t = 10.0 ** rng.uniform(0.0, math.log10(1.34e154))
+    p = rng.uniform(-2.0, 4.0)
+    weight = (t, p) if rng.random() < 0.5 else (t, p, p - 2.0)
+    data = None
+    if rng.random() < 0.5:
+        data = (10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(0.0, 6.0),
+                rng.uniform(0.0, 6.0))
+    return (10.0 ** rng.uniform(-5.0, 300.0), weight, data)
+
+
+def test_envelopes_of_huge_t_and_coefficient_are_never_nan():
+    # coeff * top overflowed where e^(-s w) underflowed: the weight tail
+    # read inf * 0 = NaN (28 NaN bounds and 79 broken contracts here).
+    floor = 2.0 ** (quadrature._LOWEST / quadrature._GRID)
+    rng = np.random.default_rng(14)
+    for _ in range(400):
+        terms = [_huge_term(rng) for _ in range(rng.integers(1, 3))]
+        tail = Envelope(*terms)
+        for radius in 10.0 ** rng.uniform(-150.0, 300.0, 8):
+            assert not math.isnan(tail.bound(float(radius))), terms
+        tol = tail.scale * 10.0 ** rng.uniform(-40.0, -1.0)
+        radius, bound = truncation_point(tail, tol)
+        assert radius > floor and bound == tail.bound(radius) <= tol, terms
+        assert (radius / 1.001 < floor
+                or tail.bound(radius / 1.001) > tol), terms
+
+
 def test_truncation_point_takes_few_bound_calls_on_the_norms_envelopes(
         monkeypatch):
     # Bisection from R = 1 took 12 to 31 bound calls here; each term's

@@ -46,8 +46,6 @@ def test_domain_errors():
                 fn(bad)
             with pytest.raises(ValueError):
                 fn(np.array([1.0, bad]))
-    with pytest.raises(ValueError):
-        symbols.phi(-0.5)
 
 
 @given(r=st.floats(min_value=0.0, max_value=1e8, allow_nan=False))
@@ -264,25 +262,6 @@ def test_extended_precision_mode_digits():
         assert mp.almosteq(a, ref, rel_eps=mp.mpf(10) ** -30)
         assert mp.almosteq(a ** 2 + b ** 2, mp.mpf(x) ** 2,
                            rel_eps=mp.mpf(10) ** -30)
-
-
-def test_phi_values():
-    assert symbols.phi(0.0) == 0.0
-    assert symbols.phi(math.e - 1.0) == pytest.approx(1.0 / math.e, rel=1e-15)
-    assert symbols.phi(1.0) == pytest.approx(math.log(2.0) / 2.0, rel=1e-15)
-
-
-def test_phi_never_exceeds_its_maximum():
-    x = np.linspace(0.0, 1e8, 10_000)
-    assert np.all(symbols.phi(x) <= 1.0 / math.e + 1e-15)
-
-
-def test_phi_maximizer_bracket():
-    lo, hi = symbols.locate_phi_max()
-    assert hi - lo <= 1e-8
-    assert lo - 1e-6 <= math.e - 1.0 <= hi + 1e-6
-    mid = 0.5 * (lo + hi)
-    assert abs(symbols.phi(mid) - 1.0 / math.e) <= 1e-12
 
 
 def test_g_peak_is_below_one_half():
