@@ -84,6 +84,17 @@ class InitialDataSpec:
                 f"width^2 or the transform at r = 0, amplitude * "
                 f"(2 pi)^(n/2) * width^n, overflows")
 
+    def scaled(self, k: int) -> InitialDataSpec:
+        """This datum times 2^k: the amplitude and the mass by ldexp, with
+        no re-validation.  Where both stay normal doubles this is the
+        datum that validation forms from the scaled amplitude, bit for
+        bit; below that the mass is the nearest double to 2^k mass."""
+        out = object.__new__(InitialDataSpec)
+        out.__dict__.update(self.__dict__,
+                            amplitude=math.ldexp(self.amplitude, k),
+                            _mass=math.ldexp(self._mass, k))
+        return out
+
     def _times_width_to(self, c: float, p: int) -> float:
         """c * width^p, formed as m^p 2^(kp) with width = m 2^k, m in
         [1/2, 1): a tiny c offsets a huge width^p, and only a result

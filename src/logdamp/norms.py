@@ -12,11 +12,14 @@ like sin(b(r) t), so their squares carry frequency 2t, and half-period
 panels cost ~sqrt(t) per call.  l2_norm, energy, residual_norm and
 M_integral each integrate (Re X)^2 r^(n-1) for an analytic X (the
 mode's phasor, the residual phasor of ``Mode.residual_phasor``, or the
-weight's e^{(ir - a)t}): directly on the first 16 half-periods, and past
-them as a mean part plus the real part of an analytic function, whose
-integral Cauchy's theorem moves onto a contour where it decays like
-e^{-2ty}.  One ``integrate`` call takes all three on one path parameter
-(``_contour``), so the cost does not grow with t;
+weight's e^{(ir - a)t}) as a mean part plus the real part of an
+analytic function, whose integral Cauchy's theorem moves onto a
+contour where it decays like e^{-2ty}.  The split starts at r = 0,
+where both parts are bounded, except where X has a pole at 0 (l2_norm
+and the sine weight for n <= 2): there the first 16 half-periods are
+integrated directly and the split starts past them.  One ``integrate``
+call takes all the pieces on one path parameter (``_contour``), so the
+cost does not grow with t;
 residual_norm(method="kterms") keeps half-period panels throughout as
 the cross-check route.  The data pair is first scaled by a power of two
 to a unit transform sup, so every amplitude in the double range is
@@ -27,7 +30,6 @@ is not finite, or whose square is not a double, is a ValueError by site.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -173,24 +175,42 @@ def _depth(split, scale: float, rel_tol: float) -> float:
 
 # -- the split: mean part and contour ---------------------------------------
 
-# Half-periods of cos(2bt) on the direct part of a contour piece:
-# [0, delta] with delta = _K pi / (2t).
+# Half-periods of cos(2bt) on the direct part of a contour piece that
+# does not start at r = 0: [0, delta] with delta = _K pi / (2t).
 _K = 16
 # A piece of at most _DIRECT half-periods takes half-period panels: on
 # real radii they cost a third of the contour's complex ones (at t = 100,
 # 85 half-periods, the contour took twice the time).
 _DIRECT = 128
 # t Y for the contour height Y: |e^{2 lambda t}| <= e^{-1.5 t y} on the
-# strip 0 <= y <= STRIP_HEIGHT, so it is at most e^{-36} on the top side.  As
-# Y < delta, the side offsets y = s - delta of ``_contour`` are exact.
+# strip 0 <= y <= STRIP_HEIGHT, so it is at most e^{-36} on the top side.
+# The side offsets y = s - c of ``_contour`` are exact: at c = delta as
+# Y < delta, and at c = 0 trivially.  On r = iy every phasor X is real
+# (a, g and b/i are), so h(iy) = X^2/2 (iy)^(n-1) (energy: -a lambda X^2
+# (iy)^(n-1), a lambda real too) is real for odd n: there the left side
+# from c = 0 adds nothing.
 _TY = 24.0
+# The axis from c = 0 starts with [0, x0], x0 = _KAPPA / sqrt(t) (at
+# most hi/2), on the weight's own scale t^(-1/2), then sqrt(2)-geometric
+# breakpoints.  Over the residual, l2_norm and energy calls of t = 1e2
+# ... 1e8, 1/2 took one rule pass per call, 1 up to 1.03 and 2 up to
+# 1.88 (x0 = max(delta, 1/(2 sqrt(t))) took a second pass on 5 of 96
+# l2_norm and energy calls at t = 250 ... 630).
+_KAPPA = 0.5
+# Initial y panels of the sides where the left side is integrated (four
+# took 1.33 rule passes per l2_norm and energy call, eight 1.00); one
+# where it adds nothing (odd n from c = 0) and the sides carry only the
+# right side's charge.
+_SIDES = 8
 
 
 class _Split:
     """(Re X)^2 r^(n-1), X = phasor(mode, r) analytic where ``_contour``
-    needs it (e.g. X = Mode.phasor): directly on [0, delta], and on
-    [delta, inf) as mean(x) + Re h(x) (x real), h analytic on the
-    rectangles [delta, R] x [0, height].
+    needs it (e.g. X = Mode.phasor): on [c, inf) as mean(x) + Re h(x)
+    (x real), h analytic on the rectangles [c, R] x [0, height], and
+    directly on [0, c].  c is 0 where h and the mean are bounded at
+    r = 0 (``origin``: X is, or X ~ 1/r, a ``pole``, and n >= 3), and
+    delta otherwise.
 
     On real radii (Re X)^2 = |X|^2/2 + Re(X^2)/2, so the mean is
     |X|^2/2 r^(n-1) and h = X^2/2 r^(n-1).  ``energy`` splits
@@ -198,7 +218,7 @@ class _Split:
     mode X: |lambda|^2 = r^2 on real radii and lambda^2 + r^2 =
     -2 a lambda (the mode equation) give the mean r^2 |X|^2 r^(n-1) and
     h = -a lambda X^2 r^(n-1).  The mean carries no e^{2ibt} and h is
-    analytic, so neither needs half-period panels past delta.  The
+    analytic, so neither needs half-period panels past c.  The
     height min(``STRIP_HEIGHT``, _TY/t, 1/w), w the widest nonzero datum
     of ``data``, keeps the contour in ``symbols.kernel``'s domain, tY <=
     24 and |e^{-w^2 r^2/2}| <= e^{w^2 Y^2/2} <= e^{1/2}.  At t = 0 delta
@@ -208,8 +228,14 @@ class _Split:
     two rows of ``_contour`` from one ``Mode`` on all their radii.
     """
 
-    def __init__(self, t: float, n: int, phasor, data=(), energy=False):
+    def __init__(self, t: float, n: int, phasor, data=(), energy=False,
+                 pole=False):
         self.t, self.n, self.phasor, self.energy = t, n, phasor, energy
+        # h and the mean are bounded at r = 0, so the contour may start
+        # there: X is, or X ~ 1/r (``pole``) and r^(n-1) absorbs X^2.
+        # h(iy) is real for odd n (see _TY), so from there its left side
+        # adds nothing.
+        self.origin, self.real_left = not pole or n >= 3, n % 2 == 1
         widths = [d.width for d in data if d.amplitude != 0.0] or [1.0]
         self.delta = _K * math.pi / (2.0 * t) if t else math.inf
         self.height = min(STRIP_HEIGHT, _TY / max(t, 1.0), 1.0 / max(widths))
@@ -235,12 +261,14 @@ class _Split:
         |h(x + iY)|.  One ``Mode`` takes the radii of the segments in
         the order [direct | axis | left side | right side | top], so the
         mean and h each take one slice, and each row segment is written
-        once."""
+        once.  From c = 0 at odd n the left side is 0 and takes no
+        radii."""
         top = self.height
         k, m = s.searchsorted((c, c + top))
         x, ax, iy = s[:k], s[m:] - top, 1j * (s[k:m] - c)
-        j, ns = k + ax.size, m - k
-        z = np.concatenate([x, ax, c + iy, hi + iy, ax + 1j * top])
+        left = iy[:0] if c == 0.0 and self.real_left else c + iy
+        j, ns = k + ax.size, left.size
+        z = np.concatenate([x, ax, left, hi + iy, ax + 1j * top])
         mode = modes.Mode(self.t, z)
         a, b, p = mode.a, mode.b, self.phasor(mode, z)
         out = np.empty((2, s.size))
@@ -253,7 +281,7 @@ class _Split:
         h = (a * (a - 1j * b) if self.energy else 0.5) * p * p
         if self.n > 1:
             h = h * z ** (self.n - 1)
-        out[0, k:m] = -h[:ns].imag
+        out[0, k:m] = -h[:ns].imag if ns else 0.0
         out[1] = out[0]
         out[1, k:] += np.abs(h[ns:])
         return out
@@ -267,11 +295,13 @@ def _geometric(lo: float, hi: float) -> list:
 
 def _contour(split: _Split, lo: float, hi: float, omega: float,
              rel_tol: float, site: str):
-    """(value, error) of the integral of f over [lo, hi], hi > c =
-    max(lo, split.delta) > 0, in one ``integrate`` call, or
-    ArithmeticError naming ``site`` where that does not converge.
+    """(value, error) of the integral of f over [lo, hi] in one
+    ``integrate`` call, or ArithmeticError naming ``site`` where that
+    does not converge.  c is 0 from lo = 0 where ``split.origin``, else
+    max(lo, split.delta) > 0; hi > c.
 
-    f is integrated directly on [lo, c] (half-period panels pi/omega).
+    f is integrated directly on [lo, c] (half-period panels pi/omega;
+    none from c = 0).
     Past c, f = mean + Re h, and on the rectangle [c, hi] x [0, Y]
     Cauchy's theorem gives
 
@@ -291,9 +321,14 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     panel straddles a segment, and ``integrate`` hands each rule pass
     its abscissae in ascending order: ``_Split.path`` cuts them into the
     three segments by two searches, and one ``Mode`` takes one radius
-    per direct abscissa and two per other.  The sides start on eight
+    per direct abscissa and two per other.  The sides start on _SIDES
     equal y panels, the axis on the breakpoints c 2^(k/2) (both take
-    fewer waves than halving from one panel).
+    fewer waves than halving from one panel).  From c = 0 the axis
+    starts with [0, x0], x0 = min(_KAPPA / sqrt(t), hi/2), on the
+    weight's scale t^(-1/2), then x0 2^(k/2); at odd n h(iy) is real
+    (see _TY), so the left side is 0: its radii are not evaluated, and
+    the sides, which carry only the right side's charge, start on one
+    panel.
 
     h is analytic there: 1 + r^2 has real part >= 3/4 for y <=
     ``STRIP_HEIGHT`` = 1/2, so a = log1p(r^2)/2 is, and so is g =
@@ -303,17 +338,23 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     which holds every rectangle of height Y <= 1/2.  Hence Re(1 - g) >
     0, sqrt(1 - g) and b = r sqrt(1 - g) are analytic, and b != 0, so
     1/b is too; the data transforms are entire, and the powers r^k
-    (k < 0 too) are analytic where Re r >= c > 0.
+    (k < 0 too) are analytic where Re r >= c > 0.  From c = 0, h is
+    bounded at r = 0 (``_Split.origin``), so its singularity there is
+    removable: the residual phasor's 1/b and 1/r carry factors that
+    vanish there, lambda/b -> i, and X ~ 1/r meets r^(n-1), n >= 3.
     """
-    c, top = max(lo, split.delta), split.height
+    t, top = split.t, split.height
+    c = 0.0 if lo == 0.0 and split.origin else max(lo, split.delta)
+    x0 = c or min(_KAPPA / math.sqrt(t), 0.5 * hi)
     halves = _halves(lo, c, omega)
+    sides = 1 if c == 0.0 and split.real_left else _SIDES
 
     res = integrate(lambda s: split.path(s, c, hi), QuadratureSpec(
         lo, hi + top, abs_tol=1e-300, rel_tol=0.25 * rel_tol,
         max_panels=200_000, breakpoints=(
             *[lo + (c - lo) * j / halves for j in range(1, halves)], c,
-            *[c + top * j / 8.0 for j in range(1, 9)],
-            *[top + x for x in _geometric(c, hi)])))
+            *[c + top * j / sides for j in range(1, sides + 1)],
+            *[top + x for x in (x0, *_geometric(x0, hi))])))
     if not res.converged:
         raise ArithmeticError(f"{site} did not converge")
     value, (e0, e1) = float(res.value[0]), res.error_estimate.tolist()
@@ -337,8 +378,7 @@ def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
     than 40 bits, 5e-13 relative), as width^n past about 1e308 times
     the amplitude's own scale does, ArithmeticError names the site."""
     k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1] + 1
-    pair = [replace(d, amplitude=math.ldexp(d.amplitude, -k))
-            for d in (u0, u1)]
+    pair = [d.scaled(-k) for d in (u0, u1)]
     if any(d.amplitude and abs(s.amplitude) < 2.0 ** -1034
            for d, s in zip((u0, u1), pair)):
         raise ArithmeticError(f"{site}: the data underflow when scaled "
@@ -398,7 +438,7 @@ def _mode_split(t: float, u0, u1, n: int, energy: bool) -> _Split:
     u_t = Re(lambda X)."""
     return _Split(t, n, lambda mode, r: mode.phasor(_hat(u0, r),
                                                     _hat(u1, r)),
-                  (u0, u1), energy)
+                  (u0, u1), energy, pole=not energy)
 
 
 def _hat(d: InitialDataSpec, r, minus_mass: bool = False):
@@ -449,9 +489,9 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     ``band`` is "both" ([0, inf)) or "high" ([BAND_SPLIT, inf)).
     ``method`` "difference" integrates (Re X)^2 r^(n-1) for the residual
     phasor X of ``Mode.residual_phasor`` (u - profile = Re X without
-    cancellation), directly on the first 16 half-periods and split past
-    them (see ``_Split``); "kterms" sums the five remainder terms on
-    half-period panels throughout, the independent cross-check route.
+    cancellation), split from r = 0 (see ``_Split``); "kterms" sums
+    the five remainder terms on half-period panels throughout, the
+    independent cross-check route.
     The two integrands agree to roundoff by the closure identity.
     For n >= 3 and P1 != 0 the profile is in L^2 only when 2t > n - 2;
     below that the call raises ValueError naming t and n, before any
@@ -518,8 +558,8 @@ def M_integral(t: float, n: int, kind: str) -> float:
         return -1j * x / r if kind == "sin" else x
 
     tail = Envelope((1.0, (t, n - (3.0 if kind == "sin" else 1.0)), None))
-    return sphere_area(n) * _two_phase(_Split(t, n, phasor), tail, 2.0 * t,
-                                       1e-10, site)
+    split = _Split(t, n, phasor, pole=kind == "sin")
+    return sphere_area(n) * _two_phase(split, tail, 2.0 * t, 1e-10, site)
 
 
 # -- spectral operator norms (log-damping relative bound) -------------------

@@ -149,9 +149,15 @@ class Envelope:
         self.scale = sum(coeff for coeff, _, _ in terms)
 
     def bound(self, radius: float) -> float:
-        return sum(min(_weight_tail(c, radius, *w) if w else math.inf,
-                       _data_tail(c, radius, *d) if d else math.inf)
-                   for c, w, d in self.terms if c != 0.0)
+        return sum(_term_tail(term, radius) for term in self.terms
+                   if term[0] != 0.0)
+
+
+def _term_tail(term, radius: float) -> float:
+    """One term's bound: the smaller of its two closed-form tails."""
+    c, w, d = term
+    return min(_weight_tail(c, radius, *w) if w else math.inf,
+               _data_tail(c, radius, *d) if d else math.inf)
 
 
 def _term_radius(coeff, weight, data, tol: float) -> float:
@@ -207,22 +213,30 @@ _GRID, _LOWEST = 1024, -510_000
 
 def truncation_point(tail: Envelope, tol: float) -> tuple[float, float]:
     """Smallest grid radius R = 2^(j/1024) > 1.18e-150 with
-    tail.bound(R) <= tol, and that bound.  Bound calls check the
-    bracket of the largest ``_term_radius`` at tol and at
-    tol / (number of terms), widening it in doubling steps, and close it
-    on the line through log bound against log R.  R does not depend on
-    the search path."""
+    tail.bound(R) <= tol, and that bound.  The start is the first
+    term's ``_term_radius`` R0 at tol.  Where the other terms' bound e
+    at R0 is below tol, it is the first term's radius at tol - e: there
+    the terms sum to at most tol, as the others fall past R0, and at R0
+    to more, so the start is at most a grid step off.  Where e >= tol
+    another term reaches further, and the start is the largest term
+    radius at tol.  Bound calls check the grid bracket of the start,
+    widening it in doubling steps, and close it on the line through log
+    bound against log R.  R does not depend on the search path."""
     if tol <= 0.0:
         raise ValueError("tail tolerance must be positive")
     terms = [term for term in tail.terms if term[0] != 0.0]
     if not terms:
         return 1e-9, 0.0
-    lo = max(_term_radius(*term, tol) for term in terms)
-    hi = (max(_term_radius(*term, tol / len(terms)) for term in terms)
-          if len(terms) > 1 else lo)
-    lo, hi = (max(_LOWEST, math.floor(_GRID * math.log2(
-        min(max(radius, 1e-300), 1e300)))) for radius in (lo, hi))
-    hi, low, step = max(hi, lo) + 1, math.inf, 1  # low: the bound at lo
+    radius = _term_radius(*terms[0], tol)
+    rest = sum(_term_tail(term, radius) for term in terms[1:])
+    if rest >= tol:  # another term reaches further
+        radius = max(radius, *(_term_radius(*term, tol)
+                               for term in terms[1:]))
+    elif rest > 0.0:
+        radius = _term_radius(*terms[0], tol - rest)
+    lo = max(_LOWEST, math.floor(_GRID * math.log2(
+        min(max(radius, 1e-300), 1e300))))
+    hi, low, step = lo + 1, math.inf, 1  # low: the bound at lo
     while not (top := tail.bound(2.0 ** (hi / _GRID))) <= tol:
         if hi > 1000 * _GRID:
             raise ValueError("tail bound cannot reach the requested "

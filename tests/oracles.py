@@ -73,16 +73,6 @@ def mp_residual_sq(t, u0, u1, dps=30):
     return _mp_squared_mode(t, u0, u1, False, dps, profile=True)
 
 
-def mp_residual_piece(t, u0, u1, hi, dps=30):
-    """The radial integral of (u_hat - P1 phi)^2 r^(n-1) over [0, hi],
-    the integrand of mp_residual_sq, on one Gauss-Legendre panel per
-    half-period of the 2t oscillation.  u_hat and the profile cancel to
-    about 1/(P1 t) relative there, which 30 digits absorb."""
-    with mp.workdps(dps):
-        f = _mp_mode_integrand(t, u0, u1, False, True)
-        return mp_quad_panels(f, 0, hi, omega=2.0 * float(t), dps=dps)
-
-
 def _mp_mode_integrand(t, u0, u1, energy, profile):
     """u_hat^2 r^(n-1), (u_hat - P1 phi)^2 r^(n-1) with the ``profile``,
     or (u_t^2 + r^2 u_hat^2) r^(n-1) / 2 for the energy, at the working
@@ -119,14 +109,56 @@ def _mp_mode_integrand(t, u0, u1, energy, profile):
     return f
 
 
+def _mp_phasor(kind, t, u0, u1):
+    """r -> (X, a, lambda) at the working precision for the phasor X of
+    ``kind``: "mode" or "energy", X = Z e^{lambda t}; "residual", X =
+    e^{(ir - a)t} (Z e^{i(b - r)t} + i P1/r); "sin", X = -i e^{(ir - a)t}/r;
+    "cos", X = e^{(ir - a)t}.  Z = u0 - i(u1 + a u0)/b and lambda = -a +
+    ib with b = sqrt(r^2 - a^2) (the roots' form; the package takes
+    r sqrt(1 - g)), in complex arithmetic."""
+    tm = mp.mpf(t)
+    p1 = mp.mpf(u1.mass())
+
+    def transform(d, r):
+        if d.amplitude == 0.0:
+            return mp.mpf(0)
+        w = mp.mpf(d.width)
+        return mp.mpf(d.mass()) * mp.exp(-(w * r) ** 2 / 2)
+
+    def phasor(r):
+        r = mp.mpmathify(r)
+        a = mp.log(1 + r * r) / 2
+        b = mp.sqrt(r * r - a * a)
+        lam = -a + 1j * b
+        if kind in ("sin", "cos"):
+            x = mp.exp(tm * (1j * r - a))
+            return (-1j * x / r if kind == "sin" else x), a, lam
+        v0, v1 = transform(u0, r), transform(u1, r)
+        z = v0 - 1j * (v1 + a * v0) / b
+        if kind == "residual":
+            x = mp.exp(tm * (1j * r - a)) * (
+                z * mp.exp(1j * (b - r) * tm) + 1j * p1 / r)
+        else:
+            x = z * mp.exp(lam * tm)
+        return x, a, lam
+    return phasor
+
+
+def mp_residual_mean(t, u0, u1, hi, dps=30):
+    """The integral of |X|^2/2 r^(n-1) over [0, hi] for the residual
+    phasor X of ``_mp_phasor``, the mean part of the residual's split, on
+    one Gauss-Legendre panel (it does not oscillate).  Its terms of size
+    P1/r cancel to about r relative near r = 0, which 30 digits absorb."""
+    n = u0.dimension
+    with mp.workdps(dps):
+        phasor = _mp_phasor("residual", t, u0, u1)
+        return mp_quad_panels(lambda r: abs(phasor(r)[0]) ** 2 / 2
+                              * r ** (n - 1), 0, hi, dps=dps)
+
+
 def mp_contour_rows(kind, t, n, u0, u1, s, c, top, hi, dps=30):
     """The two rows of ``norms._contour``'s integrand at the path
-    parameters s, from the same phasor X (``kind``: "mode" or "energy",
-    X = Z e^{lambda t}; "residual", X = e^{(ir - a)t} (Z e^{i(b - r)t} +
-    i P1/r); "sin", X = -i e^{(ir - a)t}/r; "cos", X = e^{(ir - a)t})
-    in complex arithmetic at the working precision, Z = u0 - i(u1 +
-    a u0)/b and lambda = -a + ib with b = sqrt(r^2 - a^2) (the roots'
-    form; the package takes r sqrt(1 - g)).
+    parameters s, from the phasor X of ``_mp_phasor`` (``kind``).
 
     Row 0 is (Re X)^2 r^(n-1) (the energy ((Re lambda X)^2 +
     r^2 (Re X)^2) r^(n-1)) below c, -Im h(c + iy) for y = s - c < top
@@ -137,31 +169,8 @@ def mp_contour_rows(kind, t, n, u0, u1, s, c, top, hi, dps=30):
     the scale of its roundoff.
     """
     with mp.workdps(dps):
-        tm, energy = mp.mpf(t), kind == "energy"
-        p1 = mp.mpf(u1.mass())
-
-        def transform(d, r):
-            if d.amplitude == 0.0:
-                return mp.mpf(0)
-            w = mp.mpf(d.width)
-            return mp.mpf(d.mass()) * mp.exp(-(w * r) ** 2 / 2)
-
-        def phasor(r):
-            r = mp.mpmathify(r)
-            a = mp.log(1 + r * r) / 2
-            b = mp.sqrt(r * r - a * a)
-            lam = -a + 1j * b
-            if kind in ("sin", "cos"):
-                x = mp.exp(tm * (1j * r - a))
-                return (-1j * x / r if kind == "sin" else x), a, lam
-            v0, v1 = transform(u0, r), transform(u1, r)
-            z = v0 - 1j * (v1 + a * v0) / b
-            if kind == "residual":
-                x = mp.exp(tm * (1j * r - a)) * (
-                    z * mp.exp(1j * (b - r) * tm) + 1j * p1 / r)
-            else:
-                x = z * mp.exp(lam * tm)
-            return x, a, lam
+        energy = kind == "energy"
+        phasor = _mp_phasor(kind, t, u0, u1)
 
         def h(r):
             x, a, lam = phasor(r)

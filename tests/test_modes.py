@@ -152,6 +152,27 @@ def test_mass_is_formed_once_per_datum(monkeypatch):
     assert calls == [3] and half.mass() == 0.5 * mass
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_scaled_datum_is_the_revalidated_one(n):
+    # scaled(k) sets the amplitude and the mass by ldexp without running
+    # the validation again: where the mass stays normal that is the datum
+    # validation forms from the scaled amplitude, bit for bit.
+    rng = np.random.default_rng(27 + n)
+    for _ in range(200):
+        d = InitialDataSpec("gaussian", float(rng.uniform(-4.0, 4.0)),
+                            float(10.0 ** rng.uniform(-3.0, 3.0)), n)
+        k = int(rng.integers(-900, 900))
+        ref = dataclasses.replace(d, amplitude=math.ldexp(d.amplitude, k))
+        if not 2.0 ** -1022 <= abs(ref.mass()) < math.inf:
+            continue
+        got = d.scaled(k)
+        assert got == ref and got.mass() == ref.mass(), (d, k)
+        r = np.array([0.0, 0.3, 1.7]) / d.width
+        assert np.array_equal(got.fourier(r), ref.fourier(r))
+    z = InitialDataSpec("zero", dimension=n).scaled(-40)
+    assert z.amplitude == 0.0 and z.mass() == 0.0 and z.width == 1.0
+
+
 def test_closed_forms_match_log_space_references():
     # mass, l2_norm and weighted_l1_norm against 30-digit closed forms
     # built in log space, out to widths whose square is near the top of

@@ -12,7 +12,7 @@ from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
 from oracles import (mp_contour_rows, mp_energy, mp_l2_sq, mp_quad_panels,
-                     mp_residual_piece, mp_residual_sq, mp_weight_tail)
+                     mp_residual_mean, mp_residual_sq, mp_weight_tail)
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -423,7 +423,8 @@ def _cost(monkeypatch):
     """Record each norms.integrate call, and check that each rule pass of
     it makes one symbols.kernel call: on one radius per abscissa for a
     one-row integrand, and on one or two for the two-row contour piece
-    (one on its direct part, two on the sides and the axis)."""
+    (one on its direct part and on the sides that carry only the right
+    side's charge, two on the other sides and the axis)."""
     integrals, kernels = [], []
     kernel, integrate_ = symbols.kernel, norms.integrate
 
@@ -439,7 +440,7 @@ def _cost(monkeypatch):
             if np.ndim(y) == 1:
                 assert kernels[-1] == np.size(x)
             else:
-                assert np.size(x) < kernels[-1] <= 2 * np.size(x)
+                assert np.size(x) <= kernels[-1] <= 2 * np.size(x)
             return y
         integrals.append(spec)
         return integrate_(g, spec)
@@ -452,10 +453,10 @@ def _cost(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("call", _SPLIT_CALLS, ids=_SPLIT_IDS)
 def test_split_call_takes_one_integrate_call(monkeypatch, n, call):
-    # Half-period panels on [0, delta], the contour's sides and its axis
-    # run on one path parameter in one integrate call (two calls before,
-    # and a mean estimate), and each rule pass of it makes one
-    # symbols.kernel call.
+    # Half-period panels on [0, delta] (none where the contour starts at
+    # r = 0), the contour's sides and its axis run on one path parameter
+    # in one integrate call (two calls before, and a mean estimate), and
+    # each rule pass of it makes one symbols.kernel call.
     integrals, kernels = _cost(monkeypatch)
     assert call(n) > 0.0
     assert len(integrals) == 1 and integrals[0].lower == 0.0
@@ -556,6 +557,72 @@ def test_contour_rows_match_mpmath_on_every_segment(monkeypatch, kind, t):
                 assert abs(got[1, j] - float(r1)) <= 1e-12 * float(r1) + tol
 
 
+@pytest.mark.parametrize("t", [1e2, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_phasors_are_real_on_the_imaginary_axis(monkeypatch, n, t):
+    # On r = iy, a, g and b/i are real, so every phasor X, and lambda X
+    # (the energy's u_t = Re lambda X), is real to the last bit.  h(iy) =
+    # X^2/2 (iy)^(n-1) is then real for odd n, and the left side of a
+    # contour from c = 0 adds nothing there.
+    z = 1j * np.geomspace(1e-9, symbols.STRIP_HEIGHT, 64)
+    for u0 in (zero(n), gaussian(n, 0.5, 0.8)):
+        pair = norms._unit_pair(u0, gaussian(n, 1.7, 1.3), "")[:2]
+        for kind, call in _ROW_CALLS.items():
+            splits = []
+            monkeypatch.setattr(norms, "_two_phase", lambda f, *args, **kw:
+                                splits.append(f) or 1.0)
+            call(t, *pair, n)
+            mode = modes.Mode(t, z)
+            x = splits[0].phasor(mode, z)
+            if kind == "energy":
+                x = (-mode.a + 1j * mode.b) * x
+            assert np.all(x.imag == 0.0), kind
+            assert np.isfinite(x.real).all() and x.real.any(), kind
+
+
+@pytest.mark.parametrize("t", [1e3, 1e6])
+@pytest.mark.parametrize("kind, n", [
+    ("mode", 3), ("energy", 1), ("energy", 3), ("residual", 1),
+    ("residual", 3), ("sin", 3), ("cos", 1), ("cos", 3)])
+def test_odd_dimensions_skip_a_left_side_that_adds_nothing(monkeypatch,
+                                                          kind, n, t):
+    # From c = 0 at odd n the left side is not evaluated and the sides
+    # start on one panel.  Evaluated on eight, it changes the value by
+    # less than the certified error (rel 1e-9 on the residual's D, 1e-10
+    # on the other integrals).
+    u0, u1 = gaussian(n, 0.5, 0.8), gaussian(n, 1.7, 1.3)
+    skipped = _ROW_CALLS[kind](t, u0, u1, n)
+    contour, seen = norms._contour, []
+
+    def evaluated(split, *args):
+        seen.append(split.real_left)
+        split.real_left = False
+        return contour(split, *args)
+
+    monkeypatch.setattr(norms, "_contour", evaluated)
+    got = _ROW_CALLS[kind](t, u0, u1, n)
+    assert seen == [True]
+    assert got == pytest.approx(skipped,
+                                rel=1e-9 if kind == "residual" else 1e-10)
+
+
+def test_odd_dimension_residual_takes_one_rule_pass(monkeypatch):
+    # From c = 0 the contour has no direct part, and at n = 3 its sides
+    # carry only the right side's charge and start on one panel: one rule
+    # pass over 11 panels accepts it (41 panels from c = delta).
+    integrate_, seen = norms.integrate, []
+
+    def counted(f, spec):
+        passes = []
+        res = integrate_(lambda s: passes.append(s.size) or f(s), spec)
+        seen.append((len(passes), res.panels_used))
+        return res
+
+    monkeypatch.setattr(norms, "integrate", counted)
+    assert norms.residual_norm(1e6, zero(3), gaussian(3), 3) > 0.0
+    assert len(seen) == 1 and seen[0][0] == 1 and seen[0][1] <= 11
+
+
 def test_split_call_evaluates_no_transform_of_zero_data(monkeypatch):
     # Half of each benchmark grid has u0 = 0: the phasors take the scalar
     # 0.0 for it and form no term of it, so no transform of an
@@ -650,33 +717,55 @@ def test_residual_at_large_t_matches_the_kterm_route(n):
     assert (got / ref) ** 2 == pytest.approx(1.0, abs=1e-9)
 
 
+def _leading_residual(n, u0, u1):
+    """C_n with ||u(t) - P1 phi(t)|| t^(n/4) -> C_n, from the closed form
+    C_n^2 = (2 pi)^(-n) omega_n [P0^2 Gamma(n/2)/2 - P0 P1 Gamma(n/2+1)/8
+    + P1^2 Gamma(n/2+2)/128] / 2, P_i = amplitude (2 pi)^(n/2) width^n
+    the data masses."""
+    p0, p1 = (d.amplitude * (2.0 * math.pi) ** (n / 2.0) * d.width ** n
+              for d in (u0, u1))
+    area = 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
+    g = math.gamma(n / 2.0)
+    return math.sqrt(0.5 * (2.0 * math.pi) ** -n * area * (
+        p0 * p0 * g / 2.0 - p0 * p1 * g * (n / 2.0) / 8.0
+        + p1 * p1 * g * (n / 2.0) * (n / 2.0 + 1.0) / 128.0))
+
+
 @pytest.mark.parametrize("t", [1e10, 1e12])
 @pytest.mark.parametrize("n", [1, 2])
 def test_residual_direct_part_matches_mpmath_past_the_kterm_route(
         monkeypatch, n, t):
-    # The K-term route raises here; the residual certifies, and the
-    # integrand its contour piece takes on [0, delta] integrates to the
-    # 30-digit mpmath value of the difference integrand there.
+    # The K-term route raises here; the residual certifies and reads the
+    # closed-form leading constant C_n.  Its contour starts at r = 0, so
+    # the direct part [0, delta] is gone; the mean part its one integrate
+    # call takes on the first axis panel [0, x0] in its place integrates
+    # to the 30-digit mpmath value of |X|^2/2 r^(n-1) there, where the
+    # phasor's terms of size P1 t cancel.
     u0, u1 = gaussian(n, 0.5, 0.8), gaussian(n)
-    seen, integrate_ = [], norms.integrate
+    seen, integrate_, contour = [], norms.integrate, norms._contour
 
     def recorded(f, spec):
-        seen.append(f)
+        seen.append((f, spec))
         return integrate_(f, spec)
 
+    def recorded_contour(split, *args):
+        seen.append(split)
+        return contour(split, *args)
+
     monkeypatch.setattr(norms, "integrate", recorded)
-    assert norms.residual_norm(t, u0, u1, n) > 0.0
-    delta = norms._K * math.pi / (2.0 * t)
-    got = integrate_(lambda s: seen[0](s)[0], QuadratureSpec(
-        0.0, delta, rel_tol=1e-14, min_panels=norms._K))
-    # residual_norm integrates the pair scaled by 2^-k to a sup in
-    # [1/4, 1/2).
-    k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1] + 1
-    s0, s1 = (dataclasses.replace(d, amplitude=math.ldexp(d.amplitude, -k))
-              for d in (u0, u1))
-    ref = float(mp_residual_piece(t, s0, s1, delta))
-    assert got.converged
-    assert got.value == pytest.approx(ref, rel=1e-13, abs=0)
+    monkeypatch.setattr(norms, "_contour", recorded_contour)
+    got = norms.residual_norm(t, u0, u1, n) * t ** (n / 4.0)
+    assert got == pytest.approx(_leading_residual(n, u0, u1), rel=1e-8)
+    split, (f, spec) = seen
+    top = split.height
+    axis = min(bp for bp in spec.breakpoints if bp > top)
+    assert spec.breakpoints[0] == 0.0  # c = 0: no direct breakpoints
+    mean = integrate_(lambda s: f(s)[0], QuadratureSpec(
+        top, axis, rel_tol=1e-14))
+    ref = float(mp_residual_mean(t, *norms._unit_pair(u0, u1, "")[:2],
+                                 axis - top))
+    assert mean.converged
+    assert mean.value == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 # -- energy -------------------------------------------------------------------
@@ -816,8 +905,10 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
                                                      split):
     # A half-period panel abscissa is one radius; an abscissa of the
     # contour piece (a two-row vector integrand) is one on its direct
-    # part and two past it: the mean part and the top side, or the left
-    # and right sides.  Each radius gets the damping symbol once.
+    # part (below the c that _Split.path is handed) and two past it: the
+    # mean part and the top side, or the left and right sides (n = 2:
+    # the left side is evaluated from c = 0 too).  Each radius gets the
+    # damping symbol once.
     seen = {"symbol": 0, "radii": 0, "contour": 0}
     kernel, integrate_, contour = symbols.kernel, norms.integrate, \
         norms._contour
@@ -826,20 +917,15 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
         seen["symbol"] += np.size(r)
         return kernel(r)
 
-    def counted_contour(split, lo, hi, *args):
+    def counted_contour(split, *args):
         seen["contour"] += 1
-        c = max(lo, split.delta)
+        path = split.path
 
-        def counted_integrate(f, spec):
-            def g(x):
-                seen["radii"] += np.size(x) + np.count_nonzero(x >= c)
-                return f(x)
-            return integrate_(g, spec)
-        monkeypatch.setattr(norms, "integrate", counted_integrate)
-        try:
-            return contour(split, lo, hi, *args)
-        finally:
-            monkeypatch.setattr(norms, "integrate", direct)
+        def counted_path(s, c, hi):  # the second radius past c
+            seen["radii"] += np.count_nonzero(s >= c)
+            return path(s, c, hi)
+        split.path = counted_path
+        return contour(split, *args)
 
     def direct(f, spec):
         def g(x):

@@ -193,11 +193,11 @@ def test_complex_symbols_against_high_precision():
 def test_g_stays_inside_the_unit_disc_on_the_contour_strip():
     # norms._contour needs |g| < 1 on each rectangle's boundary, so that
     # (maximum modulus) sqrt(1 - g) and 1/b are analytic inside.  Every
-    # rectangle has height Y <= 1/2 and left side x = delta > 0; sample
-    # the strip 0 < x <= 1e8, 0 <= y <= 1/2 on a log grid in x.  Past
-    # it |g| <= |a|^2/|r|^2 keeps falling.  There also
+    # rectangle has height Y <= 1/2 and left side x = delta > 0 or x = 0;
+    # sample the strip 0 <= x <= 1e8, 0 <= y <= 1/2 on a log grid in x.
+    # Past it |g| <= |a|^2/|r|^2 keeps falling.  There also
     # Re lambda = -Re a - Im b <= -0.75 y, the decay of the left side.
-    x = np.concatenate([np.geomspace(1e-12, 1e8, 4001), _DELTAS])
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e8, 4001), _DELTAS])
     y = np.concatenate([[0.0], np.geomspace(1e-12, 0.5, 200)])
     z = (x[None, :] + 1j * y[:, None]).ravel()
     _, a, g, _ = symbols.kernel(z)
