@@ -343,9 +343,9 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     removable: the residual phasor's 1/b and 1/r carry factors that
     vanish there, lambda/b -> i, and X ~ 1/r meets r^(n-1), n >= 3.
     """
-    t, top = split.t, split.height
+    top = split.height
     c = 0.0 if lo == 0.0 and split.origin else max(lo, split.delta)
-    x0 = c or min(_KAPPA / math.sqrt(t), 0.5 * hi)
+    x0 = c or min(_KAPPA / math.sqrt(split.t), 0.5 * hi)
     halves = _halves(lo, c, omega)
     sides = 1 if c == 0.0 and split.real_left else _SIDES
 

@@ -533,7 +533,9 @@ _ROW_CALLS = {
 def test_contour_rows_match_mpmath_on_every_segment(monkeypatch, kind, t):
     # Both rows of the contour integrand that ``_Split.path`` writes
     # segment by segment, at three abscissae of each segment (direct,
-    # sides, axis), against the same phasor formulas at 30 digits.  Row 0
+    # sides, axis), against the same phasor formulas at 30 digits: from
+    # c = delta, and where the split may start at r = 0 from c = 0 (no
+    # direct part; at odd n the left side, 0, is not evaluated).  Row 0
     # on the sides is -Im h, held to the roundoff of |h|.
     for n in (1, 2, 3):
         for u0 in (zero(n), gaussian(n, 0.5, 0.8)):
@@ -543,18 +545,21 @@ def test_contour_rows_match_mpmath_on_every_segment(monkeypatch, kind, t):
                                 splits.append(f) or 1.0)
             _ROW_CALLS[kind](t, *pair, n)
             split = splits[0]
-            c, top = split.delta, split.height
-            hi = 4.0 * c + top
+            top, hi = split.height, 4.0 * split.delta + split.height
             # c t = 8 pi: no direct abscissa sits on a zero of sin(rt).
             fs = (0.13, 0.47, 0.91)
-            s = np.array([f * c for f in fs] + [c + f * top for f in fs]
-                         + [c + top + f * (hi - c) for f in fs])
-            got = split.path(s, c, hi)
-            ref, scales = mp_contour_rows(kind, t, n, *pair, s, c, top, hi)
-            for j, ((r0, r1), scale) in enumerate(zip(ref, scales)):
-                tol = 1e-12 * float(abs(r0) if scale is None else scale)
-                assert abs(got[0, j] - float(r0)) <= tol, (n, j)
-                assert abs(got[1, j] - float(r1)) <= 1e-12 * float(r1) + tol
+            for c in (split.delta, 0.0)[:2 if split.origin else 1]:
+                s = np.array([f * c for f in fs if c]
+                             + [c + f * top for f in fs]
+                             + [c + top + f * (hi - c) for f in fs])
+                got = split.path(s, c, hi)
+                ref, scales = mp_contour_rows(kind, t, n, *pair, s, c, top,
+                                              hi)
+                for j, ((r0, r1), scale) in enumerate(zip(ref, scales)):
+                    tol = 1e-12 * float(abs(r0) if scale is None else scale)
+                    assert abs(got[0, j] - float(r0)) <= tol, (n, c, j)
+                    assert (abs(got[1, j] - float(r1))
+                            <= 1e-12 * abs(float(r1)) + tol), (n, c, j)
 
 
 @pytest.mark.parametrize("t", [1e2, 1e6])
