@@ -10,7 +10,10 @@ the mode kernel in a per-core L2 cache (chunks of 2048 panels spilled
 it, and an unrefined half-period l2_norm/energy pass to t = 1e8 took
 1.5x as long; 2-core Xeon VM, 2 MB L2).  Chunking changes no value,
 because the rule works panel by panel.  Every rule pass takes its
-abscissae in ascending order.  An
+abscissae in ascending order.  The initial panels are the spans
+between the limits and breakpoints, each cut into equal panels no
+wider than (upper - lower)/min_panels, so a long span next to a
+feature is not left with wide panels.  An
 initial panelling that meets the tolerance is returned at once;
 otherwise each wave quarters the smallest worst-first prefix of the
 splittable panels whose errors cover the excess (error minus target):
@@ -266,8 +269,10 @@ class QuadratureSpec:
     """How to integrate: finite interval, tolerances, initial panels.
 
     Both limits must be finite (``norms._two_phase`` truncates half-line
-    integrals).  Refinement starts from at least ``min_panels`` equal
-    panels over the spans between optional interior ``breakpoints``.
+    integrals).  Refinement starts from the spans between the limits and
+    optional interior ``breakpoints``, each cut into equal panels no
+    wider than (upper - lower)/``min_panels``; a single span takes
+    exactly ``min_panels``.
     """
 
     lower: float
@@ -279,14 +284,17 @@ class QuadratureSpec:
     min_panels: int = 1
 
     def validate(self) -> None:
-        if not (math.isfinite(self.lower) and math.isfinite(self.upper)):
-            raise ValueError("limits must be finite")
+        # upper - lower is finite only if both limits are.
+        if not math.isfinite(self.upper - self.lower):
+            raise ValueError("limits and upper - lower must be finite")
         if not (self.lower < self.upper):
             raise ValueError("lower must be < upper")
         if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
         if self.max_panels < 1:
             raise ValueError("max_panels must be >= 1")
+        if self.min_panels < 1:
+            raise ValueError("min_panels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -351,20 +359,26 @@ def _rule(f, a: np.ndarray, b: np.ndarray):
 
 def _initial_edges(spec: QuadratureSpec) -> np.ndarray | None:
     """Edges of the initial panels: the spans between the limits and
-    breakpoints, each cut into equal panels, at least ``min_panels`` in
-    all; None when that takes more than max_panels."""
+    breakpoints, span [lo, hi] cut into ceil(min_panels (hi - lo) /
+    (upper - lower)) equal panels, so none is wider than (upper -
+    lower)/min_panels; None when that takes more than max_panels.  A
+    single span takes exactly ``min_panels`` panels."""
     pts = sorted({spec.lower, spec.upper,
                   *(float(bp) for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
-    spans = len(pts) - 1
-    least = max(1, math.ceil(spec.min_panels / spans))
-    if least * spans > spec.max_panels:
+    ends = range(len(pts))  # the first panel of each span, and the total
+    if spec.min_panels > 1:
+        ends = [0]
+        for lo, hi in zip(pts, pts[1:]):
+            # The ratio first: a single span's is 1, so it takes min_panels.
+            ends.append(ends[-1] + max(1, math.ceil(
+                (hi - lo) / (spec.upper - spec.lower) * spec.min_panels)))
+    if ends[-1] > spec.max_panels:
         return None
-    if least == 1:
+    if ends[-1] == len(pts) - 1:
         return np.array(pts)
-    # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / least.
-    return np.interp(np.arange(least * spans + 1),
-                     np.arange(spans + 1) * least, pts)
+    # Edge j of span i is pts[i] + j * (pts[i+1] - pts[i]) / its count.
+    return np.interp(np.arange(ends[-1] + 1), ends, pts)
 
 
 def _wave(a, b, err, excess, target, room):

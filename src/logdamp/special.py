@@ -88,9 +88,10 @@ def _tail_integral(t: float, p: float) -> float:
     def f(v):
         return 0.5 * np.exp(-s * v) * (1.0 - 0.5 * np.exp(-v)) ** ((p - 1) / 2)
 
-    # Panel ends at 2-16 e-folds of e^(-sv): one or two waves, not five.
+    # Panel ends at 2^(k/2) e-folds of e^(-sv), k = 0..9: one rule pass.
     spec = QuadratureSpec(0.0, -math.log(decay) / s, rel_tol=0.5e-12,
-                          breakpoints=tuple(k / s for k in (2, 4, 8, 16)))
+                          breakpoints=tuple(2.0 ** (k / 2.0) / s
+                                            for k in range(10)))
     return _certified(f, spec, f"J_p({t}, {p})") + 0.5 * decay / s
 
 

@@ -248,6 +248,15 @@ def test_spec_validation():
         integrate(lambda x: x, QuadratureSpec(0.0, 1.0, rel_tol=0.0))
     with pytest.raises(ValueError, match="finite"):
         integrate(lambda x: x, QuadratureSpec(0.0, math.inf))
+    # Panel widths divide upper - lower: a width past the doubles is
+    # refused by name, not cut into NaN panels.
+    with pytest.raises(ValueError, match="upper - lower must be finite"):
+        integrate(lambda x: x, QuadratureSpec(-1e308, 1e308, min_panels=4))
+    # min_panels divides the initial panel width: 0 and -5 are refused,
+    # not read as 1.
+    for least in (0, -5):
+        with pytest.raises(ValueError, match="min_panels must be >= 1"):
+            integrate(lambda x: x, QuadratureSpec(0.0, 1.0, min_panels=least))
 
 
 def test_semi_infinite_with_power_tail(monkeypatch):
@@ -537,6 +546,34 @@ def _bump(r):
     return np.exp(-0.5 * ((r - 0.5) / 0.1) ** 2)
 
 
+def _narrow_bump_norms():
+    """log_operator_norms of a bump of width 0.1 at the last breakpoint
+    r = 1, with the last span [1, 4] three quarters of the interval:
+    every initial panel is at most 4/32 wide, next to the bump too."""
+    return norms.log_operator_norms(
+        lambda r: np.exp(-0.5 * ((r - 1.0) / 0.1) ** 2), 3, 4.0,
+        breakpoints=(0.5, 1.0), rel_tol=1e-9)
+
+
+def test_narrow_bump_at_the_last_breakpoint_matches_gaussian_moments():
+    # v^2 = exp(-(r-1)^2/(2 s^2)), s = 0.1/sqrt(2), is a normal density
+    # times s sqrt(2 pi), negligible outside [0, 4]: ||v||^2 and ||Av||^2
+    # are c_3 s sqrt(2 pi) E[X^2] and E[X^6] for X ~ N(1, s^2).
+    import mpmath as mp
+    s2 = 0.01 / 2.0
+    mass = math.sqrt(2.0 * math.pi * s2)
+    m2 = 1.0 + s2
+    m6 = 1.0 + 15.0 * s2 + 45.0 * s2 ** 2 + 15.0 * s2 ** 3
+    with mp.workdps(30):
+        log_w = mp.quad(lambda r: mp.log(1 + r * r) ** 2 * r * r
+                        * mp.exp(-(r - 1) ** 2 / 0.01), [0, 0.5, 1, 1.5, 4])
+    c3 = norms.plancherel_constant(3)
+    exact = (math.sqrt(c3 * mass * m2), math.sqrt(c3 * mass * m6),
+             math.sqrt(c3 * float(log_w)))
+    for got, want in zip(_narrow_bump_norms(), exact):
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 @pytest.mark.parametrize("t", [1e2, 1e6])
 def test_chunk_size_changes_no_bit(monkeypatch, t):
     calls = (
@@ -615,7 +652,13 @@ _SMALL_CALLS = {
        (lambda p=p: special.middle_band(0.1, p, 1e3), 1)
        for p in (0.0, 0.5, 1.0, 2.0, 3.0)},
     "log_operator_norms(bump)": (lambda: norms.log_operator_norms(
-        _bump, 3, 30.0, breakpoints=(0.5,)), 4),
+        _bump, 3, 30.0, breakpoints=(0.5,)), 3),
+    "log_operator_norms(narrow bump, long last span)": (
+        lambda: _narrow_bump_norms(), 1),
+    # The tail integral's e-fold panels meet 1e-12 on the first pass.
+    **{f"{name}({t:g}, {p:g})": (lambda fn=fn, t=t, p=p: fn(t, p), 1)
+       for name, fn in (("J_p", special.J_p), ("J_p_scaled", special.J_p_scaled))
+       for t in (10.0, 1e3, 1e6) for p in (0.0, 0.5, 3.0)},
 }
 
 
@@ -658,14 +701,15 @@ def test_quarters_of_the_narrowest_splittable_panel_are_distinct():
 
 
 def _loop_edges(spec):
-    """The per-span loop ``_initial_edges`` replaces: each span split into
-    equal steps, at least ``min_panels`` in all."""
+    """``_initial_edges`` as a per-span loop: span [left, right] split
+    into ceil((right - left) / (upper - lower) * min_panels) equal steps."""
     pts = sorted({spec.lower, spec.upper,
                   *(bp for bp in spec.breakpoints
                     if spec.lower < bp < spec.upper)})
     edges = [pts[0]]
     for left, right in zip(pts, pts[1:]):
-        n = max(1, math.ceil(spec.min_panels / (len(pts) - 1)))
+        n = max(1, math.ceil((right - left) / (spec.upper - spec.lower)
+                             * spec.min_panels))
         edges.extend(left + (right - left) / n * np.arange(1, n))
         edges.append(right)
     return np.array(edges)
@@ -676,11 +720,23 @@ def test_initial_edges_match_the_per_span_loop_bit_for_bit():
     for _ in range(500):
         lower = rng.uniform(-50.0, 50.0) * 10.0 ** rng.integers(-4, 5)
         upper = lower + rng.uniform(1e-3, 100.0) * 10.0 ** rng.integers(-4, 2)
+        least = int(rng.choice([1, 3, 32, 955, 5000]))
         spec = QuadratureSpec(
             lower, upper,
             breakpoints=tuple(rng.uniform(lower, upper,
                                           rng.integers(0, 6)).tolist()),
-            min_panels=int(rng.choice([1, 3, 32, 955, 5000])),
-            max_panels=10 ** 6)
+            min_panels=least, max_panels=10 ** 6)
         edges = quadrature._initial_edges(spec)
         assert edges.tobytes() == _loop_edges(spec).tobytes(), spec
+        # No panel wider than (upper - lower)/min_panels, to rounding.
+        cap = ((upper - lower) / least * (1.0 + 1e-12)
+               + 4.0 * np.spacing(max(abs(lower), abs(upper))))
+        assert np.diff(edges).max() <= cap, spec
+        assert np.isin([bp for bp in spec.breakpoints], edges).all(), spec
+        # A single span keeps exactly min_panels panels, with the bits of
+        # lower + j (upper - lower) / min_panels.
+        single = quadrature._initial_edges(
+            dataclasses.replace(spec, breakpoints=()))
+        steps = lower + (upper - lower) / least * np.arange(1, least)
+        assert single.tobytes() == np.array(
+            [lower, *steps, upper]).tobytes(), spec
