@@ -654,10 +654,10 @@ _SMALL_CALLS = {
     "log_operator_norms(bump)": (lambda: norms.log_operator_norms(
         _bump, 3, 30.0, breakpoints=(0.5,)), 3),
     "log_operator_norms(narrow bump, long last span)": (
-        lambda: _narrow_bump_norms(), 1),
+        _narrow_bump_norms, 1),
     # The tail integral's e-fold panels meet 1e-12 on the first pass.
-    **{f"{name}({t:g}, {p:g})": (lambda fn=fn, t=t, p=p: fn(t, p), 1)
-       for name, fn in (("J_p", special.J_p), ("J_p_scaled", special.J_p_scaled))
+    **{f"{fn.__name__}({t:g}, {p:g})": (lambda fn=fn, t=t, p=p: fn(t, p), 1)
+       for fn in (special.J_p, special.J_p_scaled)
        for t in (10.0, 1e3, 1e6) for p in (0.0, 0.5, 3.0)},
 }
 
@@ -732,7 +732,7 @@ def test_initial_edges_match_the_per_span_loop_bit_for_bit():
         cap = ((upper - lower) / least * (1.0 + 1e-12)
                + 4.0 * np.spacing(max(abs(lower), abs(upper))))
         assert np.diff(edges).max() <= cap, spec
-        assert np.isin([bp for bp in spec.breakpoints], edges).all(), spec
+        assert np.isin(spec.breakpoints, edges).all(), spec
         # A single span keeps exactly min_panels panels, with the bits of
         # lower + j (upper - lower) / min_panels.
         single = quadrature._initial_edges(
