@@ -126,6 +126,19 @@ class InitialDataSpec:
         out = self._mass * np.expm1(self._exponent(r))
         return out if out.ndim else out.item()
 
+    def fourier_of_square(self, rr, shift=None):
+        """Transform at radius r from rr = r^2, real or complex, as
+        ``symbols.kernel`` forms it, times e^shift where ``shift`` is
+        given: mass * exp(shift - width^2 rr / 2).  So r^2 is not formed
+        again, and a phasor's e^{lambda t} is the same exponential."""
+        x = (-0.5 * self.width * self.width) * rr
+        return self._mass * np.exp(x if shift is None else shift + x)
+
+    def fourier_minus_mass_of_square(self, rr):
+        """``fourier_minus_mass`` from rr = r^2: mass * expm1(-width^2
+        rr / 2)."""
+        return self._mass * np.expm1((-0.5 * self.width * self.width) * rr)
+
     def mass(self) -> float:
         """integral of the datum = transform at r = 0 (formed once)."""
         return self._mass
@@ -191,16 +204,18 @@ class Mode:
 
     The roots -a +/- ib of the mode equation fix a and b once per
     abscissa array; each method builds one field from them.  One
-    ``symbols.kernel`` call per abscissa array gives a and g (one log1p
-    per abscissa); g and sqrt(1 - g) are held for the K-term path and
-    ``residual_phasor``.  The real-radius fields ``env`` = e^{-at},
-    ``cos_bt`` and ``sinc_bt`` form on first use (by ``u``, ``u_t``,
-    ``profile``, ``k_terms``), so phasor-only modes skip them.
+    ``symbols.kernel`` call per abscissa array gives r^2, a and g (one
+    log1p per abscissa); r^2 serves the phasors' data transforms
+    (``InitialDataSpec.fourier_of_square``), g and sqrt(1 - g) the
+    K-term path and ``residual_phasor``.  The real-radius fields
+    ``env`` = e^{-at}, ``cos_bt`` and ``sinc_bt`` form on first use (by
+    ``u``, ``u_t``, ``profile``, ``k_terms``), so phasor-only modes skip
+    them.
     sin(bt)/b is t*sinc(bt), so the r = 0 limit is exact.  Real radii
     serve every field; complex radii (|Im r| <= ``symbols.STRIP_HEIGHT``)
-    only the two phasors.  A transform
-    value may be the scalar 0 (``norms`` passes that for a zero datum);
-    it broadcasts through every formula.
+    only the two phasors, which take the data pair itself and form no
+    term of a zero datum.  The other fields take transform values, which
+    may be scalars (0 for a zero datum) that broadcast.
     """
 
     def __init__(self, t, r):
@@ -208,7 +223,7 @@ class Mode:
         if t < 0.0:
             raise ValueError("time must be >= 0")
         self.t = t
-        self.r, self.a, self.g, _ = symbols.kernel(r)
+        self.r, self.rr, self.a, self.g, _ = symbols.kernel(r)
         # b = r * sqrt(1 - g), evaluated as symbols.oscillation_b does.
         self.sq = np.sqrt(1.0 - self.g)
         self.b = self.r * self.sq
@@ -217,25 +232,35 @@ class Mode:
     cos_bt = cached_property(lambda self: np.cos(self.b * self.t))
     sinc_bt = cached_property(lambda self: sinc(self.b * self.t))
 
-    def phasor(self, u0_val, u1_val):
-        """P = Z e^{lambda t}, lambda = -a + ib, Z = u0 - i(u1 + a u0)/b.
+    def phasor(self, u0: InitialDataSpec, u1: InitialDataSpec):
+        """P = Z e^{lambda t}, lambda = -a + ib, Z = u0 - i(u1 + a u0)/b,
+        for the transforms u0, u1 of the data pair.
 
         On real radii u = Re P and u_t = Re(lambda P) = Re dP/dt (Z is
         fixed by Re Z = u0 and Re(lambda Z) = u1), so
         u^2 = |P|^2/2 + Re(P^2)/2 splits into a mean part and a part
         that oscillates like e^{2ibt}.  P continues analytically to
         complex radii where |g| < 1 and r != 0 (see ``norms._contour``).
+        P is linear in the data, so it is formed from u_j e^{lambda t} =
+        mass_j exp(lambda t - width_j^2 r^2 / 2), one exponential per
+        datum, and a zero datum forms no term.
         """
         a, b = self.a, self.b
-        return (np.exp(self.t * (1j * b - a))
-                * (u0_val - 1j * (u1_val + a * u0_val) / b))
+        lt = self.t * (1j * b - a)
+        if not u0.amplitude:
+            return -1j * u1.fourier_of_square(self.rr, lt) / b
+        p0 = u0.fourier_of_square(self.rr, lt)
+        v = (u1.fourier_of_square(self.rr, lt) + a * p0 if u1.amplitude
+             else a * p0)
+        return p0 - 1j * v / b
 
-    def residual_phasor(self, u0_val, a1_val, p1: float):
-        """X = e^{(ir - a)t} W with u - profile = Re X on real radii, where
+    def residual_phasor(self, u0: InitialDataSpec, u1: InitialDataSpec):
+        """X = e^{(ir - a)t} W with u - profile = Re X on real radii, for
+        the data pair and the profile of u1's mass P1, where
 
             W = Z expm1(i(b - r)t) + u0 - i(A1/b + a u0/b + P1 (1/b - 1/r)),
 
-        Z as in ``phasor`` and a1_val = A1 = u1 - P1 (see
+        Z as in ``phasor`` and A1 = u1 - P1 (see
         ``InitialDataSpec.fourier_minus_mass``).  So X carries the one
         oscillation e^{irt}, and sin(bt) - sin(rt) is never formed.
         Every piece is cancellation-free on real and complex radii
@@ -245,14 +270,27 @@ class Mode:
 
             W = u0 (1 + e) - i ((v + P1/b) e + v + P1 (1/b - 1/r)),
 
-        formed with 1/b and 1/(1 + sqrt(1 - g)) taken once.
+        formed with 1/b and 1/(1 + sqrt(1 - g)) taken once; a zero
+        datum forms no term.
         """
         r, a, g, t = self.r, self.a, self.g, self.t
         ib, iq = 1.0 / self.b, 1.0 / (1.0 + self.sq)
         e = expm1_i(-t * g * r * iq)
-        v, pb = (a1_val + a * u0_val) * ib, p1 * ib
-        s = (v + pb) * e + v + pb * g * iq
-        w = u0_val * (1.0 + e) - 1j * s
+        p1 = u1.mass()
+        if u0.amplitude:
+            u0v = u0.fourier_of_square(self.rr)
+            v = a * u0v
+            if u1.amplitude:
+                v = u1.fourier_minus_mass_of_square(self.rr) + v
+        else:
+            v = u1.fourier_minus_mass_of_square(self.rr)
+        v = v * ib
+        if p1:
+            pb = p1 * ib
+            s = (v + pb) * e + v + pb * g * iq
+        else:
+            s = v * e + v
+        w = u0v * (1.0 + e) - 1j * s if u0.amplitude else -1j * s
         return np.exp(t * (1j * r - a)) * w
 
     def u(self, u0_val, u1_val):

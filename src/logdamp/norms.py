@@ -80,14 +80,17 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
 
     It integrates to a truncation radius r1 of the tail envelope; where
     the envelope bound there still exceeds a quarter of the certified
-    error, max(rel_tol |value|, abs_floor) / 4 (rare), it extends once
-    to the radius where it does not.  The bound where integration stops
+    error, max(rel_tol |value|, abs_floor) / 4, it extends once to the
+    radius where it does not.  The bound where integration stops
     (``lower`` itself when the envelope is already small there) is
     charged to the error.  ``abs_floor`` certifies results whose error
     is negligible on the caller's absolute scale.  Phase 1 stops where
     the bound falls to 1e-4 of its value at r = 1, or, where that
-    underflows, to 1e-40 of the envelope's scale (``_depth`` if that is
-    smaller, for a ``_Split``).
+    underflows, to 1e-40 of the envelope's scale; a ``_Split`` goes on
+    to ``_depth`` where that is smaller, at every t.  So a split call
+    extends only at t <= n/2, where ``_depth`` does not apply (5 of the
+    60 l2_norm calls of a lemmas-mix pass, at t = 1 and n = 2, 3), and
+    the other routes where 1e-4 of the bound at r = 1 falls short.
     A ``_Split`` f whose [lower, R] spans more than _DIRECT half-periods
     takes one ``_contour`` call to R (an extension redoes it, so one
     rectangle remains), and half-period panels on [lower, R] where its
@@ -101,11 +104,9 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
         return 0.0
 
     b_at_1 = tail.bound(max(1.0, lower * 1.0000001))
-    if 0.0 < b_at_1 < math.inf:
-        tau1 = 1e-4 * b_at_1
-    else:
-        tau1 = min(1e-40 * scale, _depth(f, scale, rel_tol)
-                   if isinstance(f, _Split) else math.inf)
+    tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-40 * scale
+    if isinstance(f, _Split):
+        tau1 = min(tau1, _depth(f, scale, rel_tol))
     if abs_floor > 0.0:
         tau1 = min(tau1, 0.25 * abs_floor)
     r1, bound = truncation_point(tail, tau1)
@@ -155,8 +156,9 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
 
 
 def _depth(split, scale: float, rel_tol: float) -> float:
-    """Phase 1's tolerance for a split call at t > n/2 whose envelope
-    bound at r = 1 underflows: 1e-3 of rel_tol/4 times scale W/t, with
+    """Phase 1's tolerance for a split call at t > n/2, which sets the
+    depth where it is below the one from the envelope bound (below
+    t ~ 100, and from t ~ 3e10): 1e-3 of rel_tol/4 times scale W/t, with
     W = Gamma(n/2) Gamma(t - n/2) / (2 Gamma(t)) the closed-form
     integral of the weight envelope (1+r^2)^(-t) r^(n-1) over [0, inf).
     A mode's |u|^2 r^(n-1) integrates to about scale W/t: on the
@@ -252,7 +254,7 @@ class _Split:
         if self.energy:
             ut = -a * q.real - b * q.imag
             direct = ut * ut + x * x * direct
-        return direct * x ** (self.n - 1)
+        return direct * x ** (self.n - 1) if self.n > 1 else direct
 
     def path(self, s, c: float, hi: float):
         """``_contour``'s rows at the ascending path parameters s: the
@@ -261,26 +263,31 @@ class _Split:
         |h(x + iY)|.  One ``Mode`` takes the radii of the segments in
         the order [direct | axis | left side | right side | top], so the
         mean and h each take one slice, and each row segment is written
-        once.  From c = 0 at odd n the left side is 0 and takes no
-        radii."""
-        top = self.height
+        once.  From c = 0 there is no direct segment, and at odd n the
+        left side is 0 and takes no radii."""
+        top, n = self.height, self.n
         k, m = s.searchsorted((c, c + top))
-        x, ax, iy = s[:k], s[m:] - top, 1j * (s[k:m] - c)
-        left = iy[:0] if c == 0.0 and self.real_left else c + iy
+        x, ax = s[:k], s[m:] - top
+        iy = 1j * (s[k:m] - c if c else s[k:m])
+        if c:
+            left = c + iy
+        else:
+            left = iy[:0] if self.real_left else iy
         j, ns = k + ax.size, left.size
         z = np.concatenate([x, ax, left, hi + iy, ax + 1j * top])
         mode = modes.Mode(self.t, z)
         a, b, p = mode.a, mode.b, self.phasor(mode, z)
         out = np.empty((2, s.size))
-        out[0, :k] = self._direct(x, a[:k].real, b[:k].real, p[:k])
+        if k:
+            out[0, :k] = self._direct(x, a[:k].real, b[:k].real, p[:k])
         q = p[k:j]  # the mean |X|^2/2 (energy r^2 |X|^2) on the axis
-        w = ax * ax if self.energy else 0.5
-        out[0, m:] = (w * q.real * q.real + w * q.imag * q.imag) \
-            * ax ** (self.n - 1)
+        mean = (q * q.conj()).real
+        mean = ax * ax * mean if self.energy else 0.5 * mean
+        out[0, m:] = mean * ax ** (n - 1) if n > 1 else mean
         a, b, p, z = a[j:], b[j:], p[j:], z[j:]
         h = (a * (a - 1j * b) if self.energy else 0.5) * p * p
-        if self.n > 1:
-            h = h * z ** (self.n - 1)
+        if n > 1:
+            h = h * z ** (n - 1)
         out[0, k:m] = -h[:ns].imag if ns else 0.0
         out[1] = out[0]
         out[1, k:] += np.abs(h[ns:])
@@ -436,17 +443,8 @@ def _mode_split(t: float, u0, u1, n: int, energy: bool) -> _Split:
     """The ``_Split`` of l2_norm (u^2 r^(n-1)) or of energy
     ((u_t^2 + r^2 u^2) r^(n-1)), X = Mode.phasor: u = Re X and
     u_t = Re(lambda X)."""
-    return _Split(t, n, lambda mode, r: mode.phasor(_hat(u0, r),
-                                                    _hat(u1, r)),
-                  (u0, u1), energy, pole=not energy)
-
-
-def _hat(d: InitialDataSpec, r, minus_mass: bool = False):
-    """d's transform at r (minus its mass), or the scalar 0.0 for a zero
-    datum, of which the phasors then form no term."""
-    if not d.amplitude:
-        return 0.0
-    return d.fourier_minus_mass(r) if minus_mass else d.fourier(r)
+    return _Split(t, n, lambda mode, r: mode.phasor(u0, u1), (u0, u1),
+                  energy, pole=not energy)
 
 
 def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
@@ -521,8 +519,8 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
                          f" for n={n} (needs 2t > n - 2)")
 
     if method == "difference":
-        f = _Split(t, n, lambda mode, r: mode.residual_phasor(
-            _hat(u0, r), _hat(u1, r, minus_mass=True), p1), (u0, u1))
+        f = _Split(t, n, lambda mode, r: mode.residual_phasor(u0, u1),
+                   (u0, u1))
     else:
         def f(r):
             mode = modes.Mode(t, r)

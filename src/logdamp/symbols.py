@@ -10,34 +10,40 @@ so the characteristic roots are lambda_pm = -a +/- i*b and a^2 + b^2 = r^2
 exactly.  One ``kernel`` checks and squares each radius array once and
 owns the overflow policy; the named symbols are views of it.  It uses
 forms that stay accurate near r = 0, where the naive 4r^2 -
-log^2(1+r^2) loses half the significand: g is a Taylor series below
-r = 1e-4, and b - r and 1/b - 1/r come from g without subtraction of
-close quantities.
+log^2(1+r^2) loses half the significand: g = a*a/r^2 keeps its digits
+from log1p, a Taylor series takes over only below r = 1e-60, and b - r
+and 1/b - 1/r come from g without subtraction of close quantities.
 
 All functions accept scalars or numpy arrays and are pure.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
-# Below this radius g is evaluated by series; the first dropped term is
-# < 1e-20 relative, far below double precision.
-G_SERIES_CUT = 1e-4
+# Below this radius g is evaluated by series.  Above it a*a/(r*r) is
+# within 3e-16 of g on real radii and 7e-16 on the strip (against a
+# 50-digit log1p, from 1e-59 to 1e-3; the series at a cut of 1e-4 gave
+# 2e-16 and 4e-16), so the series need not run on every contour near
+# r = 0.  Below about 1e-77 a*a underflows, and r*r does below 1.5e-162.
+# The series' first dropped term is 1e-480 relative here.
+G_SERIES_CUT = 1e-60
 # ``kernel``'s complex domain is the strip Re r >= 0, |Im r| <= this.
 STRIP_HEIGHT = 0.5
 
 
 def kernel(r):
-    """(r, a, g, big) as arrays of r's shape, checking r once and squaring
-    it once.  a = log1p(r^2)/2 and g = a*a/(r*r), bit-identical to
-    log^2(1+r^2)/(4r^2) as 1/2 and 4 are powers of two.  ``big`` masks
-    the radii whose square overflows (|r| > 1.34e154; None when none
-    does): there a = log r, dropping log1p(r^-2)/2 < 1e-308, and
-    g = (a/r)^2.  Below |r| = 1e-4, g is the series in x = r^2,
-    g = (x/4) * (1 - x + (11/12) x^2 - (5/6) x^3 + O(x^4)).
+    """(r, rr, a, g, big) as arrays of r's shape, checking r once and
+    squaring it once: rr = r*r, a = log1p(rr)/2 and g = a*a/rr,
+    bit-identical to log^2(1+r^2)/(4r^2) as 1/2 and 4 are powers of two.
+    ``big`` masks the radii whose square overflows (|r| > 1.34e154; None
+    when none does): there rr is inf, a = log r, dropping
+    log1p(r^-2)/2 < 1e-308, and g = (a/r)^2.  Below |r| = G_SERIES_CUT,
+    g is the series in x = r^2, g = (x/4) * (1 - x + (11/12) x^2 -
+    (5/6) x^3 + O(x^4)).
 
     Real radii must be finite and >= 0.  Complex radii (the analytic
     continuation, for contour integrals) must be finite and lie in the
@@ -47,15 +53,18 @@ def kernel(r):
 
     The check is one minimum of Re r and one maximum of |r|, which also
     tell whether any radius needs the series or the overflow path; each
-    is formed only then.  As |Im r| <= |r|, Im r is scanned only where
-    that maximum exceeds the strip's height.
+    is formed only then, and only then are floating-point warnings
+    silenced (rr overflows, or 0/0 where rr is 0).  As |Im r| <= |r|,
+    Im r is scanned only where that maximum exceeds the strip's height,
+    and |r| only where Re r falls below the cut.
     """
     r = np.asarray(r)
-    cplx = np.iscomplexobj(r)
+    cplx = r.dtype.kind == "c"
     if not cplx:
         r = r.astype(float, copy=False)
-    shape = r.shape
-    r = np.atleast_1d(r)
+    scalar = not r.ndim
+    if scalar:
+        r = r.reshape(1)
     mag = np.abs(r) if cplx else r
     low, top = (r.real.min(), mag.max()) if r.size else (0.0, 0.0)
     # NaN fails every comparison (|r| is NaN where Im r is).
@@ -65,7 +74,10 @@ def kernel(r):
         raise ValueError(
             f"complex radius must be finite with Re r >= 0 and |Im r| <= "
             f"{STRIP_HEIGHT}" if cplx else "radius must be finite and >= 0")
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    series = low < G_SERIES_CUT and (not cplx
+                                     or mag.min() < G_SERIES_CUT)
+    with (np.errstate(over="ignore", invalid="ignore", divide="ignore")
+          if series or top > 1e154 else contextlib.nullcontext()):
         rr = r * r
         a = 0.5 * (_log1p_complex(rr) if cplx else np.log1p(rr))
         g = a * a / rr
@@ -73,15 +85,17 @@ def kernel(r):
         if big is not None and big.any():
             a[big] = np.log(r[big])
             g[big] = (a[big] / r[big]) ** 2
-            big = big.reshape(shape)
         else:
             big = None
-    if low < G_SERIES_CUT:
+    if series:
         small = mag < G_SERIES_CUT
         x = rr[small]
         g[small] = 0.25 * x * (1.0 - x * (1.0 - x * (11.0 / 12.0
                                                       - x * (5.0 / 6.0))))
-    return r.reshape(shape), a.reshape(shape), g.reshape(shape), big
+    if scalar:
+        r, rr, a, g = (v.reshape(()) for v in (r, rr, a, g))
+        big = None if big is None else big.reshape(())
+    return r, rr, a, g, big
 
 
 def _log1p_complex(z):
@@ -114,17 +128,17 @@ def _out(x):
 
 def damping_a(r):
     """a(r) = log(1 + r^2)/2, via log1p; log r where r*r overflows."""
-    return _out(kernel(r)[1])
+    return _out(kernel(r)[2])
 
 
 def ratio_g(r):
-    """g(r) = log^2(1+r^2)/(4r^2); series below r = 1e-4, 0 at r = 0."""
-    return _out(kernel(r)[2])
+    """g(r) = log^2(1+r^2)/(4r^2); series below G_SERIES_CUT, 0 at r = 0."""
+    return _out(kernel(r)[3])
 
 
 def oscillation_b(r):
     """b(r) = r * sqrt(1 - g(r)); real since g < 1 everywhere."""
-    r, _, g, _ = kernel(r)
+    r, _, _, g, _ = kernel(r)
     return _out(r * np.sqrt(1.0 - g))
 
 
@@ -135,7 +149,7 @@ def b_minus_r(r):
     r, where both sides agree to leading order r^3/8.  Where r*r
     overflows, g underflows, so there it is -a (a/r)/2.
     """
-    r, a, g, big = kernel(r)
+    r, _, a, g, big = kernel(r)
     out = -r * g / (1.0 + np.sqrt(1.0 - g))
     if big is not None:
         out = np.where(big, -0.5 * a * (a / np.maximum(r, 1.0)), out)
@@ -149,7 +163,7 @@ def inv_b_minus_inv_r(r):
     there); callers multiply by factors that vanish fast enough, and 0
     where r*r overflows, as a^2/(2 r^3) underflows there.
     """
-    r, _, g, big = kernel(r)
+    r, _, _, g, big = kernel(r)
     sq = np.sqrt(1.0 - g)
     zero = r == 0.0 if big is None else (r == 0.0) | big
     rd = np.where(zero, 1.0, r)

@@ -47,10 +47,13 @@ def mp_weight_tail(t, p, lo, dps=40):
 def mp_symbols(r, dps=40):
     """High-precision (a, b, g, b - r, 1/b - 1/r) from the raw formulas.
 
-    A complex r takes the principal branches of log and sqrt."""
+    A complex r takes the principal branches of log and sqrt.  log(1 +
+    r^2) is mpmath's log1p, which keeps its digits where r^2 is below
+    the working precision (1 + r^2 rounds to 1 from |r| ~ 1e-20 at 40
+    digits)."""
     with mp.workdps(dps):
         rm = mp.mpmathify(r)
-        lg = mp.log(1 + rm * rm)
+        lg = mp.log1p(rm * rm)
         a = lg / 2
         g = lg * lg / (4 * rm * rm)
         b = rm * mp.sqrt(1 - g)

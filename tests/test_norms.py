@@ -490,6 +490,26 @@ def test_split_call_takes_one_integrate_call_at_large_t(monkeypatch, t, n,
     assert len(integrals) == 1 and integrals[0].lower == 0.0
 
 
+@pytest.mark.parametrize("fn, t, n", [
+    ("l2_norm", 1.0, 1), *[("l2_norm", 10.0, n) for n in (1, 2, 3)],
+    *[("energy", 8.0, n) for n in (1, 2, 3)]])
+def test_split_call_takes_one_integrate_call_at_small_t(monkeypatch, fn, t,
+                                                        n):
+    # Phase 1 stopped where the envelope bound fell to 1e-4 of its value
+    # at r = 1, short of rel_tol |value| / 4 at these t, and each of these
+    # calls redid the whole contour (a lemmas-mix pass took 93 integrate
+    # calls for its 60 l2_norm calls and 12 for its 9 energy calls).  A
+    # split call's phase 1 now goes to norms._depth where that is deeper,
+    # at every t.
+    integrals, _ = _cost(monkeypatch)
+    for a0, w0, a1, w1 in ((2.0, 0.7, 1.0, 1.3), (0.0, 1.0, 1.7, 0.6),
+                           (0.3, 1.9, 5.0, 0.5)):
+        u0 = gaussian(n, a0, w0) if a0 else zero(n)
+        integrals.clear()
+        assert getattr(norms, fn)(t, u0, gaussian(n, a1, w1), n) > 0.0
+        assert len(integrals) == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("call", _SPLIT_CALLS, ids=_SPLIT_IDS)
 def test_split_call_takes_two_integrate_calls(monkeypatch, n, call):
@@ -632,12 +652,13 @@ def test_split_call_evaluates_no_transform_of_zero_data(monkeypatch):
     # Half of each benchmark grid has u0 = 0: the phasors take the scalar
     # 0.0 for it and form no term of it, so no transform of an
     # amplitude-0 datum is evaluated (each cost a complex exp per radius).
+    # The split path takes the transforms from the kernel's r^2.
     seen = []
-    for name in ("fourier", "fourier_minus_mass"):
+    for name in ("fourier", "fourier_minus_mass", "fourier_of_square"):
         method = getattr(InitialDataSpec, name)
-        def counted(self, r, method=method):
-            seen.append(self.amplitude)
-            return method(self, r)
+        def counted(self, *args, method=method, name=name):
+            seen.append((name, self.amplitude))
+            return method(self, *args)
         monkeypatch.setattr(InitialDataSpec, name, counted)
     for t in (1e2, 1e6):
         for n in (1, 2, 3):
@@ -646,7 +667,47 @@ def test_split_call_evaluates_no_transform_of_zero_data(monkeypatch):
             norms.energy(t, zero(n), u1, n)
             norms.residual_norm(t, zero(n), u1, n)
             norms.l2_norm(t, u1, zero(n), n)
-    assert seen and 0.0 not in seen
+    assert {name for name, _ in seen} == {"fourier_of_square"}
+    assert 0.0 not in {amplitude for _, amplitude in seen}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: norms.l2_norm(1e6, zero(3), gaussian(3, 1.7, 1.3), 3),
+    lambda: norms.energy(1e4, zero(2), gaussian(2, 1.7, 1.3), 2),
+    lambda: norms.residual_norm(1e6, zero(1), gaussian(1, 1.7, 1.3), 1),
+], ids=["l2_norm", "energy", "residual"])
+def test_split_pass_from_the_origin_is_lean(monkeypatch, call):
+    # A rule pass from c = 0 makes one symbols.kernel call on all its
+    # radii and transforms only the nonzero datum, once, from the
+    # kernel's r^2.  Its radii lie above G_SERIES_CUT, so g is a*a/r^2 at
+    # every one of them, bit for bit: the series does not run.
+    passes, transforms = [], []
+    kernel, path = symbols.kernel, norms._Split.path
+
+    def counted_kernel(r):
+        out = kernel(r)
+        passes[-1].append(out)
+        return out
+
+    def counted_path(self, s, c, hi):
+        assert c == 0.0
+        passes.append([])
+        return path(self, s, c, hi)
+
+    for name in ("fourier_of_square", "fourier_minus_mass_of_square"):
+        method = getattr(InitialDataSpec, name)
+        def counted(self, *args, method=method):
+            transforms.append(self.amplitude)
+            return method(self, *args)
+        monkeypatch.setattr(InitialDataSpec, name, counted)
+    monkeypatch.setattr(symbols, "kernel", counted_kernel)
+    monkeypatch.setattr(norms._Split, "path", counted_path)
+    assert call() > 0.0
+    assert passes and all(len(kernels) == 1 for kernels in passes)
+    assert len(transforms) == len(passes) and 0.0 not in transforms
+    for (r, rr, a, g, big), in passes:
+        assert big is None and np.abs(r).min() >= symbols.G_SERIES_CUT
+        assert g.tobytes() == (a * a / rr).tobytes()
 
 
 def test_residual_at_the_panel_cap_raises_by_site():

@@ -21,9 +21,9 @@ VIEWS = (symbols.damping_a, symbols.ratio_g, symbols.oscillation_b,
 
 def test_origin_values():
     assert [view(0.0) for view in VIEWS] == [0.0] * 5
-    r, a, g, big = symbols.kernel(0.0)
-    assert r.shape == a.shape == g.shape == () and big is None
-    assert a == 0.0 and g == 0.0
+    r, rr, a, g, big = symbols.kernel(0.0)
+    assert r.shape == rr.shape == a.shape == g.shape == () and big is None
+    assert rr == 0.0 and a == 0.0 and g == 0.0
 
 
 def test_values_at_unit_radius():
@@ -84,8 +84,9 @@ def test_ratio_g_is_pinned_to_its_closed_form_and_series():
         direct = np.log1p(x) ** 2 / (4.0 * x)
     expected = np.where(small, series, direct)
     assert symbols.ratio_g(r).tobytes() == expected.tobytes()
-    _, a, g, big = symbols.kernel(r)
+    _, rr, a, g, big = symbols.kernel(r)
     assert g.tobytes() == expected.tobytes() and big is None
+    assert rr.tobytes() == x.tobytes()
     assert a.tobytes() == (0.5 * np.log1p(x)).tobytes()
     assert symbols.ratio_g(0.0) == 0.0
     assert type(symbols.ratio_g(2.0)) is float
@@ -140,8 +141,8 @@ def test_symbols_where_r_squared_overflows(r):
     assert arr[0] == symbols.damping_a(1.0)
     assert arr[1] == symbols.damping_a(r)
     # The kernel masks the overflowing square; ordinary arrays get None.
-    assert symbols.kernel(np.array([1.0, r]))[3].tolist() == [False, True]
-    assert symbols.kernel(np.array([1.0, 1e154]))[3] is None
+    assert symbols.kernel(np.array([1.0, r]))[4].tolist() == [False, True]
+    assert symbols.kernel(np.array([1.0, 1e154]))[4] is None
 
 
 @pytest.mark.parametrize("r", [1e200, 1e300, 1.7e308])
@@ -162,24 +163,40 @@ def test_stable_differences_where_r_squared_overflows(r):
 # norms._contour: delta = 16 pi / (2t) for t = 1e3 ... 1e12 (and the
 # 128 pi / (2t) of earlier versions).
 _DELTAS = [16.0 * math.pi / (2.0 * 10.0 ** k) for k in range(3, 13)]
-# Radii on the rectangles' sides, with |r| below the series cut (1e-4),
-# and between it and |r^2| = 1/2, where log1p takes the
-# cancellation-free complex form.
+# Radii on the rectangles' sides, from |r| = 2e-10 to where |r^2| passes
+# 1/2, where log1p takes the cancellation-free complex form.
 _SIDES = np.concatenate([
     d + 1j * np.geomspace(1e-14, 0.5, 40)
     for d in (2.0e-10, 2.0e-6, 2.0e-4, 0.2, *_DELTAS)] + [
     np.geomspace(2e-10, 50.0, 60) + 1j * y for y in (2.4e-11, 2.4e-5, 0.5)])
 
 
+# Radii from 1e-150 to 1e-3, on both sides of G_SERIES_CUT: real ones,
+# and on rays into the strip, with r = iy (the left side of a contour
+# from the origin).
+_TINY = np.geomspace(1e-150, 1e-3, 60)
+_TINY_STRIP = np.concatenate([_TINY * np.exp(1j * phi)
+                              for phi in (0.3, -0.8, 1.2)] + [1j * _TINY])
+
+
+def _check_kernel_against_mp(z):
+    """a, g and b = r sqrt(1 - g) of ``kernel`` at the radii z against
+    the 40-digit raw formulas: 4e-16 relative on a and b, 1e-15 on g."""
+    r, _, a, g, big = symbols.kernel(z)
+    assert big is None
+    for zi, ai, gi in zip(z, a, g):
+        ma, mb, mg = (complex(x) for x in mp_symbols(zi)[:3])
+        assert abs(ai - ma) <= 4e-16 * abs(ma), zi
+        assert abs(gi - mg) <= 1e-15 * abs(mg), zi
+        assert abs(zi * np.sqrt(1.0 - gi) - mb) <= 4e-16 * abs(mb), zi
+
+
 def test_complex_symbols_against_high_precision():
-    r, a, g, big = symbols.kernel(_SIDES)
-    assert big is None and (np.abs(r) < symbols.G_SERIES_CUT).sum() > 20
-    for z, ai, gi in zip(_SIDES, a, g):
-        ma, mb, mg = (complex(x) for x in mp_symbols(z)[:3])
-        assert abs(ai - ma) <= 4e-16 * abs(ma)
-        assert abs(gi - mg) <= 1e-15 * abs(mg)
-        b = z * np.sqrt(1.0 - gi)
-        assert abs(b - mb) <= 4e-16 * abs(mb)
+    for z in (_SIDES, _TINY, _TINY_STRIP):
+        _check_kernel_against_mp(z)
+    for z in (_TINY, _TINY_STRIP):
+        below = np.abs(z) < symbols.G_SERIES_CUT
+        assert below.sum() > 20 and (~below).sum() > 20
     # numpy's complex log1p loses 9e-7 relative here.
     z = (1e-5 + 3e-6j) ** 2
     ref = complex(mp.log1p(mp.mpc(z)))
@@ -187,7 +204,7 @@ def test_complex_symbols_against_high_precision():
         <= 2e-16 * abs(ref)
     # Real radii keep the real path: the same bits as before.
     real = np.geomspace(1e-8, 1e3, 50)
-    assert symbols.kernel(real)[1].dtype == float
+    assert symbols.kernel(real)[2].dtype == float
 
 
 def test_g_stays_inside_the_unit_disc_on_the_contour_strip():
@@ -200,7 +217,7 @@ def test_g_stays_inside_the_unit_disc_on_the_contour_strip():
     x = np.concatenate([[0.0], np.geomspace(1e-12, 1e8, 4001), _DELTAS])
     y = np.concatenate([[0.0], np.geomspace(1e-12, 0.5, 200)])
     z = (x[None, :] + 1j * y[:, None]).ravel()
-    _, a, g, _ = symbols.kernel(z)
+    _, _, a, g, _ = symbols.kernel(z)
     assert np.abs(g).max() < 0.17
     lam = -a + 1j * z * np.sqrt(1.0 - g)
     assert np.all(lam.real <= -0.75 * z.imag)
@@ -213,8 +230,8 @@ def test_real_radii_keep_their_bits_on_the_complex_path():
     # (complex division multiplies by a reciprocal).
     r = np.concatenate([[0.0], np.geomspace(1e-300, 1e154, 20001),
                         np.geomspace(8e-12, 30.0, 2001)])
-    _, a, g, _ = symbols.kernel(r)
-    _, ac, gc, _ = symbols.kernel(r + 0j)
+    _, _, a, g, _ = symbols.kernel(r)
+    _, _, ac, gc, _ = symbols.kernel(r + 0j)
     assert np.all(ac.imag == 0.0) and np.all(gc.imag == 0.0)
     assert np.array_equal(ac.real, a)
     assert np.all(np.abs(gc.real - g) <= 2.0 * np.spacing(g))
@@ -233,24 +250,22 @@ def test_complex_domain_errors():
         for radii in ([bad], [1.0 + 0.1j, bad], [bad, 1e3 + 0j]):
             with pytest.raises(ValueError, match="^complex radius"):
                 symbols.kernel(np.array(radii))
-    assert symbols.kernel(0.5j)[1] == pytest.approx(0.5 * math.log(0.75))
+    assert symbols.kernel(0.5j)[2] == pytest.approx(0.5 * math.log(0.75))
 
 
 def test_kernel_on_the_strip_edge():
     # Im r = +-1/2 along the whole edge, and r = iy, |y| <= 1/2 (the left
-    # side of a contour from the origin), against the raw formulas.
+    # side of a contour from the origin), against the raw formulas; y
+    # reaches 1e-150, below the series cut, as do real radii.
     h = symbols.STRIP_HEIGHT
     x = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 60)])
-    y = np.geomspace(1e-12, h, 60)
+    y = np.concatenate([np.geomspace(1e-150, 1e-12, 30),
+                        np.geomspace(1e-12, h, 60)])
     z = np.concatenate([x + 1j * h, x - 1j * h, 1j * y, -1j * y])
-    r, a, g, big = symbols.kernel(z)
-    assert big is None and np.abs(z.imag).max() == h
+    assert np.abs(z.imag).max() == h
     assert (np.abs(z) < symbols.G_SERIES_CUT).sum() > 20
-    for zi, ai, gi in zip(z, a, g):
-        ma, mb, mg = (complex(v) for v in mp_symbols(zi)[:3])
-        assert abs(ai - ma) <= 4e-16 * abs(ma)
-        assert abs(gi - mg) <= 1e-15 * abs(mg)
-        assert abs(zi * np.sqrt(1.0 - gi) - mb) <= 4e-16 * abs(mb)
+    _check_kernel_against_mp(z)
+    _check_kernel_against_mp(y)
 
 
 def test_extended_precision_mode_digits():
