@@ -61,19 +61,9 @@ def _localize(value, modes):
     return value
 
 
-def _same(a, b) -> bool:
-    """Bit-identical values, or exceptions of one type and message."""
-    if isinstance(a, BaseException) or isinstance(b, BaseException):
-        return type(a) is type(b) and str(a) == str(b)
-    if isinstance(a, tuple):
-        return (isinstance(b, tuple) and len(a) == len(b)
-                and all(_same(x, y) for x, y in zip(a, b)))
-    return float(a).hex() == float(b).hex()
-
-
 def _rel_diff(a, b) -> float:
     """Largest relative difference of two results' values (0 for
-    exceptions, which ``_same`` compares)."""
+    exceptions, which ``bench/run.py``'s ``_same`` compares)."""
     if isinstance(a, BaseException) or isinstance(b, BaseException):
         return 0.0
     if isinstance(a, tuple):
@@ -95,6 +85,8 @@ def compare(calls, sides, rounds: int) -> dict:
     """Per call kind: calls, summed per-call minimum seconds of each
     side, whether every value matched bit for bit, and the largest
     relative difference of a value from the parent's."""
+    from run import _same
+
     prepared = [[(getattr(s[call.module], call.fn),
                   _localize(call.args, s["modes"]), call.kwargs)
                  for call in calls] for s in sides]

@@ -182,7 +182,7 @@ _TINY_STRIP = np.concatenate([_TINY * np.exp(1j * phi)
 def _check_kernel_against_mp(z):
     """a, g and b = r sqrt(1 - g) of ``kernel`` at the radii z against
     the 40-digit raw formulas: 4e-16 relative on a and b, 1e-15 on g."""
-    r, _, a, g, big = symbols.kernel(z)
+    _, _, a, g, big = symbols.kernel(z)
     assert big is None
     for zi, ai, gi in zip(z, a, g):
         ma, mb, mg = (complex(x) for x in mp_symbols(zi)[:3])
