@@ -75,29 +75,24 @@ def _halves(lo: float, hi: float, omega: float) -> int:
 
 
 def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
-               lower: float = 0.0, abs_floor: float = 0.0) -> float:
+               lower: float = 0.0) -> float:
     """Integral of f over [lower, inf): the one half-line route.
 
-    It integrates to a truncation radius r1 of the tail envelope; where
-    the envelope bound there still exceeds a quarter of the certified
-    error, max(rel_tol |value|, abs_floor) / 4, it extends once to the
-    radius where it does not.  The bound where integration stops
-    (``lower`` itself when the envelope is already small there) is
-    charged to the error.  ``abs_floor`` certifies results whose error
-    is negligible on the caller's absolute scale.  Phase 1 stops where
-    the bound falls to 1e-4 of its value at r = 1, or, where that
-    underflows, to 1e-40 of the envelope's scale; a ``_Split`` goes on
-    to ``_depth`` where that is smaller, at every t.  So a split call
-    extends only at t <= n/2, where ``_depth`` does not apply (5 of the
-    60 l2_norm calls of a lemmas-mix pass, at t = 1 and n = 2, 3), and
-    the other routes where 1e-4 of the bound at r = 1 falls short.
-    A ``_Split`` f whose [lower, R] spans more than _DIRECT half-periods
-    takes one ``_contour`` call to R (an extension redoes it, so one
-    rectangle remains), and half-period panels on [lower, R] where its
-    bounds do not fit; any other f takes half-period panels, and an
-    extension adds [r1, R].  Returns the value, or raises
+    It integrates to a truncation radius r1 of the tail envelope, and
+    extends once where the bound there exceeds rel_tol |value| / 4.  The
+    bound where integration stops (``lower`` itself when the envelope is
+    already small there) is charged to the error; the value is certified
+    only where error plus bound is at most rel_tol |value|.  Phase 1
+    stops where the bound falls to 1e-4 of its value at r = 1, or, where
+    that underflows, to 1e-40 of the envelope's scale; a ``_Split`` goes
+    on to ``_depth`` where that is smaller.  A ``_Split`` f whose
+    [lower, R] spans more than _DIRECT half-periods takes one
+    ``_contour`` call to R (an extension redoes it), and half-period
+    panels where its bounds do not fit; any other f takes half-period
+    panels, and an extension adds [r1, R].  Returns the value, or raises
     ArithmeticError("<site> did not converge"), also where a piece does
-    not converge: its estimate may not see the error then.
+    not converge, or "<site>: the result underflows" where the
+    uncertified value is subnormal.
     """
     scale = tail.scale
     if scale == 0.0:
@@ -107,8 +102,6 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
     tau1 = 1e-4 * b_at_1 if 0.0 < b_at_1 < math.inf else 1e-40 * scale
     if isinstance(f, _Split):
         tau1 = min(tau1, _depth(f, scale, rel_tol))
-    if abs_floor > 0.0:
-        tau1 = min(tau1, 0.25 * abs_floor)
     r1, bound = truncation_point(tail, tau1)
     if r1 < lower:
         r1, bound = lower, tail.bound(lower)
@@ -131,7 +124,7 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
 
     radius, found = r1, contour(r1)
     value, err = found or direct(lower, r1, 1e-300)
-    tau2 = 0.25 * max(rel_tol * abs(value), abs_floor)
+    tau2 = 0.25 * rel_tol * abs(value)
     if bound > tau2 > 0.0:
         r2, bound2 = truncation_point(tail, tau2)
         if r2 > r1:
@@ -143,9 +136,10 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
                 value, err = value + v, err + e
 
     def certified():
-        return err + bound <= max(rel_tol * abs(value), abs_floor,
-                                  1e-280 * max(scale, 1.0))
+        return err + bound <= rel_tol * abs(value)
 
+    if not certified() and 0.0 < abs(value) < 2.0 ** -1022:
+        raise ArithmeticError(f"{site}: the result underflows")
     if found and not certified():
         value, err = direct(lower, radius, 1e-300)
     # Nonzero data have a positive integrand, so 0.0 over [lower, R]
@@ -156,23 +150,23 @@ def _two_phase(f, tail, omega: float, rel_tol: float, site: str,
 
 
 def _depth(split, scale: float, rel_tol: float) -> float:
-    """Phase 1's tolerance for a split call at t > n/2, which sets the
-    depth where it is below the one from the envelope bound (below
-    t ~ 100, and from t ~ 3e10): 1e-3 of rel_tol/4 times scale W/t, with
-    W = Gamma(n/2) Gamma(t - n/2) / (2 Gamma(t)) the closed-form
-    integral of the weight envelope (1+r^2)^(-t) r^(n-1) over [0, inf).
-    A mode's |u|^2 r^(n-1) integrates to about scale W/t: on the
-    weight's bulk r ~ t^(-1/2) the envelope's |sin(bt)/b| <= t
-    overstates |sin(bt)/b| <= 1/b ~ t^(1/2), its square by t.  This is
-    below 1e-40 scale only from t ~ 3e10 (n = 3, rel_tol = 1e-10), where
-    that fixed depth fell short of rel_tol |value| / 4 (l2_norm at
-    n = 3, t = 1e12)."""
-    t, n = split.t, split.n
-    if not t > n / 2.0:
+    """Phase 1's tolerance for a split call at t > n/2, one rule for
+    every split: 1e-3 rel_tol scale W/(2t)^2, W = Gamma(n/2)
+    Gamma(t - n/2) / (2 Gamma(t)) the integral of the weight envelope
+    (1+r^2)^(-t) r^(n-1) over [0, inf).  The residual integrates to
+    1.2e-2 ... 0.12 scale W/(2t)^2 (n = 1-3, t = 1e2 ... 1e12, u1 = G(1),
+    u0 zero or 0.5 G(0.8)), a mode to at least scale W/t.  In logs and
+    clamped above 0, with Gamma(t - m)/Gamma(t) ~ t/(t - m)
+    (t + (1 - m)/2)^(-m), m = n/2 (DLMF 5.11.13; 0.61 to 1.03 times it
+    for n <= 8, 1 + O(t^-2)): the lgamma difference lost every digit
+    from t ~ 1e15."""
+    t, m = split.t, split.n / 2.0
+    if not t > m:
         return math.inf
-    log_w = (math.lgamma(n / 2.0) + math.lgamma(t - n / 2.0)
-             - math.lgamma(t) - math.log(2.0 * t))
-    return 2.5e-4 * rel_tol * scale * math.exp(log_w)
+    log_w = (math.lgamma(m) - math.log(2.0) + math.log(t / (t - m))
+             - m * math.log(t + 0.5 * (1.0 - m)))
+    return math.exp(max(math.log(1e-3 * rel_tol * scale) + log_w
+                        - 2.0 * math.log(2.0 * t), -708.0))
 
 
 # -- the split: mean part and contour ---------------------------------------
@@ -285,9 +279,12 @@ class _Split:
         mean = ax * ax * mean if self.energy else 0.5 * mean
         out[0, m:] = mean * ax ** (n - 1) if n > 1 else mean
         a, b, p, z = a[j:], b[j:], p[j:], z[j:]
-        h = (a * (a - 1j * b) if self.energy else 0.5) * p * p
-        if n > 1:
-            h = h * z ** (n - 1)
+        # r^i between X's factors: X ~ 1/y, so X^2 overflows, at r = iy
+        i = max(0, n // 2 - 1)
+        h = (a * (a - 1j * b) if self.energy else 0.5) * p
+        h = (h * z ** i if i else h) * p
+        if n > 1 + i:
+            h = h * z ** (n - 1 - i)
         out[0, k:m] = -h[:ns].imag if ns else 0.0
         out[1] = out[0]
         out[1, k:] += np.abs(h[ns:])
@@ -304,8 +301,8 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
              rel_tol: float, site: str):
     """(value, error) of the integral of f over [lo, hi] in one
     ``integrate`` call, or ArithmeticError naming ``site`` where that
-    does not converge.  c is 0 from lo = 0 where ``split.origin``, else
-    max(lo, split.delta) > 0; hi > c.
+    does not converge or hi^2 is not a double (t near n/2).  c is 0 from
+    lo = 0 where ``split.origin``, else max(lo, split.delta) > 0; hi > c.
 
     f is integrated directly on [lo, c] (half-period panels pi/omega;
     none from c = 0).
@@ -350,6 +347,8 @@ def _contour(split: _Split, lo: float, hi: float, omega: float,
     removable: the residual phasor's 1/b and 1/r carry factors that
     vanish there, lambda/b -> i, and X ~ 1/r meets r^(n-1), n >= 3.
     """
+    if not math.isfinite(hi * hi):
+        raise ArithmeticError(f"{site}: the tail runs past r = 1.34e154")
     top = split.height
     c = 0.0 if lo == 0.0 and split.origin else max(lo, split.delta)
     x0 = c or min(_KAPPA / math.sqrt(split.t), 0.5 * hi)
@@ -393,10 +392,15 @@ def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
     return (*pair, k)
 
 
-def _rescaled(value: float, k: int, site: str) -> float:
-    """value * 2^k, exactly, or ArithmeticError naming the site where a
-    nonzero value would leave the normal doubles (inf, 0.0 or a
-    subnormal)."""
+def _rescaled(d: float, c: float, k: int, site: str,
+              root: bool = True) -> float:
+    """sqrt(c d) 2^k (``root``) or c d 2^k, d >= 0, with d's binary
+    exponent moved into k first, so no product or root passes through a
+    subnormal; or ArithmeticError naming the site where a nonzero result
+    would leave the normal doubles (inf, 0.0 or a subnormal)."""
+    m, e = math.frexp(max(d, 0.0))
+    value, k = ((math.sqrt(c * math.ldexp(m, e % 2)), k + e // 2) if root
+                else (c * m, k + e))
     e = math.frexp(value)[1] + k
     if value and not -1021 <= e <= 1024:
         raise ArithmeticError(f"{site}: the result "
@@ -460,8 +464,7 @@ def l2_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
     u0, u1, k = _unit_pair(u0, u1, site)
     val = _two_phase(_mode_split(t, u0, u1, n, energy=False),
                      _envelope(t, u0, u1, n), 2.0 * t, rel_tol, site)
-    return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
-                     site)
+    return _rescaled(val, plancherel_constant(n), k, site)
 
 
 def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
@@ -475,8 +478,8 @@ def energy(t: float, u0: InitialDataSpec, u1: InitialDataSpec, n: int,
     val = _two_phase(_mode_split(t, u0, u1, n, energy=True),
                      _envelope(t, u0, u1, n, energy=True), 2.0 * t,
                      rel_tol, site)
-    return _rescaled(0.5 * plancherel_constant(n) * max(val, 0.0), 2 * k,
-                     site)
+    return _rescaled(val, 0.5 * plancherel_constant(n), 2 * k, site,
+                     root=False)
 
 
 def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
@@ -495,11 +498,10 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
     below that the call raises ValueError naming t and n, before any
     quadrature.
 
-    The 1e-9 is relative or absolute, whichever is larger, on the radial
-    integral D of (u_hat - profile)^2 r^(n-1) (the squared norm before
-    the factor (2 pi)^(-n) omega_n): D's error is at most
-    max(1e-9 D, (1e-9 (|P1| + sup|u0_hat| + sup|u1_hat|))^2).  Where D
-    has decayed below that floor, the result is certified only to it.
+    The 1e-9 is relative, on the radial integral D of (u_hat -
+    profile)^2 r^(n-1) (the squared norm before the factor (2 pi)^(-n)
+    omega_n), at every t; where D is a subnormal that cannot be
+    certified, ArithmeticError says that the result underflows.
     """
     _check_pair(u0, u1, n)
     if band not in ("both", "high"):
@@ -527,11 +529,9 @@ def residual_norm(t: float, u0: InitialDataSpec, u1: InitialDataSpec,
             d = sum(mode.k_terms(u0.fourier(r), u1.fourier(r), p1))
             return d * d * r ** (n - 1)
 
-    floor = (1e-9 * (abs(p1) + u0.fourier_sup() + u1.fourier_sup())) ** 2
     val = _two_phase(f, _envelope(t, u0, u1, n, p1=p1), 2.0 * max(t, 1.0),
-                     1e-9, site, lower=lower, abs_floor=floor)
-    return _rescaled(math.sqrt(plancherel_constant(n) * max(val, 0.0)), k,
-                     site)
+                     1e-9, site, lower=lower)
+    return _rescaled(val, plancherel_constant(n), k, site)
 
 
 # -- named decay integrals ---------------------------------------------------

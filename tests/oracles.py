@@ -229,3 +229,29 @@ def _mp_squared_mode(t, u0, u1, energy, dps, profile=False):
                              half_periods=16)
         area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
         return val * area / (2 * mp.pi) ** n
+
+
+def mp_residual_sq_small_t(t, u0, u1, cut=40, dps=30):
+    """||u(t) - P1 phi(t)||^2 where the profile's tail is algebraic (small
+    t): the integrand of ``mp_residual_sq`` on [0, cut], plus the profile
+    term alone past ``cut``, where data of width >= 1 have transforms
+    below e^-800,
+
+        P1^2/2 int_cut^inf (1+r^2)^(-t) r^(n-3) (1 - cos 2rt) dr,
+
+    its mean part the incomplete beta of ``mp_weight_tail`` and its
+    oscillating part by ``mp.quadosc``.
+    """
+    n = u0.dimension
+    with mp.workdps(dps):
+        tm = mp.mpf(t)
+        f = _mp_mode_integrand(t, u0, u1, False, True)
+        near = mp_quad_panels(f, 0, cut, omega=2.0 * float(t), dps=dps,
+                              half_periods=4)
+        osc = mp.quadosc(lambda r: (1 + r * r) ** -tm * r ** (n - 3)
+                         * mp.cos(2 * r * tm), [cut, mp.inf],
+                         omega=2 * tm)
+        p1 = mp.mpf(u1.mass())
+        far = p1 * p1 / 2 * (mp_weight_tail(t, n - 3, cut, dps) - osc)
+        area = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        return (near + far) * area / (2 * mp.pi) ** n

@@ -12,7 +12,8 @@ from logdamp import modes, norms, symbols
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import QuadratureSpec, integrate
 from oracles import (mp_contour_rows, mp_energy, mp_l2_sq, mp_quad_panels,
-                     mp_residual_mean, mp_residual_sq, mp_weight_tail)
+                     mp_residual_mean, mp_residual_sq, mp_residual_sq_small_t,
+                     mp_weight_tail)
 
 # cosine-transform closed form: int_0^inf cos(b r)/(1+r^2)^2 dr
 # = pi (1+b) e^{-b}/4, hence the squared-sine integral below.
@@ -166,8 +167,9 @@ def test_time_outside_the_doubles_is_refused_by_name(t):
 
 def test_time_1e154_still_certifies():
     # n = 2 at t = 1e154: ||u||^2 and M(t, 2, sin) are (pi/2)(log t +
-    # gamma + 2 log 2) and E is pi/(2t) up to O(1/t); the residual has
-    # decayed far below its absolute floor, to which it is certified.
+    # gamma + 2 log 2) and E is pi/(2t) up to O(1/t); the residual reads
+    # C_2 t^(-1/2), certified relatively (it was certified only to an
+    # absolute floor some 1e150 times its size).
     t, u0, u1 = 1e154, gaussian(2, 0.5, 0.8), gaussian(2)
     lead = 0.5 * math.pi * (math.log(t) + 0.5772156649015329
                             + 2.0 * math.log(2.0))
@@ -175,9 +177,104 @@ def test_time_1e154_still_certifies():
     assert norms.M_integral(t, 2, "sin") == pytest.approx(lead, rel=1e-10)
     assert norms.energy(t, u0, u1, 2) == pytest.approx(0.5 * math.pi / t,
                                                        rel=1e-10)
-    floor = (1e-9 * (u1.mass() + u0.fourier_sup() + u1.fourier_sup())) ** 2
-    assert 0.0 < norms.residual_norm(t, u0, u1, 2) ** 2 \
-        <= norms.plancherel_constant(2) * floor
+    assert norms.residual_norm(t, u0, u1, 2) == pytest.approx(
+        _leading_residual(2, u0, u1) / math.sqrt(t), rel=1e-9)
+
+
+@pytest.mark.parametrize("t", [1e77, 1e78, 1e79, 1e80])
+def test_residual_below_the_normal_doubles_keeps_its_bits_or_refuses(t):
+    # Zero u0, u1 = G(1), n = 8: the residual is C_8 t^-2, and its radial
+    # integral D is subnormal from t ~ 1e77.  sqrt((2 pi)^-n omega_n D)
+    # rounded the product to a subnormal first: 3.3e-7 off at t = 1e78
+    # and 9.9e-3 at 1e79, both passed by the absolute floor, and 0.0 at
+    # 1e80.  D's binary exponent now moves out before the product; where
+    # D has too few bits to certify, the call says so.
+    u0, u1 = zero(8), gaussian(8)
+    if t < 1e79:
+        assert norms.residual_norm(t, u0, u1, 8) == pytest.approx(
+            _leading_residual(8, u0, u1) / t ** 2, rel=1e-9)
+    else:
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"residual_norm at t={t}: the result underflows")):
+            norms.residual_norm(t, u0, u1, 8)
+
+
+@pytest.mark.parametrize("t", [1e153, 1.34e154])
+def test_four_dimensions_certify_up_to_the_t_cap(t):
+    # The left side r = iy of l2_norm's contour reaches y ~ 1e-155 here,
+    # where its phasor X ~ 1/y: X^2 overflowed before r^3 absorbed it, and
+    # the pass raised "integrand returned a non-finite value".  ||u||^2
+    # reads its leading law P1^2 (2 pi)^-4 omega_4 Gamma(1) t^-1 / 4.
+    u1 = gaussian(4)
+    lead = u1.mass() ** 2 * norms.plancherel_constant(4) / (4.0 * t)
+    for u0 in (zero(4), gaussian(4, 0.5, 0.8)):
+        assert norms.l2_norm(t, u0, u1, 4) ** 2 == pytest.approx(lead,
+                                                                 rel=1e-6)
+
+
+# t from 1e8 to the cap; 5e153 and 1.34e154 are where n = 6 and 8 raised
+# "integrand returned a non-finite value" (see the test above).
+_SWEEP_TIMES = (1e8, 1e30, 1e60, 1e80, 1e100, 1e130, 1e153, 5e153, 1.34e154)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_norms_certify_or_refuse_by_site_up_to_the_t_cap(n):
+    # Every call returns a finite value or an ArithmeticError or
+    # ValueError naming its site (never EvaluationError, never NaN), and
+    # every residual it returns reads its leading law C_n t^(-n/4).  The
+    # refusals are n >= 5, where D leaves the normal doubles or (l2_norm,
+    # n >= 6) the axis's r^(n-1) does.
+    u1 = gaussian(n)
+    for u0 in (zero(n), gaussian(n, 0.5, 0.8)):
+        lead = _leading_residual(n, u0, u1)
+        for t in _SWEEP_TIMES:
+            for fn in (norms.l2_norm, norms.energy, norms.residual_norm):
+                try:
+                    value = fn(t, u0, u1, n)
+                except (ArithmeticError, ValueError) as exc:
+                    assert str(exc).startswith(f"{fn.__name__} at t={t}")
+                    continue
+                assert math.isfinite(value)
+                if fn is norms.residual_norm:
+                    assert value == pytest.approx(lead / t ** (n / 4.0),
+                                                  rel=1e-6)
+
+
+def test_truncation_radius_past_the_t_cap_is_refused_by_site():
+    # At t = 0.52 a datum of width 1e-160 truncates near r = 1e161, where
+    # r^2 = inf + iy and numpy's complex product with -w^2/2 read
+    # 0 * inf = NaN: "integrand returned a non-finite value at
+    # r=1.35e+154".  No contour goes past r = 1.34e154.
+    u0, u1 = zero(1), gaussian(1, 1.0, 1e-160)
+    for fn in (norms.l2_norm, norms.energy, norms.residual_norm):
+        with pytest.raises(ArithmeticError, match=re.escape(
+                f"{fn.__name__} at t=0.52: the tail runs past r = 1.34e154")):
+            fn(0.52, u0, u1, 1)
+
+
+@pytest.mark.parametrize("n, t", [(1, 0.5), (1, 1.0), (2, 1.0), (2, 1.5),
+                                  (3, 2.0), (4, 2.5), (5, 3.0)])
+def test_residual_certifies_at_small_t(n, t):
+    # Phase 1 went to a quarter of the absolute floor (1e-9 (|P1| +
+    # sup|u0_hat| + sup|u1_hat|))^2, far out on the profile's algebraic
+    # tail, and each of these raised "did not converge".  Against the
+    # incomplete beta and mpmath's oscillatory quadrature of that tail.
+    u0, u1 = zero(n), gaussian(n)
+    got = norms.residual_norm(t, u0, u1, n)
+    ref = math.sqrt(mp_residual_sq_small_t(t, u0, u1))
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("n, t, before", [
+    (1, 1.5, 25_440), (2, 2.0, 33_916), (3, 3.0, 6_366), (4, 3.0, 50_851),
+    (5, 4.0, 8_475), (6, 4.0, 67_784)])
+def test_small_t_residual_takes_a_fifth_of_its_floor_panels(monkeypatch, n,
+                                                            t, before):
+    # ``before``: the panels these took while phase 1 aimed at the
+    # absolute floor.  Zero u0, u1 = G(1).
+    panels = _panels(monkeypatch)
+    assert norms.residual_norm(t, zero(n), gaussian(n), n) > 0.0
+    assert sum(panels) <= before / 5
 
 
 def test_residual_envelope_overflow_is_refused_by_name():
@@ -474,7 +571,7 @@ _LARGE_T_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("t", [1e9, 1e10, 1e12])
+@pytest.mark.parametrize("t", [1e9, 1e10, 1e12, 1e16])
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("call", _LARGE_T_CALLS, ids=_SPLIT_IDS)
 def test_split_call_takes_one_integrate_call_at_large_t(monkeypatch, t, n,
@@ -482,9 +579,10 @@ def test_split_call_takes_one_integrate_call_at_large_t(monkeypatch, t, n,
     # Phase 1 stopped at 1e-40 of the envelope's scale where its bound at
     # r = 1 underflows, short of rel_tol |value| / 4 for the residual at
     # n = 2 from t = 1e10 and n = 3 from 1e9, and for l2_norm at n = 3,
-    # t = 1e12: those redid the whole contour.  The residual's extension
-    # now aims at its certified error, which its absolute floor sets
-    # there, and phase 1 takes norms._depth where that is deeper.
+    # t = 1e12: those redid the whole contour.  Phase 1 takes
+    # norms._depth where that is deeper, one rule, scale W/(2t)^2, for
+    # the residual and the modes; at t = 1e16 l2_norm at n = 2 took two
+    # calls while W's lgamma difference lost its digits.
     integrals, _ = _cost(monkeypatch)
     assert call(n, t) > 0.0
     assert len(integrals) == 1 and integrals[0].lower == 0.0
@@ -1033,8 +1131,8 @@ def test_integrands_evaluate_the_damping_symbol_once(monkeypatch, call,
         "residual_split", "M_sin_split"])
 def test_uncertified_quantity_raises_naming_its_site(monkeypatch, site, t,
                                                      call):
-    # At t = 5 every band carries weight, so no absolute floor certifies
-    # a truncated panelling; with 2 panels none can meet its tolerance.
+    # At t = 5 every band carries weight, and with 2 panels no call can
+    # meet its tolerance.
     # At t = 1e6 the contour piece's initial panels (its 16 half-periods,
     # eight side panels and the geometric axis) do not fit in 2 panels.
     assert math.isfinite(call(t))
