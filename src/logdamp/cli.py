@@ -4,8 +4,8 @@ Subcommands and the options each reads
 --------------------------------------
 special : weight integrals, scalings, identities; --t-min, --t-max,
           --t-points, --log-grid/--linear-grid, --tol
-lemmas  : inequality suites with PASS/FAIL lines; --dim, --seed,
-          --samples and the data keys
+lemmas  : inequality suites with PASS/FAIL lines, each at fixed points;
+          --dim and the data keys
 decay   : ||u(t)||^2 over its optimal rate F_n(t); --dim, the grid
           flags, --tol and the data keys
 profile : scaled distance to the mass profile; the options of decay
@@ -78,8 +78,6 @@ _OPTIONS = {
     "t_points": _checked(int, lambda k: k >= 2, "need at least 2 grid points"),
     "log_grid": _boolean,
     "tol": _checked(float, lambda x: x >= 0.0, "must be >= 0"),
-    "seed": _checked(int, lambda k: k >= 0, "must be >= 0"),
-    "samples": _checked(int, lambda k: k >= 1, "must be >= 1"),
     "i0_multiple": _checked(float, lambda x: x > 0.0, "must be > 0"),
     # The data keys, set in a config file only; InitialDataSpec checks them.
     "u0_family": str, "u0_amplitude": float, "u0_width": float,
@@ -259,32 +257,39 @@ def _zero_data(*data: InitialDataSpec) -> bool:
 
 
 def _suite_lines(cfg: RunConfig):
-    """Run every inequality suite; yield (name, samples, margin, ok).
+    """Run every inequality suite; yield (name, count, margin, ok).
 
     ``margin`` is slack on the natural scale of each check (positive
-    means the property holds with room to spare).
+    means the property holds with room to spare).  Every check is
+    deterministic, and ``count`` (the CSV's second column) is the number
+    of points it evaluates: 1 where a bound is evaluated at the one point
+    where its sup is attained, else the size of a fixed grid, times the
+    dimensions checked where the check depends on the data.
     """
-    rng = np.random.default_rng(cfg.seed)
-
-    r = np.exp(rng.uniform(math.log(1e-8), math.log(1e8), 10_000))
+    # Each symbol bound is an increasing function of g alone: (a/b)^2 =
+    # g/(1-g), ((b-r)/b)^2 = (1 - 1/sqrt(1-g))^2 and 2g.  g is unimodal,
+    # as with x = r^2 the sign of d/dx[log(1+x)/sqrt(x)] is that of
+    # 2x/(1+x) - log(1+x), which has one positive root; so each bound
+    # takes its sup at g's peak.
+    r = symbols.g_peak()[0]
     a, b = symbols.damping_a(r), symbols.oscillation_b(r)
-    worst = float(np.max((a / b) ** 2))
-    yield ("damping_ratio_bound", r.size, 1.0 / 3.0 - worst,
+    worst = (a / b) ** 2
+    yield ("damping_ratio_bound", 1, 1.0 / 3.0 - worst,
            worst <= 1.0 / 3.0 + 1e-12)
-    worst = float(np.max((symbols.b_minus_r(r) / b) ** 2))
-    yield ("dispersion_shift_bound", r.size, 28.0 / 3.0 - worst,
+    worst = (symbols.b_minus_r(r) / b) ** 2
+    yield ("dispersion_shift_bound", 1, 28.0 / 3.0 - worst,
            worst <= 28.0 / 3.0 + 1e-9)
-    worst = float(np.max(2.0 * symbols.ratio_g(r)))
-    yield ("log_symbol_bound", r.size, 1.0 - worst, worst <= 1.0 + 1e-12)
+    worst = 2.0 * symbols.ratio_g(r)
+    yield ("log_symbol_bound", 1, 1.0 - worst, worst <= 1.0 + 1e-12)
 
-    ps = rng.uniform(2.0, 8.0, 50)
-    ts = np.array([rng.uniform(p + 2.0, 200.0) for p in ps])
+    pts = [(p, t) for p in np.linspace(2.0, 8.0, 5)
+           for t in np.geomspace(p + 2.0, 200.0, 10)]
     worst = 0.0
-    for p, t in zip(ps, ts):
+    for p, t in pts:
         direct = special.I_p(t, p)
         stepped = special.I_p_recurrence(t, p, special.I_p(t, p - 2.0))
         worst = max(worst, abs(direct - stepped) / direct)
-    yield ("recurrence_consistency", 50, 1e-10 - worst, worst <= 1e-10)
+    yield ("recurrence_consistency", len(pts), 1e-10 - worst, worst <= 1e-10)
 
     worst = -math.inf
     count = 0
@@ -311,7 +316,7 @@ def _suite_lines(cfg: RunConfig):
     u1 = cfg.data_pair(cfg.dim[0])[1]
     w11 = u1.weighted_l1_norm()
     if w11 > 0.0:
-        xi = np.exp(rng.uniform(math.log(1e-6), math.log(1e3), 2000))
+        xi = np.geomspace(1e-6, 1e3, 2000)
         ratio = np.abs(u1.fourier_minus_mass(xi)) / (xi * w11)
         worst = float(np.max(ratio))
     else:
@@ -342,28 +347,12 @@ def _suite_lines(cfg: RunConfig):
         checked += 1
     yield ("high_band_envelope", checked, -worst, worst <= 0.0)
 
-    worst = -math.inf
-    nprof = cfg.samples
-    for _ in range(nprof):
-        n = int(rng.integers(1, 4))
-        k = int(rng.integers(1, 4))
-        cs = rng.uniform(-1.0, 1.0, k)
-        mus = rng.uniform(0.0, 5.0, k)
-        sigmas = rng.uniform(0.1, 2.0, k)
-
-        def vhat(rr, cs=cs, mus=mus, sigmas=sigmas):
-            acc = np.zeros_like(rr)
-            for c, m, s in zip(cs, mus, sigmas):
-                acc = acc + c * np.exp(-0.5 * ((rr - m) / s) ** 2)
-            return acc
-
-        radius = float(np.max(mus + 14.0 * sigmas))
-        nv, nav, nlv = norms.log_operator_norms(
-            vhat, n, radius, breakpoints=tuple(np.sort(mus)), rel_tol=1e-9)
-        rhs = 2.0 / math.e * (nv + nav)
-        if rhs > 0.0:
-            worst = max(worst, nlv / rhs - 1.0)
-    yield ("log_operator_relative_bound", nprof, -worst, worst <= 0.0)
+    # log(1+x)/(1+x) peaks at x = e - 1 with value 1/e, so |L v^| <=
+    # (1 + x)|v^|/e pointwise and ||Lv|| <= (||v|| + ||Av||)/e for every
+    # v: against the checked 2/e the margin is 1/2.
+    x = math.e - 1.0
+    worst = math.log1p(x) / (1.0 + x) / (2.0 / math.e) - 1.0
+    yield ("log_operator_relative_bound", 1, -worst, worst <= 0.0)
 
     worst = -math.inf
     checked = 0
@@ -469,7 +458,7 @@ _COMMANDS = {
                  "log_grid": True, "tol": 1e-10},
                 "limit on the relative error of the h0 identity"),
     "lemmas": (cmd_lemmas, "inequality suites with PASS/FAIL lines",
-               {"dim": "1,2,3", "seed": 12345, "samples": 1000, **_DATA},
+               {"dim": "1,2,3", **_DATA},
                None),
     "decay": (cmd_decay, "squared L2 norm over its optimal rate",
               {"dim": "1,2,3", "t_min": 1e2, "t_max": 1e5, "t_points": 20,

@@ -275,9 +275,11 @@ class _Split:
         if k:
             out[0, :k] = self._direct(x, a[:k].real, b[:k].real, p[:k])
         q = p[k:j]  # the mean |X|^2/2 (energy r^2 |X|^2) on the axis
+        if n >= 4:  # r^(n-1) in X, as |X|^2 ~ t times r^(n-1) underflows
+            q = q * ax ** ((n - 1) / 2)
         mean = (q * q.conj()).real
         mean = ax * ax * mean if self.energy else 0.5 * mean
-        out[0, m:] = mean * ax ** (n - 1) if n > 1 else mean
+        out[0, m:] = mean * ax ** (n - 1) if 1 < n < 4 else mean
         a, b, p, z = a[j:], b[j:], p[j:], z[j:]
         # r^i between X's factors: X ~ 1/y, so X^2 overflows, at r = iy
         i = max(0, n // 2 - 1)
@@ -380,16 +382,19 @@ def _unit_pair(u0: InitialDataSpec, u1: InitialDataSpec, site: str):
     scaled pair, which stays clear of under- and overflow: the
     residual's envelope coefficient 2 (1.58 B0 + t B1)^2 is below t^2/2
     plus O(t), a double wherever t^2 is.  Where the scaling takes a
-    nonzero amplitude to 0, or below 2^-1034 (a subnormal with fewer
+    nonzero amplitude below 2^-1034 (to 0, or to a subnormal with fewer
     than 40 bits, 5e-13 relative), as width^n past about 1e308 times
-    the amplitude's own scale does, ArithmeticError names the site."""
+    the amplitude's own scale does, or past the doubles, as a subnormal
+    transform sup does, ArithmeticError names the site."""
     k = math.frexp(max(u0.fourier_sup(), u1.fourier_sup()))[1] + 1
-    pair = [d.scaled(-k) for d in (u0, u1)]
-    if any(d.amplitude and abs(s.amplitude) < 2.0 ** -1034
-           for d, s in zip((u0, u1), pair)):
+    # amplitude 2^-k = m 2^e, m in [1/2, 1), is at least 2^-1034 and a
+    # double exactly where -1034 < e <= 1024.
+    if any(d.amplitude
+           and not -1034 < math.frexp(d.amplitude)[1] - k <= 1024
+           for d in (u0, u1)):
         raise ArithmeticError(f"{site}: the data underflow when scaled "
                               f"to a unit transform sup")
-    return (*pair, k)
+    return (*(d.scaled(-k) for d in (u0, u1)), k)
 
 
 def _rescaled(d: float, c: float, k: int, site: str,

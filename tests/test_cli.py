@@ -1,12 +1,14 @@
 """Command-line contract: CSV shape, checks, exit codes, determinism."""
 
+import argparse
 import csv
 import math
 
+import mpmath as mp
 import pytest
 
 from logdamp import norms
-from logdamp.cli import main
+from logdamp.cli import _suite_lines, main, resolve_config
 from logdamp.modes import InitialDataSpec
 from logdamp.quadrature import EvaluationError
 
@@ -69,8 +71,14 @@ def test_config_hash_present(tmp_path):
     assert any(ln.startswith("# config=") for ln in text.splitlines())
 
 
-def test_lemmas_all_pass_and_deterministic(tmp_path):
-    code1, text1 = run(tmp_path, "lemmas", "--samples", "60", "--seed", "5")
+def test_lemmas_all_pass_and_deterministic(tmp_path, monkeypatch):
+    # No check draws random numbers, and none integrates a profile of the
+    # log operator: its bound is proved pointwise.
+    def log_operator_norms(*args, **kwargs):
+        raise AssertionError("lemmas integrated a log-operator profile")
+
+    monkeypatch.setattr(norms, "log_operator_norms", log_operator_norms)
+    code1, text1 = run(tmp_path, "lemmas")
     assert code1 == 0
     for row in parse_rows(text1):
         assert row["status"] == "PASS"
@@ -80,9 +88,38 @@ def test_lemmas_all_pass_and_deterministic(tmp_path):
         "velocity_moment_bound", "oscillating_band_sin",
         "oscillating_band_cos", "high_band_envelope",
         "log_operator_relative_bound", "energy_monotone"]
-    code2, text2 = run(tmp_path, "lemmas", "--samples", "60", "--seed", "5")
+    code2, text2 = run(tmp_path, "lemmas")
     assert code2 == 0
-    assert text1 == text2  # byte-identical rerun under a pinned seed
+    assert text1 == text2  # byte-identical rerun with default options
+
+
+def test_lemmas_symbol_rows_read_the_sup_of_g():
+    # With x = r^2, g = log(1+x)^2/(4x) peaks where 2x/(1+x) = log(1+x)
+    # (x* = 3.9215536...); each symbol bound is an increasing function of
+    # g, so its margin is that function's value at g*, here from mpmath
+    # at 40 digits.  The log-operator bound is proved pointwise: its
+    # ratio to the checked 2/e is 1/2 at x = e - 1.
+    with mp.workdps(40):
+        x = mp.findroot(lambda x: 2 * x / (1 + x) - mp.log1p(x), 4)
+        g = mp.log1p(x) ** 2 / (4 * x)
+        want = {"damping_ratio_bound": mp.mpf(1) / 3 - g / (1 - g),
+                "dispersion_shift_bound":
+                    mp.mpf(28) / 3 - (1 - 1 / mp.sqrt(1 - g)) ** 2,
+                "log_symbol_bound": 1 - 2 * g}
+        assert abs(x - mp.mpf("3.9215536")) < 1e-7
+        assert abs(g - mp.mpf("0.16190255947")) < 1e-11
+    cfg = resolve_config("lemmas", argparse.Namespace(config=None))
+    rows = {name: (count, margin, ok)
+            for name, count, margin, ok in _suite_lines(cfg)}
+    for name, margin in want.items():
+        assert rows[name][0] == 1 and rows[name][2]
+        assert rows[name][1] == pytest.approx(float(margin), rel=1e-12)
+    assert [float(want[name]) for name in want] == pytest.approx(
+        [1.4015465070764e-01, 9.3248090239445, 6.7619488105404e-01],
+        rel=1e-12)
+    count, margin, ok = rows["log_operator_relative_bound"]
+    assert count == 1 and ok
+    assert margin == pytest.approx(0.5, rel=1e-15)
 
 
 def _bands(text):
@@ -323,6 +360,19 @@ def test_profile_refuses_data_that_underflow_when_scaled(tmp_path, capsys):
                    "scaled to a unit transform sup"]
 
 
+def test_decay_of_data_of_subnormal_mass_is_one_error_line(tmp_path,
+                                                            capsys):
+    # u1 of width 1e-160 in two dimensions has mass 6.3e-320; scaling it
+    # to a unit transform sup raised a bare "math range error".
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text("u1_width = 1e-160\n")
+    code, text = run(tmp_path, "decay", "--config", str(cfg), "--dim", "2")
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1 and text == ""
+    assert err == ["error: l2_norm at t=100.0: the data underflow when "
+                   "scaled to a unit transform sup"]
+
+
 @pytest.mark.parametrize("command", ["decay", "profile", "lemmas"])
 def test_width_whose_square_overflows_is_a_config_error(tmp_path, capsys,
                                                         command):
@@ -339,7 +389,7 @@ def test_width_whose_square_overflows_is_a_config_error(tmp_path, capsys,
 
 def test_lemmas_with_zero_data_divides_nothing_by_zero(tmp_path, capsys):
     code, text = run(tmp_path, "lemmas", "--config",
-                     _zero_data_config(tmp_path), "--samples", "20")
+                     _zero_data_config(tmp_path))
     assert code == 0
     assert "error:" not in capsys.readouterr().err
     rows = {r["name"]: r for r in parse_rows(text)}
@@ -481,11 +531,13 @@ def test_profile_outside_its_domain_is_one_domain_error(tmp_path, capsys):
 
 _DATA_KEYS = ("u0_family", "u0_amplitude", "u0_width",
               "u1_family", "u1_amplitude", "u1_width")
-# The 21 (command, option) pairs where the command does not read the option.
+# The 23 (command, option) pairs where the command does not read the
+# option.  No command reads seed or samples, so every command refuses them.
 _UNREAD = ([("special", k) for k in ("dim", "seed", "samples", "i0_multiple",
                                      *_DATA_KEYS)]
            + [("lemmas", k) for k in ("t_min", "t_max", "t_points",
-                                      "log_grid", "tol", "i0_multiple")]
+                                      "log_grid", "tol", "i0_multiple",
+                                      "seed", "samples")]
            + [("decay", k) for k in ("seed", "samples", "i0_multiple")]
            + [("profile", k) for k in ("seed", "samples")])
 _VALUE = {"dim": "3", "seed": "7", "samples": "5", "i0_multiple": "2",
@@ -521,14 +573,13 @@ def _outcome(tmp_path, command, values):
 
 # Small runs to vary one option against.
 _BASE = {"special": {"t_points": "3"},
-         "lemmas": {"samples": "20", "dim": "1"},
+         "lemmas": {"dim": "1"},
          "decay": {"dim": "1", "t_max": "1e3", "t_points": "5"},
          "profile": {"dim": "1", "t_max": "1e3", "t_points": "3"}}
 _READ = ([("special", k, v) for k, v in (
              ("t_min", "2"), ("t_max", "500"), ("t_points", "4"),
              ("log_grid", "no"), ("tol", "0"))]
-         + [("lemmas", k, v) for k, v in (
-             ("dim", "3"), ("seed", "7"), ("samples", "21"))]
+         + [("lemmas", "dim", "3")]
          + [(c, k, v) for c in ("decay", "profile") for k, v in (
              ("dim", "3"), ("t_min", "200"), ("t_max", "2e3"),
              ("t_points", "6"), ("log_grid", "no"))]

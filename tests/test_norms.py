@@ -124,6 +124,20 @@ def test_data_that_underflow_when_scaled_are_refused(width):
         100.0 * u1.l2_norm(), rel=1e-10)
 
 
+def test_data_of_subnormal_mass_are_refused_by_site():
+    # Amplitude 1, width 1e-160, n = 2: the mass 6.3e-320 is subnormal,
+    # so the scaling to a unit transform sup multiplies the amplitude by
+    # 2^1059, and math.ldexp raised a bare OverflowError("math range
+    # error") that named no site (ROADMAP defect 18).
+    u0, u1 = zero(2), gaussian(2, 1.0, 1e-160)
+    for fn, site in ((norms.l2_norm, "l2_norm"), (norms.energy, "energy"),
+                     (norms.residual_norm, "residual_norm")):
+        with pytest.raises(ArithmeticError,
+                           match=re.escape(f"{site} at t=10.0: the data "
+                                           "underflow when scaled")):
+            fn(10.0, u0, u1, 2)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("t", [1.0, 100.0, 1e4])
 def test_wide_datum_at_small_t_has_its_closed_form_norms(n, t):
@@ -223,7 +237,7 @@ def test_norms_certify_or_refuse_by_site_up_to_the_t_cap(n):
     # ValueError naming its site (never EvaluationError, never NaN), and
     # every residual it returns reads its leading law C_n t^(-n/4).  The
     # refusals are n >= 5, where D leaves the normal doubles or (l2_norm,
-    # n >= 6) the axis's r^(n-1) does.
+    # n >= 7) ||u||^2 does.
     u1 = gaussian(n)
     for u0 in (zero(n), gaussian(n, 0.5, 0.8)):
         lead = _leading_residual(n, u0, u1)
@@ -238,6 +252,21 @@ def test_norms_certify_or_refuse_by_site_up_to_the_t_cap(n):
                 if fn is norms.residual_norm:
                     assert value == pytest.approx(lead / t ** (n / 4.0),
                                                   rel=1e-6)
+
+
+@pytest.mark.parametrize("n, t", [(6, 1e128), (6, 1e140), (7, 1e110),
+                                  (8, 1e92), (8, 1e100)])
+def test_l2_norm_at_huge_t_reads_its_leading_law(n, t):
+    # The axis's mean |X|^2 ~ t times r^(n-1), r ~ t^(-1/2), went through
+    # a subnormal r^(n-1): these calls raised "did not converge" after up
+    # to 4 s (ROADMAP defect 19), where ||u|| is a normal double.  Now
+    # r^((n-1)/2) goes into X before the square, and ||u||^2 reads its
+    # leading law P1^2 (2 pi)^-n omega_n Gamma((n-2)/2) t^(-(n-2)/2) / 4.
+    u1 = gaussian(n)
+    lead = (u1.mass() ** 2 * norms.plancherel_constant(n)
+            * math.gamma((n - 2) / 2.0) * t ** (-(n - 2) / 2.0) / 4.0)
+    assert norms.l2_norm(t, zero(n), u1, n) ** 2 == pytest.approx(lead,
+                                                                  rel=1e-12)
 
 
 def test_truncation_radius_past_the_t_cap_is_refused_by_site():
